@@ -26,7 +26,7 @@ from .rootsys import (
     InvalidOrdering,
     MismatchedQuiver,
     OrbitBudgetExceeded,
-    extended_positive_roots,
+    extend_by_simples,
     positive_roots,
 )
 from .unfold import unfold
@@ -114,7 +114,7 @@ def _cmd_roots(args) -> int:
     lines = [f"positive roots ({len(base)}):"]
     lines += [f"  {r.serialize()}" for r in base.sorted()]
     if args.extended:
-        ext = extended_positive_roots(Q, args.budget)
+        ext = extend_by_simples(Q, base)
         doc["extended_count"] = len(ext)
         doc["extended_positive_roots"] = [r.to_json() for r in ext.sorted()]
         lines.append(f"extended positive roots ({len(ext)}):")

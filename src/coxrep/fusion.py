@@ -302,6 +302,11 @@ class FusionElem:
         return f"FusionElem({terms})"
 
 
+def arrow_label_class(labels, n: int) -> FusionElem:
+    """The fusion class of an arrow labelled n: the label-n simple of index n-3."""
+    return FusionElem.simple(labels, SimpleObject.unit(labels).replace(n, n - 3))
+
+
 def fusion_mul(x: FusionElem, y: FusionElem) -> FusionElem:
     """Product in the fusion ring (bilinear extension of the tensor rule)."""
     return x * y

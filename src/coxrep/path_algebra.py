@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fusion import FusionElem, SimpleObject
+from .fusion import FusionElem, arrow_label_class
 from .quiver import CoxeterQuiver
 
 
@@ -50,10 +50,8 @@ def enumerate_paths(Q: CoxeterQuiver, n: int) -> PathGrade:
 
 def arrow_class(Q: CoxeterQuiver, arrow_id: str) -> FusionElem:
     """The fusion class attached to one arrow: the label-n simple of index n-3."""
-    labels = Q.label_set
     arrow = next(a for a in Q.arrows if a.id == str(arrow_id))
-    simple = SimpleObject.unit(labels).replace(arrow.label, arrow.label - 3)
-    return FusionElem.simple(labels, simple)
+    return arrow_label_class(Q.label_set, arrow.label)
 
 
 def grade_class(Q: CoxeterQuiver, n: int) -> FusionElem:

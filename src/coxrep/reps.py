@@ -4,9 +4,11 @@ A representation is stored as one rational dimension per unfolded vertex and
 one rational matrix per unfolded arrow.  Reflection at a sink (source) of the
 Coxeter quiver acts as the classical kernel (cokernel) construction at every
 unfolded vertex lying over it, and matches the simple reflection on dimension
-vectors.  Indecomposables of finite-type quivers are produced by walking a
-root vector to a simple one along an admissible ordering and replaying the
-inverse reflection functors from a one-dimensional representation.
+vectors.  Indecomposables of finite-type quivers are knitted forward from the
+simples (Bernstein-Gelfand-Ponomarev): cokernel reflection functors carry each
+one-dimensional representation around the cycle of orientations of an
+admissible ordering until it vanishes, and every representation met on the
+original orientation is indecomposable, one per extended positive root.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ import random
 from .fusion import SimpleObject
 from .linalg import Mat, cokernel_projection, kernel_basis, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
-from .rootsys import (
-    CapExceeded,
-    RootVector,
-    coxeter_order,
-    extended_positive_roots,
-    is_positive_vec,
-    reflect,
-)
+from .rootsys import CapExceeded, RootVector, extended_positive_roots
 from .unfold import UnfoldedQuiver, fold_dim, unfold, vertex_name
 
 DEFAULT_SEED = 7
@@ -216,8 +211,12 @@ def reflect_minus(Q: CoxeterQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
         raise ValueError("representation does not live over the given quiver")
     if not Q.is_source(i):
         raise NotASource(f"vertex {i!r} is not a source")
+    return _cokernel_step(unfold(reverse_at(Q, i)), i, V)
+
+
+def _cokernel_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
+    # i is a source of V's quiver; uq2 is the unfolding of that quiver reversed at i
     uq = V.quiver
-    uq2 = unfold(reverse_at(Q, i))
     dims = dict(V.dims)
     maps: dict[str, Mat] = {}
     over_i = set(uq.vertices_over(i))
@@ -343,92 +342,65 @@ def endomorphism_basis(V: UnfoldedRep) -> list[dict[str, Mat]]:
     return basis
 
 
-def _root_to_simple_word(Q, ordering, v, max_steps):
-    """Walk v with reflections in cyclic admissible order until positivity
-    would fail; the last positive vector is a simple class at one vertex."""
+def _knit(Q: CoxeterQuiver, n_roots: int):
+    """Yield the indecomposables of the finite-type quiver Q, knitted forward
+    from the simples.
+
+    With the admissible ordering v_0, ..., v_{n-1}, let Q_k be Q reversed at
+    v_0, ..., v_{k-1}.  For each k and simple A the chain starts at the
+    one-dimensional representation at (A, v_k) over Q_k and applies the
+    cokernel functor at v_{k-1}, ..., v_0, v_{n-1}, ..., v_0, ... until it
+    vanishes; each member over Q_0 = Q is yielded.  A chain longer than
+    n * n_roots steps raises CapExceeded.
+    """
+    ordering = admissible_sink_ordering(Q)
     n = len(ordering)
-    u = v
-    seq: list[str] = []
-    for _ in range(max_steps):
-        j = ordering[len(seq) % n]
-        nxt = reflect(Q, j, u)
-        if not is_positive_vec(nxt):
-            if set(u.entries) != {j}:
-                raise NotAnExtendedRoot(f"{v!r} did not reduce to a simple class")
-            items = list(u.entries[j].coeffs.items())
-            if len(items) != 1 or items[0][1] != 1:
-                raise NotAnExtendedRoot(f"{v!r} did not reduce to a simple class")
-            return seq, j, items[0][0]
-        seq.append(j)
-        u = nxt
-    raise CapExceeded("reflection word search exceeded its step bound")
-
-
-def _rep_from_word(Q, seq, k_vertex, A) -> UnfoldedRep:
     quivers = [Q]
-    for j in seq:
+    for j in ordering[:-1]:
         quivers.append(reverse_at(quivers[-1], j))
-    W = simple_rep(quivers[-1], k_vertex, A)
-    for t in range(len(seq) - 1, -1, -1):
-        W = reflect_minus(quivers[t + 1], seq[t], W)
-    return W
+    unfolded = [unfold(q) for q in quivers]
+    max_steps = n * n_roots
+    for k, vk in enumerate(ordering):
+        for A in unfolded[k].irr:
+            W = UnfoldedRep(unfolded[k], {vertex_name(A, vk): 1})
+            p = k
+            for _ in range(max_steps):
+                if p == 0:
+                    yield W
+                p = (p - 1) % n
+                W = _cokernel_step(unfolded[p], ordering[p], W)
+                if W.is_zero():
+                    break
+            else:
+                raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
 
 
 def indecomposable_for(
     Q: CoxeterQuiver, v: RootVector, budget: int = 10_000, _roots=None
 ) -> UnfoldedRep:
     """The indecomposable representation whose dimension vector is the given
-    extended positive root, built by inverse reflection functors from a
-    one-dimensional representation."""
+    extended positive root, taken from the forward knitting of the simples."""
     if not is_finite_type(Q):
         raise NotFiniteType("indecomposables are only enumerated in finite type")
     roots = _roots if _roots is not None else extended_positive_roots(Q, budget).roots
     if v not in roots:
         raise NotAnExtendedRoot(f"{v!r} is not an extended positive root")
-    ordering = admissible_sink_ordering(Q)
-    max_steps = (coxeter_order(Q, ordering) + 1) * len(ordering)
-    seq, k_vertex, A = _root_to_simple_word(Q, ordering, v, max_steps)
-    W = _rep_from_word(Q, seq, k_vertex, A)
-    if dim_vector(W) != v:
-        raise AssertionError("constructed representation has wrong dimension vector")
-    return W
+    for W in _knit(Q, len(roots)):
+        if dim_vector(W) == v:
+            return W
+    raise AssertionError("knitting did not reach an extended positive root")
 
 
 def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = 10_000) -> list[UnfoldedRep]:
     """One representative per extended positive root, sorted by the serialized
-    dimension vector.  Shared reflection chains are built incrementally."""
+    dimension vector, knitted forward from the simples.  The knitted dimension
+    vectors are checked against `extended_positive_roots`."""
     if not is_finite_type(Q):
         raise NotFiniteType("enumeration requires a finite-type quiver")
-    ordering = admissible_sink_ordering(Q)
-    n = len(ordering)
     roots = extended_positive_roots(Q, budget).roots
-    max_steps = (coxeter_order(Q, ordering) + 1) * n
-    chains: dict[tuple[int, SimpleObject], dict[int, RootVector]] = {}
-    for v in roots:
-        seq, _, A = _root_to_simple_word(Q, ordering, v, max_steps)
-        k, r = len(seq) % n, len(seq) // n
-        chains.setdefault((k, A), {})[r] = v
-    out = []
-    for (k, A), by_r in sorted(chains.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        rmax = max(by_r)
-        L = rmax * n + k
-        seq_full = [ordering[t % n] for t in range(L)]
-        quivers = [Q]
-        for j in seq_full:
-            quivers.append(reverse_at(quivers[-1], j))
-        W = simple_rep(quivers[-1], ordering[k], A)
-        if k == 0 and 0 in by_r:
-            out.append((by_r[0], W))
-        for t in range(L - 1, -1, -1):
-            W = reflect_minus(quivers[t + 1], seq_full[t], W)
-            suffix = L - t
-            if suffix >= k and (suffix - k) % n == 0:
-                r = (suffix - k) // n
-                if r in by_r:
-                    out.append((by_r[r], W))
-    for v, W in out:
-        if dim_vector(W) != v:
-            raise AssertionError("enumerated representation has wrong dimension vector")
+    out = [(dim_vector(W), W) for W in _knit(Q, len(roots))]
+    if len(out) != len(roots) or {v for v, _ in out} != roots:
+        raise AssertionError("knitted dimension vectors differ from the extended roots")
     out.sort(key=lambda pair: pair[0].serialize())
     return [W for _, W in out]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fusion import (
     FusionElem,
-    SimpleObject,
+    arrow_label_class,
     invertible_simples,
     irr_enumerate,
     is_positive_elem,
@@ -147,9 +147,7 @@ def _edge_classes(Q: CoxeterQuiver) -> dict[str, list[tuple[str, FusionElem]]]:
     labels = Q.label_set
     out: dict[str, list[tuple[str, FusionElem]]] = {v: [] for v in Q.vertices}
     for a in Q.arrows:
-        gen = FusionElem.simple(
-            labels, SimpleObject.unit(labels).replace(a.label, a.label - 3)
-        )
+        gen = arrow_label_class(labels, a.label)
         out[a.source].append((a.target, gen))
         out[a.target].append((a.source, gen))
     return out
@@ -184,22 +182,22 @@ def reflect(Q: CoxeterQuiver, i: str, v: RootVector) -> RootVector:
     Q._require(i)
     if v.labels != Q.label_set:
         raise MismatchedQuiver("root vector over a different label set")
-    labels = Q.label_set
+    return _reflect(i, v, _edge_classes(Q)[i])
+
+
+def _reflect(i: str, v: RootVector, edges_i) -> RootVector:
+    # edges_i: the (neighbour, label class) items of i from _edge_classes
     new_i = -v.entry(i)
-    for a in Q.incident_arrows(i):
-        j = a.target if a.source == i else a.source
+    for j, gen in edges_i:
         vj = v.entries.get(j)
         if vj is not None:
-            gen = FusionElem.simple(
-                labels, SimpleObject.unit(labels).replace(a.label, a.label - 3)
-            )
             new_i = new_i + gen * vj
     out = dict(v.entries)
     if new_i:
         out[i] = new_i
     else:
         out.pop(i, None)
-    return RootVector(labels, out)
+    return RootVector(v.labels, out)
 
 
 def _check_ordering(Q: CoxeterQuiver, ordering) -> tuple[str, ...]:
@@ -249,6 +247,7 @@ DEFAULT_BUDGET = 10_000
 
 def root_orbit(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> frozenset[RootVector]:
     """Closure of the simple roots under all simple reflections, both signs."""
+    edges = _edge_classes(Q)
     seen: set[RootVector] = set()
     frontier = [RootVector.basis(Q, i) for i in Q.vertices]
     seen.update(frontier)
@@ -256,7 +255,7 @@ def root_orbit(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> frozenset[Root
         nxt = []
         for w in frontier:
             for i in Q.vertices:
-                r = reflect(Q, i, w)
+                r = _reflect(i, w, edges[i])
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)
@@ -299,7 +298,11 @@ def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
 
 def extended_positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
     """All products (simple class) * (positive root), deduplicated."""
-    base = positive_roots(Q, budget)
+    return extend_by_simples(Q, positive_roots(Q, budget))
+
+
+def extend_by_simples(Q: CoxeterQuiver, base: RootSet) -> RootSet:
+    """All products (simple class) * r for r in the positive roots `base`."""
     labels = Q.label_set
     out: set[RootVector] = set()
     for simple in irr_enumerate(labels):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from coxrep.cli import main
+from families import family_quiver
 
 H3_TEXT = "vertex 1\nvertex 2\nvertex 3\narrow 1 2 5\narrow 2 3\n"
 I25_TEXT = "vertex 1\nvertex 2\narrow 1 2 5\n"
@@ -141,6 +143,9 @@ def test_indecs_infinite_type_exit_code(capsys, qfile):
 def test_budget_exit_code(capsys, qfile):
     code, _, err = run(capsys, "roots", qfile(DOUBLE_TEXT), "--budget", "30")
     assert code == 3
+    code, out, _ = run(capsys, "indecs", qfile(H3_TEXT), "--budget", "5")
+    assert code == 3
+    assert out == ""
 
 
 def test_runs_are_byte_identical(capsys, qfile):
@@ -151,3 +156,36 @@ def test_runs_are_byte_identical(capsys, qfile):
     _, out3, _ = run(capsys, "indecs", p, "--full", "--json")
     _, out4, _ = run(capsys, "indecs", p, "--full", "--json")
     assert out3 == out4
+
+
+# sha256 of stdout on the representative orientation of each family; the
+# CLI output is part of the interface, so these change only on purpose
+STDOUT_SHA256 = {
+    "B3": (
+        "5d1ab94158b155f5e1a79c40f8ba8b0b618773e889551e8066ce1c7225ca271c",
+        "21c803d67f8decd33306005dd7247991bb6f0c04b34f838493c6e68d0a5f4641",
+    ),
+    "D4": (
+        "1ecd435e9bf11baf71b3d393246b3ea337a843aea63ca3b2b4c3d15f767ca397",
+        "2d1db1f11cca28541394050ee2d7eee92222b2f0b888393213ba538dcac5904a",
+    ),
+    "H3": (
+        "a51e8f1552ad25e1d7f669afcdcfde5919b419fb97b71ab2823e8387cae93c57",
+        "682bcd0d6f89c4f847ae442a7b059c64b42709bcdc703b5d8d0e1fa4b22146d3",
+    ),
+    "I2(5)": (
+        "f883cb7b96e18cc1fe34822f22ab3b078b7e6238649ba9b83f2ef0d2e808a482",
+        "63168be95a27315296a4b5c23c0712345ee30846c1ab49deecc05baa432ec4c8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
+def test_stdout_is_byte_identical_to_recorded(capsys, qfile, name):
+    p = qfile(json.dumps(family_quiver(name).to_json()))
+    digests = []
+    for argv in (["indecs", p, "--full", "--json"], ["roots", p, "--extended", "--json"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == STDOUT_SHA256[name]

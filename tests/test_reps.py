@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coxrep import (
+    CapExceeded,
     FusionElem,
     NotAnExtendedRoot,
     NotASink,
@@ -32,7 +33,7 @@ from coxrep import (
     zero_rep,
 )
 from coxrep.linalg import Mat
-from coxrep.reps import UnfoldedRep
+from coxrep.reps import UnfoldedRep, _knit
 from families import all_orientations, family_quiver
 
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 2 1\n")  # sink at 1
@@ -219,6 +220,9 @@ def test_enumerate_a2():
     assert len(reps) == 3
     dvs = {dim_vector(W).serialize() for W in reps}
     assert len(dvs) == 3
+    # the chain from the simple at 2 takes 3 steps, over the bound 2 * 1
+    with pytest.raises(CapExceeded):
+        list(_knit(A2, 1))
 
 
 def test_enumerate_i25():
@@ -236,7 +240,7 @@ def test_enumerate_h3():
 
 
 def test_enumerate_matches_ext_roots_all_orientations_small():
-    for base in ["A3", "I2(4)", "B3"]:
+    for base in ["A3", "I2(4)", "B3", "H3", "I2(5)"]:
         Q0 = family_quiver(base)
         ext = extended_positive_roots(Q0).roots
         for Q in all_orientations(Q0):
