@@ -125,11 +125,10 @@ def _cmd_roots(args) -> int:
 
 def _cmd_indecs(args) -> int:
     Q = _load_quiver(args.quiver)
-    found = reps_mod.enumerate_indecomposables(Q, args.budget)
+    found = reps_mod._indecomposables_with_dims(Q, args.budget)
     doc = {"count": len(found), "indecomposables": []}
     lines = [f"indecomposables ({len(found)}):"]
-    for W in found:
-        dv = reps_mod.dim_vector(W)
+    for dv, W in found:
         entry = {"dim_vector": dv.to_json()}
         if args.full:
             entry["rep"] = W.to_json()

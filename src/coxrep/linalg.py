@@ -1,14 +1,24 @@
-"""Exact rational matrices: rank, kernels, cokernels and full linear solving.
+"""Exact rational matrices: rank, kernels, cokernels and full linear solving,
+plus the integer polynomial tools of the Krull-Schmidt splitter.
 
 Dense matrices over arbitrary-precision rationals.  Zero-dimensional matrices
-are legal and required (empty kernels, zero representations).  Elimination is
-fraction free: rows are scaled to integers and reduced by cross-multiplication
-with gcd stripping, so no intermediate rationals appear in the hot loop.
+are legal and required (empty kernels, zero representations).  Every solve
+runs on integer rows: each row is scaled to integers, reduced to echelon form
+by cross-multiplication with gcd stripping, and the entries above each pivot
+are then cleared the same way.  In that reduced form each pivot column is zero
+outside its pivot row, so the kernel vector of free column f (x_f = 1, other
+free coordinates 0) and the particular solution (free coordinates 0) are read
+off directly, x_pc = -row[f] / row[pc] and rhs / row[pc]: the only rationals
+are these final quotients.  `int_kernel` takes integer rows directly.
+
+`charpoly` (Berkowitz, division free) and `integer_roots` (square-free part
+and Hensel lifting) work on integer matrices and polynomials only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 
 
@@ -160,6 +170,24 @@ def _int_rows(M: Mat, extra: Mat | None = None) -> list[list[int]]:
     return out
 
 
+def _eliminate(row: list[int], prow: list[int], pc: int, nonzero: list[int]) -> list[int]:
+    """Fraction-free row operation: (p/g) row - (m/g) prow with p = prow[pc],
+    m = row[pc] and g = gcd(p, m), which zeroes column pc; then the row is
+    divided by the gcd of its entries.  nonzero lists the columns where prow
+    is non-zero."""
+    p, m = prow[pc], row[pc]
+    g = gcd(p, m)
+    a, b = p // g, m // g
+    if a != 1:
+        row = [x * a for x in row]
+    for j in nonzero:
+        row[j] -= prow[j] * b
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    return row
+
+
 def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """In-place fraction-free row echelon; returns (rows, pivot columns)."""
     pivots: list[int] = []
@@ -180,26 +208,10 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
             continue
         rows[r], rows[best] = rows[best], rows[r]
         prow = rows[r]
-        p = prow[c]
+        nonzero = [j for j in range(c, ncols) if prow[j]]
         for i in range(r + 1, nrows):
-            row = rows[i]
-            m = row[c]
-            if not m:
-                continue
-            g = gcd(p, m)
-            a, b = p // g, m // g
-            for j in range(c, ncols):
-                row[j] = row[j] * a - prow[j] * b
-            gg = 0
-            for x in row:
-                if x:
-                    gg = gcd(gg, x)
-                    if gg == 1:
-                        break
-            if gg > 1:
-                for j in range(c, ncols):
-                    if row[j]:
-                        row[j] //= gg
+            if rows[i][c]:
+                rows[i] = _eliminate(rows[i], prow, c, nonzero)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -215,33 +227,48 @@ def rank(M: Mat) -> int:
     return len(pivots)
 
 
-def _back_substitute(rows, pivots, ncols, free_col, rhs_col=None):
-    # one kernel / solution vector from an echelon form, as Fractions
-    x = [Fraction(0)] * ncols
-    if free_col is not None:
-        x[free_col] = Fraction(1)
-    for r in range(len(pivots) - 1, -1, -1):
+def _reduce(rows: list[list[int]], pivots: list[int], ncols: int) -> None:
+    """Clear the entries above every pivot of an echelon form, fraction free.
+
+    Afterwards each pivot column is zero outside its pivot row, so every
+    kernel or particular solution can be read off row by row."""
+    for r in range(len(pivots) - 1, 0, -1):
         pc = pivots[r]
-        row = rows[r]
-        s = Fraction(rhs_col[r]) if rhs_col is not None else Fraction(0)
-        for j in range(pc + 1, ncols):
-            if row[j] and x[j]:
-                s -= Fraction(row[j]) * x[j]
-        x[pc] = s / row[pc]
-    return x
+        prow = rows[r]
+        nonzero = [j for j in range(pc, ncols) if prow[j]]
+        for i in range(r):
+            if rows[i][pc]:
+                rows[i] = _eliminate(rows[i], prow, pc, nonzero)
+
+
+def _read_kernel(rows: list[list[int]], pivots: list[int], ncols: int) -> Mat:
+    """Kernel basis from reduced rows: column k belongs to the k-th free column
+    f, with x_f = 1 and x_pc = -row[f] / row[pc] at each pivot."""
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    data = [[0] * len(free) for _ in range(ncols)]
+    for k, f in enumerate(free):
+        data[f][k] = 1
+        for row, pc in zip(rows, pivots):
+            if row[f]:
+                data[pc][k] = Fraction(-row[f], row[pc])
+    return Mat(ncols, len(free), data)
+
+
+def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
+    """Matrix whose columns form a basis of the null space of the integer
+    matrix with the given rows (which are consumed).
+
+    One column per free column f of the echelon form: x_f = 1, every other
+    free coordinate 0, the pivot coordinates read off the reduced rows."""
+    rows, pivots = _echelon(rows, ncols)
+    _reduce(rows, pivots, ncols)
+    return _read_kernel(rows, pivots, ncols)
 
 
 def kernel_basis(M: Mat) -> Mat:
     """Matrix whose columns form a basis of the null space of M."""
-    if M.cols == 0:
-        return Mat(0, 0)
-    if M.rows == 0:
-        return Mat.identity(M.cols)
-    rows, pivots = _echelon(_int_rows(M), M.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
-    cols = [_back_substitute(rows, pivots, M.cols, f) for f in free]
-    return Mat(M.cols, len(free), [[col[r] for col in cols] for r in range(M.cols)])
+    return int_kernel(_int_rows(M), M.cols)
 
 
 def cokernel_projection(M: Mat) -> Mat:
@@ -278,18 +305,119 @@ def solve_all(A: Mat, B: Mat) -> Solution:
     if A.rows != B.rows:
         raise ValueError("incompatible shapes")
     n, p = A.cols, B.cols
-    if A.rows == 0:
-        return Solution(Mat.zeros(n, p), Mat.identity(n))
     rows, pivots = _echelon(_int_rows(A, B), n + p)
     if any(pc >= n for pc in pivots):
         raise NoSolution("system is inconsistent")
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    part_cols = []
-    for k in range(p):
-        rhs = [rows[r][n + k] for r in range(len(pivots))]
-        part_cols.append(_back_substitute(rows, pivots, n, None, rhs))
-    particular = Mat(n, p, [[col[r] for col in part_cols] for r in range(n)])
-    hom_cols = [_back_substitute(rows, pivots, n, f) for f in free]
-    homogeneous = Mat(n, len(free), [[col[r] for col in hom_cols] for r in range(n)])
-    return Solution(particular, homogeneous)
+    _reduce(rows, pivots, n + p)
+    particular = [[0] * p for _ in range(n)]
+    for row, pc in zip(rows, pivots):
+        for k in range(p):
+            if row[n + k]:
+                particular[pc][k] = Fraction(row[n + k], row[pc])
+    return Solution(Mat(n, p, particular), _read_kernel(rows, pivots, n))
+
+
+def charpoly(M: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - M), highest degree first, for a square integer
+    matrix M, by Berkowitz's division-free algorithm (integers only)."""
+    n = len(M)
+    poly = [1]
+    for k in range(n - 1, -1, -1):
+        # poly is the characteristic polynomial of M[k+1:, k+1:]; extend it to
+        # M[k:, k:] with the Toeplitz column 1, -a, -R C, -R S C, -R S^2 C, ...
+        sub = [row[k + 1 :] for row in M[k + 1 :]]
+        R = M[k][k + 1 :]
+        v = [M[i][k] for i in range(k + 1, n)]
+        t = [1, -M[k][k]]
+        for _ in range(n - k - 1):
+            t.append(-sum(r * x for r, x in zip(R, v)))
+            v = [sum(s * x for s, x in zip(row, v)) for row in sub]
+        poly = [
+            sum(t[i - j] * poly[j] for j in range(max(0, i - len(t) + 1), min(i + 1, len(poly))))
+            for i in range(len(poly) + 1)
+        ]
+    return poly
+
+
+def _primitive(p: list[int]) -> list[int]:
+    g = gcd(*p) if p[0] > 0 else -gcd(*p)
+    return [c // g for c in p]
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    # primitive polynomial remainder sequence over the integers
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            lead = r[0]
+            r = [c * b[0] for c in r]
+            for i in range(1, len(b)):
+                r[i] -= lead * b[i]
+            r.pop(0)
+            while r and not r[0]:
+                r.pop(0)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _divide_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic integer polynomial b."""
+    r = list(a)
+    q = []
+    for i in range(len(a) - len(b) + 1):
+        c = r[i]
+        q.append(c)
+        if c:
+            for j in range(1, len(b)):
+                r[i + j] -= c * b[j]
+    return q, r[len(q) :]
+
+
+def _eval(p: list[int], x: int, mod: int = 0) -> int:
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+        if mod:
+            acc %= mod
+    return acc
+
+
+def integer_roots(p: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Integer roots of a monic integer polynomial (highest degree first).
+
+    Returns the roots in increasing order with their multiplicities, and the
+    cofactor: p divided by the product of (x - mu)^e over those roots.
+
+    The roots are those of the square-free part s = p / gcd(p, p'), all
+    simple and at most B = 1 + max |s_i| in size.  They are found modulo the
+    first prime at which every root of s is simple, lifted by Newton's
+    iteration (Hensel's lemma) to a modulus above 2B and checked exactly.
+    Listing the divisors of the constant term instead is hopeless: after
+    scaling by a common denominator it has dozens of digits."""
+    deg = len(p) - 1
+    s, _ = _divide_monic(p, _poly_gcd(p, [c * (deg - i) for i, c in enumerate(p[:-1])])) if deg else (p, None)
+    ds = [c * (len(s) - 1 - i) for i, c in enumerate(s[:-1])]
+    bound = 1 + max(map(abs, s[1:]), default=0)
+    for prime in (q for q in count(2) if all(q % r for r in range(2, q))):
+        residues = [r for r in range(prime) if not _eval(s, r, prime)]
+        if all(_eval(ds, r, prime) for r in residues):
+            break
+    roots = []
+    for r in residues:
+        mod = prime
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _eval(s, r, mod) * pow(_eval(ds, r, mod), -1, mod)) % mod
+        mu = r if 2 * r <= mod else r - mod
+        if _eval(s, mu):
+            continue
+        e = 0
+        q, rem = _divide_monic(p, [1, -mu])
+        while not rem[0]:
+            p, e = q, e + 1
+            q, rem = _divide_monic(p, [1, -mu])
+        roots.append((mu, e))
+    return sorted(roots), p

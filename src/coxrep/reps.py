@@ -9,15 +9,24 @@ simples (Bernstein-Gelfand-Ponomarev): cokernel reflection functors carry each
 one-dimensional representation around the cycle of orientations of an
 admissible ordering until it vanishes, and every representation met on the
 original orientation is indecomposable, one per extended positive root.
+
+Hom and End spaces are the kernels of one integer linear system per pair of
+representations (`_hom_rows`).  Krull-Schmidt splitting uses Fitting's lemma
+in integers only: an endomorphism scaled to integer matrices splits the
+representation into its generalized eigenspaces for the integer roots of the
+blockwise characteristic polynomials, plus one part for all other
+eigenvalues.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from itertools import chain, islice
+from math import lcm
 
 from .fusion import SimpleObject
-from .linalg import Mat, cokernel_projection, kernel_basis, solve_all
+from .linalg import Mat, charpoly, cokernel_projection, int_kernel, integer_roots, kernel_basis, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
 from .rootsys import CapExceeded, RootVector, extended_positive_roots
 from .unfold import UnfoldedQuiver, fold_dim, unfold, vertex_name
@@ -258,10 +267,14 @@ def apply_reflection_word(Q: CoxeterQuiver, V: UnfoldedRep, word) -> UnfoldedRep
     return V
 
 
-def hom_dim(V: UnfoldedRep, W: UnfoldedRep) -> int:
-    """Dimension of the space of morphisms V -> W over the rationals."""
-    if V.quiver != W.quiver:
-        raise ValueError("representations live over different quivers")
+def _hom_rows(V: UnfoldedRep, W: UnfoldedRep) -> tuple[list[list[int]], dict[str, int], int]:
+    """Integer rows of the linear system whose solutions are the morphisms
+    V -> W: f_t MV_a = MW_a f_s for every arrow a: s -> t.
+
+    The unknowns are the entries of the blocks f_u (W.dims[u] x V.dims[u],
+    row-major) from offset base[u]; returns (rows, base, unknowns).  The
+    equations of an arrow are scaled by the lcm of the denominators of its two
+    matrices, so every row is integral."""
     uq = V.quiver
     base: dict[str, int] = {}
     n_unknowns = 0
@@ -271,29 +284,35 @@ def hom_dim(V: UnfoldedRep, W: UnfoldedRep) -> int:
     rows = []
     for a in uq.arrows:
         s, t = a.source, a.target
-        MV, MW = V.maps[a.id], W.maps[a.id]
+        MV, MW = V.maps[a.id].data, W.maps[a.id].data
         ds_v, dt_v = V.dims[s], V.dims[t]
         ds_w, dt_w = W.dims[s], W.dims[t]
+        L = lcm(*(x.denominator for m in (MV, MW) for row in m for x in row))
+        mv = [[x.numerator * (L // x.denominator) for x in row] for row in MV]
+        mw = [[x.numerator * (L // x.denominator) for x in row] for row in MW]
         for r in range(dt_w):
             for c in range(ds_v):
                 row = [0] * n_unknowns
                 # f_t[r, k] * MV[k, c]
                 for k in range(dt_v):
-                    coeff = MV.data[k][c]
+                    coeff = mv[k][c]
                     if coeff:
                         row[base[t] + r * dt_v + k] = coeff
                 # - MW[r, k] * f_s[k, c]
                 for k in range(ds_w):
-                    coeff = MW.data[r][k]
+                    coeff = mw[r][k]
                     if coeff:
-                        idx = base[s] + k * ds_v + c
-                        row[idx] -= coeff
+                        row[base[s] + k * ds_v + c] -= coeff
                 rows.append(row)
-    if n_unknowns == 0:
-        return 0
-    A = Mat(len(rows), n_unknowns, rows) if rows else Mat.zeros(0, n_unknowns)
-    sol = solve_all(A, Mat.zeros(A.rows, 1))
-    return sol.homogeneous.cols
+    return rows, base, n_unknowns
+
+
+def hom_dim(V: UnfoldedRep, W: UnfoldedRep) -> int:
+    """Dimension of the space of morphisms V -> W over the rationals."""
+    if V.quiver != W.quiver:
+        raise ValueError("representations live over different quivers")
+    rows, _, n_unknowns = _hom_rows(V, W)
+    return int_kernel(rows, n_unknowns).cols
 
 
 def end_dim(V: UnfoldedRep) -> int:
@@ -303,37 +322,12 @@ def end_dim(V: UnfoldedRep) -> int:
 
 def endomorphism_basis(V: UnfoldedRep) -> list[dict[str, Mat]]:
     """A basis of End(V) as tuples of matrices, one per unfolded vertex."""
-    uq = V.quiver
-    base: dict[str, int] = {}
-    n_unknowns = 0
-    for u in uq.vertices:
-        base[u] = n_unknowns
-        n_unknowns += V.dims[u] * V.dims[u]
-    if n_unknowns == 0:
-        return []
-    rows = []
-    for a in uq.arrows:
-        s, t = a.source, a.target
-        M = V.maps[a.id]
-        ds, dt = V.dims[s], V.dims[t]
-        for r in range(dt):
-            for c in range(ds):
-                row = [0] * n_unknowns
-                for k in range(dt):
-                    coeff = M.data[k][c]
-                    if coeff:
-                        row[base[t] + r * dt + k] = coeff
-                for k in range(ds):
-                    coeff = M.data[r][k]
-                    if coeff:
-                        row[base[s] + k * ds + c] -= coeff
-                rows.append(row)
-    A = Mat(len(rows), n_unknowns, rows) if rows else Mat.zeros(0, n_unknowns)
-    hom = solve_all(A, Mat.zeros(A.rows, 1)).homogeneous
+    rows, base, n_unknowns = _hom_rows(V, V)
+    hom = int_kernel(rows, n_unknowns)
     basis = []
     for col in range(hom.cols):
         elem = {}
-        for u in uq.vertices:
+        for u in V.quiver.vertices:
             d = V.dims[u]
             elem[u] = Mat(
                 d, d, [[hom.data[base[u] + r * d + c][col] for c in range(d)] for r in range(d)]
@@ -391,10 +385,9 @@ def indecomposable_for(
     raise AssertionError("knitting did not reach an extended positive root")
 
 
-def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = 10_000) -> list[UnfoldedRep]:
-    """One representative per extended positive root, sorted by the serialized
-    dimension vector, knitted forward from the simples.  The knitted dimension
-    vectors are checked against `extended_positive_roots`."""
+def _indecomposables_with_dims(Q: CoxeterQuiver, budget: int) -> list[tuple[RootVector, UnfoldedRep]]:
+    """The pairs (dimension vector, indecomposable) behind
+    `enumerate_indecomposables`, in its order."""
     if not is_finite_type(Q):
         raise NotFiniteType("enumeration requires a finite-type quiver")
     roots = extended_positive_roots(Q, budget).roots
@@ -402,36 +395,14 @@ def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = 10_000) -> list[Un
     if len(out) != len(roots) or {v for v, _ in out} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
     out.sort(key=lambda pair: pair[0].serialize())
-    return [W for _, W in out]
+    return out
 
 
-def _charpoly(f: dict[str, Mat]):
-    """Characteristic polynomial of the tuple f, as the product over vertices
-    of the blockwise characteristic polynomials."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(1, x, domain="QQ")
-    for u in sorted(f):
-        m = f[u]
-        if m.rows == 0:
-            continue
-        sm = sympy.Matrix(
-            m.rows, m.cols, [sympy.Rational(v.numerator, v.denominator) for row in m.data for v in row]
-        )
-        poly = poly * sympy.Poly(sm.charpoly(x).as_expr(), x, domain="QQ")
-    return poly
-
-
-def _poly_at(coeffs_desc, M: Mat) -> Mat:
-    """Evaluate a polynomial (descending coefficients) at a square matrix."""
-    from fractions import Fraction
-
-    result = Mat.zeros(M.rows, M.rows)
-    ident = Mat.identity(M.rows)
-    for c in coeffs_desc:
-        result = result * M + ident.scale(Fraction(c.p, c.q))
-    return result
+def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = 10_000) -> list[UnfoldedRep]:
+    """One representative per extended positive root, sorted by the serialized
+    dimension vector, knitted forward from the simples.  The knitted dimension
+    vectors are checked against `extended_positive_roots`."""
+    return [W for _, W in _indecomposables_with_dims(Q, budget)]
 
 
 def _restrict(V: UnfoldedRep, bases: dict[str, Mat]) -> UnfoldedRep:
@@ -444,29 +415,50 @@ def _restrict(V: UnfoldedRep, bases: dict[str, Mat]) -> UnfoldedRep:
     return UnfoldedRep(V.quiver, dims, maps)
 
 
-def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
-    import sympy
+def _int_poly_at(coeffs: list[int], g: list[list[int]]) -> list[list[int]]:
+    """Evaluate an integer polynomial (highest degree first) at a square
+    integer matrix by Horner's rule."""
+    d = len(g)
+    cols = list(zip(*g))
+    out = [[0] * d for _ in range(d)]
+    for c in coeffs:
+        out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in out]
+        for i in range(d):
+            out[i][i] += c
+    return out
 
-    poly = _charpoly(f)
-    _, factors = poly.factor_list()
-    factors = [(p, e) for p, e in factors if p.degree() > 0]
-    if len(factors) < 2:
+
+def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
+    """Fitting's lemma for the endomorphism f: V is the direct sum of the
+    generalized eigenspaces of f for its rational eigenvalues and of one more
+    part for all the other eigenvalues.  None if that is a single part.
+
+    With D the common denominator of f, g = D f is integral, and its rational
+    eigenvalues mu = D lambda are the integer roots of the characteristic
+    polynomials of the blocks g_u.  The part for mu is ker (g_u - mu)^e at
+    each vertex, e the multiplicity of mu in charpoly(g_u); the last part is
+    the kernel of the cofactor of those roots."""
+    D = lcm(*(x.denominator for m in f.values() for row in m.data for x in row))
+    eigenspaces: dict[int, dict[str, Mat]] = {}
+    rest_space: dict[str, Mat] = {}
+    for u in V.quiver.vertices:
+        d = V.dims[u]
+        if not d:
+            continue
+        g = [[x.numerator * (D // x.denominator) for x in row] for row in f[u].data]
+        roots, rest = integer_roots(charpoly(g))
+        for mu, e in roots:
+            shifted = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(g)]
+            eigenspaces.setdefault(mu, {})[u] = int_kernel(_int_poly_at([1] + [0] * e, shifted), d)
+        if len(rest) > 1:
+            rest_space[u] = int_kernel(_int_poly_at(rest, g), d)
+    spaces = [eigenspaces[mu] for mu in sorted(eigenspaces)] + ([rest_space] if rest_space else [])
+    if len(spaces) < 2:
         return None
-    parts = []
-    for p, mult in factors:
-        bases = {}
-        for u in V.quiver.vertices:
-            m = f[u]
-            if m.rows == 0:
-                bases[u] = Mat.zeros(0, 0)
-                continue
-            power = min(mult, m.rows)
-            block = _poly_at(sympy.Poly(p.as_expr() ** power, p.gen, domain="QQ").all_coeffs(), m)
-            bases[u] = kernel_basis(block)
-        if sum(b.cols for b in bases.values()):
-            parts.append(_restrict(V, bases))
-    if len(parts) < 2:
-        return None
+    parts = [
+        _restrict(V, {u: space.get(u, Mat.zeros(V.dims[u], 0)) for u in V.quiver.vertices})
+        for space in spaces
+    ]
     if sum(p.total_dim() for p in parts) != V.total_dim():
         raise AssertionError("generalized eigenspaces do not fill the representation")
     return parts
@@ -484,23 +476,49 @@ def _split_candidates(basis, rng):
         coeffs = [rng.randint(-3, 3) for _ in basis]
         if not any(coeffs):
             continue
-        elem = {}
-        for u in vertices:
-            acc = basis[0][u].scale(coeffs[0])
-            for c, b in zip(coeffs[1:], basis[1:]):
-                if c:
-                    acc = acc + b[u].scale(c)
-            elem[u] = acc
-        yield elem
+        yield _combination(basis, coeffs)
+
+
+def _combination(basis, coeffs):
+    elem = {}
+    for u in basis[0]:
+        acc = basis[0][u].scale(coeffs[0])
+        for c, b in zip(coeffs[1:], basis[1:]):
+            if c:
+                acc = acc + b[u].scale(c)
+        elem[u] = acc
+    return elem
+
+
+def _annihilator_candidates(V, basis, rng):
+    """Candidates from the left ideal of End(V) that kills the first basis
+    vector at a vertex u of least positive dimension.  They are singular at
+    u, so unless nilpotent they have the eigenvalue 0 and another one and
+    split V.  The ideal is non-zero whenever dim End(V) exceeds dim V_u, for
+    instance for W^k with k > dim W_u, where End(V) is a full matrix algebra
+    and sampled elements seldom have rational eigenvalues."""
+    u = min((u for u in V.quiver.vertices if V.dims[u]), key=V.dims.__getitem__)
+    d = V.dims[u]
+    ann = kernel_basis(Mat(d, len(basis), [[b[u].data[r][0] for b in basis] for r in range(d)]))
+    ideal = [_combination(basis, coeffs) for coeffs in ann.columns()]
+    if ideal:
+        yield from _split_candidates(ideal, rng)
 
 
 def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
-    """Indecomposable summands of V by repeated generalized-eigenspace splitting.
+    """Indecomposable summands of V by repeated Fitting splitting.
 
-    Endomorphisms are sampled deterministically from the computed basis, then
-    from seeded random combinations; the characteristic polynomial is factored
-    over the rationals and coprime factors split the representation.  Leaves
-    are certified by a one-dimensional endomorphism algebra.
+    Endomorphisms f are sampled deterministically from the computed basis of
+    End(V), then from seeded random combinations of it.  Each f is scaled by
+    the common denominator D of its entries to integer blocks g_u = D f_u.
+    The characteristic polynomial of every block is computed by Berkowitz's
+    division-free algorithm, and its integer roots mu (the eigenvalues
+    lambda = mu / D of f) come from its square-free part.  V splits into the
+    generalized eigenspaces ker (g_u - mu)^e, one per root, and, if some
+    eigenvalue is not rational, the kernel of the cofactor of those roots; f
+    is used when that gives at least two parts.  Each part is split again
+    until its endomorphism algebra is one-dimensional, which certifies the
+    leaf as indecomposable.  Leaves are sorted by dimension vector.
     """
     if seed is None:
         seed = int(os.environ.get("COXREP_SEED", DEFAULT_SEED))
@@ -510,11 +528,11 @@ def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
     if len(basis) == 1:
         return [V]
     rng = random.Random(seed)
-    attempts = 0
-    for f in _split_candidates(basis, rng):
-        attempts += 1
-        if attempts > _SPLIT_ATTEMPTS:
-            break
+    candidates = chain(
+        islice(_split_candidates(basis, rng), _SPLIT_ATTEMPTS),
+        islice(_annihilator_candidates(V, basis, rng), _SPLIT_ATTEMPTS),
+    )
+    for f in candidates:
         parts = _try_split(V, f)
         if parts is not None:
             leaves: list[UnfoldedRep] = []

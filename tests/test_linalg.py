@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from coxrep import Mat, NoSolution, cokernel_projection, kernel_basis, rank, solve_all
+from coxrep.linalg import charpoly, int_kernel, integer_roots
 
 
 def random_mat(rng, rows, cols, density=0.7):
@@ -118,3 +119,163 @@ def test_fraction_entries_exact():
     assert rank(A) == 1
     K = kernel_basis(A)
     assert (A * K).is_zero()
+
+
+def reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fractions: (reduced rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_kernel(rows, ncols):
+    rows, pivots = reference_rref(rows, ncols)
+    vecs = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            x[pc] = -row[f]
+        vecs.append(x)
+    return vecs
+
+
+def rank_deficient_mat(rng, rows, cols):
+    M = random_mat(rng, rows, cols, density=rng.choice([0.3, 0.6, 0.9]))
+    data = [list(r) for r in M.data]
+    if rows >= 3:
+        data[-1] = [2 * a - b for a, b in zip(data[0], data[1])]
+    return Mat(rows, cols, data)
+
+
+def test_kernel_basis_matches_gauss_jordan_reference():
+    rng = random.Random(11)
+    for _ in range(60):
+        M = rank_deficient_mat(rng, rng.randint(0, 6), rng.randint(0, 7))
+        K = kernel_basis(M)
+        assert K.columns() == [tuple(v) for v in reference_kernel(M.data, M.cols)]
+        pivots = reference_rref(M.data, M.cols)[1]
+        free = [c for c in range(M.cols) if c not in pivots]
+        for k, col in enumerate(K.columns()):
+            assert all(sum(a * x for a, x in zip(row, col)) == 0 for row in M.data)
+            assert [col[f] for f in free] == [int(j == k) for j in range(len(free))]
+
+
+def test_int_kernel_agrees_with_kernel_basis():
+    rng = random.Random(12)
+    for _ in range(30):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 6)
+        data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        assert int_kernel([list(r) for r in data], cols) == kernel_basis(Mat(rows, cols, data))
+
+
+def test_solve_all_matches_gauss_jordan_reference():
+    rng = random.Random(13)
+    for _ in range(60):
+        A = rank_deficient_mat(rng, rng.randint(1, 6), rng.randint(1, 6))
+        p = rng.randint(1, 3)
+        B = A * random_mat(rng, A.cols, p)
+        sol = solve_all(A, B)
+        assert A * sol.particular == B
+        rows, pivots = reference_rref([a + b for a, b in zip(A.data, B.data)], A.cols + p)
+        expected = [[Fraction(0)] * p for _ in range(A.cols)]
+        for row, pc in zip(rows, pivots):
+            expected[pc] = row[A.cols :]
+        assert [list(r) for r in sol.particular.data] == expected
+        assert sol.homogeneous == kernel_basis(A)
+
+
+def reference_det(M):
+    M = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for c in range(len(M)):
+        p = next((i for i in range(c, len(M)) if M[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            M[c], M[p] = M[p], M[c]
+            det = -det
+        det *= M[c][c]
+        for i in range(c + 1, len(M)):
+            f = M[i][c] / M[c][c]
+            M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return det
+
+
+def unimodular(rng, d):
+    lower = [[1 if i == j else (rng.randint(-2, 2) if j < i else 0) for j in range(d)] for i in range(d)]
+    upper = [[1 if i == j else (rng.randint(-2, 2) if j > i else 0) for j in range(d)] for i in range(d)]
+    return int_matmul(lower, upper)
+
+
+def int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_charpoly_is_det_of_t_minus_m():
+    rng = random.Random(21)
+    for n in [0, 1, 2, 3, 4, 5, 6] * 3:
+        M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        poly = charpoly(M)
+        assert len(poly) == n + 1 and poly[0] == 1
+        for t in range(-1, n):
+            value = 0
+            for c in poly:
+                value = value * t + c
+            tm = [[(t if i == j else 0) - M[i][j] for j in range(n)] for i in range(n)]
+            assert value == reference_det(tm)
+
+
+def test_charpoly_invariant_under_unimodular_conjugation():
+    rng = random.Random(22)
+    for n in range(1, 7):
+        M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        P = unimodular(rng, n)
+        P_inv = [[int(x) for x in row] for row in solve_all(Mat(n, n, P), Mat.identity(n)).particular.data]
+        assert int_matmul(P, P_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert charpoly(int_matmul(int_matmul(P, M), P_inv)) == charpoly(M)
+
+
+def poly_from_roots(roots, cofactor=(1,)):
+    poly = list(cofactor)
+    for mu, e in roots:
+        for _ in range(e):
+            poly = [a - mu * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+@pytest.mark.parametrize(
+    "roots, cofactor",
+    [
+        ([], [1]),
+        ([(0, 1)], [1]),
+        ([(-2, 1), (0, 2), (3, 2)], [1, 0, 1]),
+        ([(-7, 3), (-1, 1), (5, 1)], [1]),
+        ([(-(10**15) - 7, 1), (6, 2), (10**12, 2)], [1, 0, -2]),
+        ([], [1, 1, 1]),
+        ([(1, 4)], [1, 0, 3, 1]),
+    ],
+)
+def test_integer_roots(roots, cofactor):
+    found, rest = integer_roots(poly_from_roots(roots, cofactor))
+    assert found == sorted(roots)
+    assert rest == cofactor
+
+
+def test_integer_roots_of_scaled_rational_eigenvalues():
+    # f = diag(1/2, 1/2, -2/3, 0); D = 6 makes g = D f integral, roots mu = D lambda
+    f = [[Fraction(1, 2), 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, Fraction(-2, 3), 0], [0, 0, 0, 0]]
+    g = [[int(6 * x) for x in row] for row in f]
+    assert integer_roots(charpoly(g)) == ([(-4, 1), (0, 1), (3, 2)], [1])

@@ -1,4 +1,8 @@
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +37,7 @@ from coxrep import (
     zero_rep,
 )
 from coxrep.linalg import Mat
-from coxrep.reps import UnfoldedRep, _knit
+from coxrep.reps import UnfoldedRep, _knit, _try_split
 from families import all_orientations, family_quiver
 
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 2 1\n")  # sink at 1
@@ -323,6 +327,101 @@ def test_decompose_sum_of_all_a3_indecomposables():
         dim_vector(W).serialize() for W in reps
     )
     assert all(end_dim(W) == 1 for W in parts)
+
+
+def scalar_endomorphism(V, vertex, rows):
+    """The endomorphism of V that is the given matrix at one vertex, 0 elsewhere."""
+    return {
+        u: Mat.from_rows(rows) if u == vertex else Mat.zeros(d, d) for u, d in V.dims.items()
+    }
+
+
+def test_try_split_needs_a_rational_eigenvalue():
+    S = simple_rep(A2, "1", unit_simple(A2))
+    rotation = scalar_endomorphism(direct_sum(S, S), "3:0@1", [[0, -1], [1, 0]])
+    assert _try_split(direct_sum(S, S), rotation) is None
+
+
+def test_try_split_generalized_eigenspaces():
+    S = simple_rep(A2, "1", unit_simple(A2))
+    SSS = direct_sum(direct_sum(S, S), S)
+    # eigenvalues 1/2 and -2/3 (D = 6): one part per eigenvalue, in increasing order
+    f = scalar_endomorphism(SSS, "3:0@1", [[Fraction(1, 2), 1, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(-2, 3)]])
+    assert [W.dims["3:0@1"] for W in _try_split(SSS, f)] == [1, 2]
+    # eigenvalues 0 and +-i: the rational eigenspace, then the rest
+    f = scalar_endomorphism(SSS, "3:0@1", [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+    assert [W.dims["3:0@1"] for W in _try_split(SSS, f)] == [1, 2]
+    # a single rational eigenvalue does not split
+    f = scalar_endomorphism(SSS, "3:0@1", [[-3, 1, 0], [0, -3, 0], [0, 0, -3]])
+    assert _try_split(SSS, f) is None
+
+
+def scrambled(V, rng):
+    """V after a random unimodular change of basis P_u at every unfolded
+    vertex u: each arrow map M becomes P_t M P_s^-1."""
+    change = {}
+    for u, d in V.dims.items():
+        P = [[int(i == j) for j in range(d)] for i in range(d)]
+        P_inv = [list(r) for r in P]
+        for _ in range(3 * d if d > 1 else 0):
+            i, j = rng.sample(range(d), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            P[i] = [x + c * y for x, y in zip(P[i], P[j])]  # P <- E P
+            for r in P_inv:  # P_inv <- P_inv E^-1
+                r[j] -= c * r[i]
+        change[u] = (Mat.from_rows(P), Mat.from_rows(P_inv))
+        assert change[u][0] * change[u][1] == Mat.identity(d)
+    maps = {
+        a.id: change[a.target][0] * V.maps[a.id] * change[a.source][1] for a in V.quiver.arrows
+    }
+    return UnfoldedRep(V.quiver, V.dims, maps)
+
+
+def assert_splits_into(V, summands):
+    parts = decompose(V)
+    assert sorted(dim_vector(W).serialize() for W in parts) == sorted(
+        dim_vector(W).serialize() for W in summands
+    )
+    assert all(end_dim(W) == 1 for W in parts)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "I2(5)"])
+def test_decompose_scrambled_powers(name):
+    rng = random.Random(f"powers:{name}")
+    reps = enumerate_indecomposables(family_quiver(name))
+    largest = max(reps, key=lambda W: W.total_dim())
+    for V in [largest, rng.choice(reps)]:
+        for k in (1, 2, 3):
+            total = V
+            for _ in range(k - 1):
+                total = direct_sum(total, V)
+            assert_splits_into(scrambled(total, rng), [V] * k)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "I2(5)"])
+def test_decompose_scrambled_sum_of_all(name):
+    reps = enumerate_indecomposables(family_quiver(name))
+    total = reps[0]
+    for W in reps[1:]:
+        total = direct_sum(total, W)
+    assert_splits_into(scrambled(total, random.Random(f"sum:{name}")), reps)
+
+
+def test_decompose_does_not_import_sympy():
+    code = (
+        "import sys\n"
+        "from coxrep import decompose, direct_sum, parse_quiver, simple_rep, SimpleObject\n"
+        "Q = parse_quiver('vertex 1\\nvertex 2\\narrow 2 1\\n')\n"
+        "A = SimpleObject.unit(Q.label_set)\n"
+        "parts = decompose(direct_sum(simple_rep(Q, '1', A), simple_rep(Q, '2', A)))\n"
+        "assert len(parts) == 2, parts\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_indecomposable_for_agrees_with_enumeration():
