@@ -2,7 +2,9 @@
 
 Deterministic given input and flags: every listing is canonically ordered and
 repeated runs are byte identical.  Exit codes: 0 success, 1 unreadable input,
-2 precondition violation, 3 budget or cap exceeded.
+2 precondition violation, 3 budget or cap exceeded, 4 internal fault (a failed
+internal cross-check, such as the knitted dimension vectors against the
+extended roots; reported as "error: internal: ..." with empty stdout).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .unfold import unfold
 PARSE_ERROR = 1
 PRECONDITION_ERROR = 2
 BUDGET_ERROR = 3
+INTERNAL_ERROR = 4
 
 _PRECONDITION_EXC = (
     QuiverError,
@@ -147,15 +150,11 @@ def _cmd_indecs(args) -> int:
 
 def _cmd_path_algebra(args) -> int:
     Q = _load_quiver(args.quiver)
-    grades = []
-    n = 0
-    while True:
-        grade = pa.enumerate_paths(Q, n)
-        if n > 0 and not grade.paths:
-            break
-        grades.append((n, pa.grade_class(Q, n)))
-        n += 1
-    total = pa.path_algebra_class(Q)
+    # a non-empty grade sums products of simple classes, so it is non-zero
+    grades = [(0, pa.grade_class(Q, 0))]
+    while grade := pa.grade_class(Q, len(grades)):
+        grades.append((len(grades), grade))
+    total = sum((c for _, c in grades[1:]), grades[0][1])
     doc = {
         "grades": [{"length": k, "class": c.to_json()} for k, c in grades],
         "total": total.to_json(),
@@ -273,6 +272,9 @@ def main(argv=None) -> int:
     except _PRECONDITION_EXC as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
+    except AssertionError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ are then cleared the same way.  In that reduced form each pivot column is zero
 outside its pivot row, so the kernel vector of free column f (x_f = 1, other
 free coordinates 0) and the particular solution (free coordinates 0) are read
 off directly, x_pc = -row[f] / row[pc] and rhs / row[pc]: the only rationals
-are these final quotients.  `int_kernel` takes integer rows directly.
+are these final quotients.  `int_rows` scales rational rows to integer rows,
+one lcm of denominators per row, and `int_kernel` solves integer rows
+directly; `rank`, `kernel_basis`, `solve_all` and the reflection functors all
+enter through them.
 
 `charpoly` (Berkowitz, division free) and `integer_roots` (square-free part
 and Hensel lifting) work on integer matrices and polynomials only.
@@ -160,13 +163,13 @@ class Mat:
         return f"Mat({self.rows}x{self.cols})"
 
 
-def _int_rows(M: Mat, extra: Mat | None = None) -> list[list[int]]:
-    # scale each row of [M | extra] by the lcm of denominators
+def int_rows(rows) -> list[list[int]]:
+    """Integer rows from rational ones, each scaled by the lcm of its
+    denominators."""
     out = []
-    for i in range(M.rows):
-        row = list(M.data[i]) + (list(extra.data[i]) if extra is not None else [])
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
     return out
 
 
@@ -223,7 +226,7 @@ def rank(M: Mat) -> int:
     """Exact rank."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    _, pivots = _echelon(_int_rows(M), M.cols)
+    _, pivots = _echelon(int_rows(M.data), M.cols)
     return len(pivots)
 
 
@@ -268,7 +271,7 @@ def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
 
 def kernel_basis(M: Mat) -> Mat:
     """Matrix whose columns form a basis of the null space of M."""
-    return int_kernel(_int_rows(M), M.cols)
+    return int_kernel(int_rows(M.data), M.cols)
 
 
 def cokernel_projection(M: Mat) -> Mat:
@@ -305,7 +308,7 @@ def solve_all(A: Mat, B: Mat) -> Solution:
     if A.rows != B.rows:
         raise ValueError("incompatible shapes")
     n, p = A.cols, B.cols
-    rows, pivots = _echelon(_int_rows(A, B), n + p)
+    rows, pivots = _echelon(int_rows(a + b for a, b in zip(A.data, B.data)), n + p)
     if any(pc >= n for pc in pivots):
         raise NoSolution("system is inconsistent")
     _reduce(rows, pivots, n + p)

@@ -74,9 +74,8 @@ def path_algebra_class(Q: CoxeterQuiver) -> FusionElem:
     """Total class: sum of all graded pieces, finite by acyclicity."""
     total = grade_class(Q, 0)
     n = 1
-    while True:
-        grade = enumerate_paths(Q, n)
-        if not grade.paths:
-            return total
-        total = total + grade_class(Q, n)
+    # a non-empty grade sums products of simple classes, so it is non-zero
+    while grade := grade_class(Q, n):
+        total = total + grade
         n += 1
+    return total

@@ -1,14 +1,18 @@
 """Representations in unfolded coordinates and their reflection functors.
 
 A representation is stored as one rational dimension per unfolded vertex and
-one rational matrix per unfolded arrow.  Reflection at a sink (source) of the
-Coxeter quiver acts as the classical kernel (cokernel) construction at every
-unfolded vertex lying over it, and matches the simple reflection on dimension
-vectors.  Indecomposables of finite-type quivers are knitted forward from the
-simples (Bernstein-Gelfand-Ponomarev): cokernel reflection functors carry each
-one-dimensional representation around the cycle of orientations of an
-admissible ordering until it vanishes, and every representation met on the
-original orientation is indecomposable, one per extended positive root.
+one rational matrix per unfolded arrow.  Reflection at a sink of the Coxeter
+quiver acts as the classical kernel construction at every unfolded vertex
+lying over it, and matches the simple reflection on dimension vectors.
+Reflection at a source is its transpose dual, F-_i = D F+_i D with D the
+transpose of every matrix (Bernstein-Gelfand-Ponomarev): the cokernel of the
+map out of V_u is the transposed kernel of the transposed map.  Both are one
+step (`_reflection_step`) that solves one integer system per vertex over i.
+Indecomposables of finite-type quivers are knitted forward from the simples:
+the source step carries each one-dimensional representation around the cycle
+of orientations of an admissible ordering until it vanishes, and every
+representation met on the original orientation is indecomposable, one per
+extended positive root.
 
 Hom and End spaces are the kernels of one integer linear system per pair of
 representations (`_hom_rows`).  Krull-Schmidt splitting uses Fitting's lemma
@@ -26,7 +30,7 @@ from itertools import chain, islice
 from math import lcm
 
 from .fusion import SimpleObject
-from .linalg import Mat, charpoly, cokernel_projection, int_kernel, integer_roots, kernel_basis, solve_all
+from .linalg import Mat, charpoly, int_kernel, int_rows, integer_roots, kernel_basis, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
 from .rootsys import CapExceeded, RootVector, extended_positive_roots
 from .unfold import UnfoldedQuiver, fold_dim, unfold, vertex_name
@@ -173,79 +177,64 @@ def direct_sum(V: UnfoldedRep, W: UnfoldedRep) -> UnfoldedRep:
     return UnfoldedRep(V.quiver, dims, maps)
 
 
-def _reflected_arrow_id(a, reverse: bool) -> str:
-    if reverse:
-        return f"{a.provenance}:{a.target}>{a.source}"
-    return a.id
+def _reflect(Q: CoxeterQuiver, i: str, V: UnfoldedRep, at_sink: bool) -> UnfoldedRep:
+    """Check that V lives over Q and that i is a sink (at_sink) or a source
+    of Q, then reflect V at i."""
+    i = str(i)
+    Q._require(i)
+    if V.quiver.source != Q:
+        raise ValueError("representation does not live over the given quiver")
+    if at_sink and not Q.is_sink(i):
+        raise NotASink(f"vertex {i!r} is not a sink")
+    if not at_sink and not Q.is_source(i):
+        raise NotASource(f"vertex {i!r} is not a source")
+    return _reflection_step(unfold(reverse_at(Q, i)), i, V, at_sink)
 
 
 def reflect_plus(Q: CoxeterQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
     """Reflection functor at a sink: kernel construction at every vertex over i."""
-    i = str(i)
-    Q._require(i)
-    if V.quiver.source != Q:
-        raise ValueError("representation does not live over the given quiver")
-    if not Q.is_sink(i):
-        raise NotASink(f"vertex {i!r} is not a sink")
-    uq = V.quiver
-    uq2 = unfold(reverse_at(Q, i))
-    dims = dict(V.dims)
-    maps: dict[str, Mat] = {}
-    over_i = set(uq.vertices_over(i))
-    for a in uq.arrows:
-        if a.target not in over_i:
-            maps[a.id] = V.maps[a.id]
-    for name in sorted(over_i):
-        incoming = uq.in_arrows(name)
-        target_dim = V.dims[name]
-        blocks = [V.maps[a.id] for a in incoming]
-        xi = Mat.zeros(target_dim, 0)
-        for b in blocks:
-            xi = xi.hstack(b)
-        K = kernel_basis(xi)
-        dims[name] = K.cols
-        offset = 0
-        for a, b in zip(incoming, blocks):
-            piece = K.submatrix(range(offset, offset + b.cols), range(K.cols))
-            offset += b.cols
-            maps[_reflected_arrow_id(a, True)] = piece
-    return UnfoldedRep(uq2, dims, maps)
+    return _reflect(Q, i, V, at_sink=True)
 
 
 def reflect_minus(Q: CoxeterQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
     """Reflection functor at a source: cokernel construction at every vertex over i."""
-    i = str(i)
-    Q._require(i)
-    if V.quiver.source != Q:
-        raise ValueError("representation does not live over the given quiver")
-    if not Q.is_source(i):
-        raise NotASource(f"vertex {i!r} is not a source")
-    return _cokernel_step(unfold(reverse_at(Q, i)), i, V)
+    return _reflect(Q, i, V, at_sink=False)
 
 
-def _cokernel_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
-    # i is a source of V's quiver; uq2 is the unfolding of that quiver reversed at i
+def _reflection_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep, at_sink: bool) -> UnfoldedRep:
+    """The reflection functor at the sink (at_sink) or source i of V's quiver;
+    uq2 is the unfolding of that quiver reversed at i.
+
+    At each unfolded vertex u over i, the blocks B_a of the arrows a into u
+    (at a sink) or out of u (at a source) give one integer row per basis
+    vector r of V_u: row r of every block at a sink, column r of every block
+    at a source.  The kernel matrix K of those rows is the new space at u,
+    and the new map of the reversed arrow a is the slice of K at the rows of
+    a's other end, transposed at a source (the cokernel functor is the
+    transpose dual of the kernel functor)."""
     uq = V.quiver
     dims = dict(V.dims)
-    maps: dict[str, Mat] = {}
     over_i = set(uq.vertices_over(i))
-    for a in uq.arrows:
-        if a.source not in over_i:
-            maps[a.id] = V.maps[a.id]
-    for name in sorted(over_i):
-        outgoing = uq.out_arrows(name)
-        source_dim = V.dims[name]
-        blocks = [V.maps[a.id] for a in outgoing]
-        theta = Mat.zeros(0, source_dim)
-        for b in blocks:
-            theta = theta.vstack(b)
-        P = cokernel_projection(theta)
-        dims[name] = P.rows
+    maps = {a.id: V.maps[a.id] for a in uq.arrows if a.source not in over_i and a.target not in over_i}
+    for u in sorted(over_i):
+        arrows = uq.in_arrows(u) if at_sink else uq.out_arrows(u)
+        blocks = [V.maps[a.id].data for a in arrows]
+        if at_sink:
+            rows = [[x for b in blocks for x in b[r]] for r in range(V.dims[u])]
+        else:
+            rows = [[row[r] for b in blocks for row in b] for r in range(V.dims[u])]
+        widths = [V.dims[a.source if at_sink else a.target] for a in arrows]
+        K = int_kernel(int_rows(rows), sum(widths))
+        dims[u] = K.cols
         offset = 0
-        for a, b in zip(outgoing, blocks):
-            piece = P.submatrix(range(P.rows), range(offset, offset + b.rows))
-            offset += b.rows
-            maps[_reflected_arrow_id(a, True)] = piece
+        for a, w in zip(arrows, widths):
+            piece = K.data[offset : offset + w]
+            offset += w
+            if at_sink:
+                m = Mat(w, K.cols, piece)
+            else:
+                m = Mat(K.cols, w, [[row[c] for row in piece] for c in range(K.cols)])
+            maps[f"{a.provenance}:{a.target}>{a.source}"] = m
     return UnfoldedRep(uq2, dims, maps)
 
 
@@ -362,7 +351,7 @@ def _knit(Q: CoxeterQuiver, n_roots: int):
                 if p == 0:
                     yield W
                 p = (p - 1) % n
-                W = _cokernel_step(unfolded[p], ordering[p], W)
+                W = _reflection_step(unfolded[p], ordering[p], W, at_sink=False)
                 if W.is_zero():
                     break
             else:

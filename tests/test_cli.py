@@ -148,6 +148,19 @@ def test_budget_exit_code(capsys, qfile):
     assert out == ""
 
 
+def test_internal_fault_exit_code(capsys, qfile, monkeypatch):
+    from coxrep import reps
+
+    def broken(Q, budget):
+        raise AssertionError("knitted dimension vectors differ from the extended roots")
+
+    monkeypatch.setattr(reps, "_indecomposables_with_dims", broken)
+    code, out, err = run(capsys, "indecs", qfile(H3_TEXT))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal: knitted")
+
+
 def test_runs_are_byte_identical(capsys, qfile):
     p = qfile(H3_TEXT)
     _, out1, _ = run(capsys, "roots", p, "--extended", "--json")
@@ -158,33 +171,65 @@ def test_runs_are_byte_identical(capsys, qfile):
     assert out3 == out4
 
 
-# sha256 of stdout on the representative orientation of each family; the
-# CLI output is part of the interface, so these change only on purpose
+# sha256 of stdout on the representative orientation of each family, in the
+# order of `_pinned_argvs`; the CLI output is part of the interface, so these
+# change only on purpose
 STDOUT_SHA256 = {
     "B3": (
         "5d1ab94158b155f5e1a79c40f8ba8b0b618773e889551e8066ce1c7225ca271c",
         "21c803d67f8decd33306005dd7247991bb6f0c04b34f838493c6e68d0a5f4641",
+        "23ac0785d697c1784af3ef60772a85542dbc6dfd86660a3c331febed60480d28",
+        "1a8996b00dcdf2a95c99659d99a840997097a79ee47d02f604fb217d2f4cfc37",
+        "58420aa8820070bf62b2b6e5a741c9ecb3f22f1c47a7c6943f25341bdf9d9701",
     ),
     "D4": (
         "1ecd435e9bf11baf71b3d393246b3ea337a843aea63ca3b2b4c3d15f767ca397",
         "2d1db1f11cca28541394050ee2d7eee92222b2f0b888393213ba538dcac5904a",
+        "1a35edacfcf73fe4d54dcc3680e26cfef321a1efaa26389bf95e6218c28d2ce5",
+        "926961994ab1f91b008185b691d44e64410f52ebad251c5d30ed38a959435264",
+        "0aa8aeb1eea94c354b89affd891cf8331c1a9297b5a82af8a894e692eb3acb97",
     ),
     "H3": (
         "a51e8f1552ad25e1d7f669afcdcfde5919b419fb97b71ab2823e8387cae93c57",
         "682bcd0d6f89c4f847ae442a7b059c64b42709bcdc703b5d8d0e1fa4b22146d3",
+        "0110f0a48bf8e4bea90152f8831d9db23328da42f3604c0ed5785286500f8fe6",
+        "9f9a4c031483f8cc0a6a0d5975c3cbd4c379e867fa8d3d55afd391658805d33d",
+        "0f90243a89ec6a922e16fbe21fc9f829c9c31ead83dd8582980074d73a6b9efa",
     ),
     "I2(5)": (
         "f883cb7b96e18cc1fe34822f22ab3b078b7e6238649ba9b83f2ef0d2e808a482",
         "63168be95a27315296a4b5c23c0712345ee30846c1ab49deecc05baa432ec4c8",
+        "83a41b96392412b47aa57cd812db0d843647af2b5f5d34a8c6452dd29320c7e7",
+        "9dc840344599ca778432f1849f70e0aeb09f8e5420815abdf796d5571a051767",
+        "768c1b00fcdbfe862da54a3c99cf8b2366d1161189d0fb985a07695500a6c75a",
     ),
 }
 
 
+def _pinned_argvs(Q, qpath, rep_path):
+    """The pinned commands: the full indecomposables, the extended roots, the
+    path-algebra classes, and both reflection functors (at the first source
+    and the first sink) applied to the first indecomposable of largest total
+    dimension."""
+    return [
+        ["indecs", qpath, "--full", "--json"],
+        ["roots", qpath, "--extended", "--json"],
+        ["path-algebra", qpath, "--json"],
+        ["reflect", rep_path, "--vertex", Q.sources()[0], "--sign", "-"],
+        ["reflect", rep_path, "--vertex", Q.sinks()[0], "--sign", "+"],
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
 def test_stdout_is_byte_identical_to_recorded(capsys, qfile, name):
-    p = qfile(json.dumps(family_quiver(name).to_json()))
+    from coxrep import enumerate_indecomposables
+
+    Q = family_quiver(name)
+    p = qfile(json.dumps(Q.to_json()))
+    V = max(enumerate_indecomposables(Q), key=lambda W: W.total_dim())
+    rep_path = qfile(json.dumps(V.to_json()), "rep.json")
     digests = []
-    for argv in (["indecs", p, "--full", "--json"], ["roots", p, "--extended", "--json"]):
+    for argv in _pinned_argvs(Q, p, rep_path):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())

@@ -36,7 +36,7 @@ from coxrep import (
     unfold,
     zero_rep,
 )
-from coxrep.linalg import Mat
+from coxrep.linalg import Mat, cokernel_projection, kernel_basis
 from coxrep.reps import UnfoldedRep, _knit, _try_split
 from families import all_orientations, family_quiver
 
@@ -123,6 +123,91 @@ def test_reflect_round_trip_when_epi():
     assert [dim_vector(W).serialize() for W in decompose(back)] == [
         dim_vector(V).serialize()
     ]
+
+
+def reference_reflect_plus(Q, i, V):
+    """The kernel construction at a sink, built independently of
+    `reps._reflection_step`: at every u over i, the kernel of the blocks of
+    the arrows into u placed side by side, cut into one slice per arrow."""
+    uq = V.quiver
+    over_i = set(uq.vertices_over(i))
+    dims = dict(V.dims)
+    maps = {a.id: V.maps[a.id] for a in uq.arrows if a.target not in over_i}
+    for name in sorted(over_i):
+        incoming = uq.in_arrows(name)
+        xi = Mat.zeros(V.dims[name], 0)
+        for a in incoming:
+            xi = xi.hstack(V.maps[a.id])
+        K = kernel_basis(xi)
+        dims[name] = K.cols
+        offset = 0
+        for a in incoming:
+            width = V.maps[a.id].cols
+            maps[f"{a.provenance}:{a.target}>{a.source}"] = K.submatrix(range(offset, offset + width), range(K.cols))
+            offset += width
+    return UnfoldedRep(unfold(reverse_at(Q, i)), dims, maps)
+
+
+def reference_reflect_minus(Q, i, V):
+    """The cokernel construction at a source, built independently of
+    `reps._reflection_step`: at every u over i, the cokernel projection of the
+    blocks of the arrows out of u stacked vertically, cut into one slice per
+    arrow."""
+    uq = V.quiver
+    over_i = set(uq.vertices_over(i))
+    dims = dict(V.dims)
+    maps = {a.id: V.maps[a.id] for a in uq.arrows if a.source not in over_i}
+    for name in sorted(over_i):
+        outgoing = uq.out_arrows(name)
+        theta = Mat.zeros(0, V.dims[name])
+        for a in outgoing:
+            theta = theta.vstack(V.maps[a.id])
+        P = cokernel_projection(theta)
+        dims[name] = P.rows
+        offset = 0
+        for a in outgoing:
+            height = V.maps[a.id].rows
+            maps[f"{a.provenance}:{a.target}>{a.source}"] = P.submatrix(range(P.rows), range(offset, offset + height))
+            offset += height
+    return UnfoldedRep(unfold(reverse_at(Q, i)), dims, maps)
+
+
+def assert_functors_match_reference(Q, V):
+    for i in Q.sinks():
+        assert reflect_plus(Q, i, V).to_json() == reference_reflect_plus(Q, i, V).to_json()
+    for i in Q.sources():
+        assert reflect_minus(Q, i, V).to_json() == reference_reflect_minus(Q, i, V).to_json()
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3", "I2(5)", "G2"])
+def test_reflection_functors_match_reference(name):
+    # every sink and source of every indecomposable and of one direct sum, on
+    # every orientation
+    for Q in all_orientations(family_quiver(name)):
+        reps = enumerate_indecomposables(Q)
+        for V in reps + [direct_sum(reps[0], reps[-1])]:
+            assert_functors_match_reference(Q, V)
+
+
+def test_reflect_plus_at_zero_sink():
+    # V_1 = 0: the kernel at the sink is all of V_2 and the new map is 1
+    S = simple_rep(A2, "2", unit_simple(A2))
+    R = reflect_plus(A2, "1", S)
+    assert support(R) == {"3:0@1": 1, "3:0@2": 1}
+    assert [m.to_json() for m in R.maps.values()] == [[["1"]]]
+    assert_functors_match_reference(A2, S)
+
+
+def test_reflect_minus_next_to_zero_space():
+    # source 2 with V_2 = 0 and V_3 = 0: the arrow 2 -> 3 has a block with no
+    # rows, and its reversed map 3 -> 2 is 1 x 0
+    Q = parse_quiver("vertex 1\nvertex 2\nvertex 3\narrow 2 1\narrow 2 3\n")
+    S = simple_rep(Q, "1", unit_simple(Q))
+    R = reflect_minus(Q, "2", S)
+    assert support(R) == {"3:0@1": 1, "3:0@2": 1}
+    shapes = sorted((k.split(":")[0], m.rows, m.cols, m.to_json()) for k, m in R.maps.items())
+    assert shapes == [("a0", 1, 1, [["1"]]), ("a1", 1, 0, [[]])]
+    assert_functors_match_reference(Q, S)
 
 
 def test_apply_reflection_word_round_trip():
