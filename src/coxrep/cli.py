@@ -110,18 +110,19 @@ def _cmd_unfold(args) -> int:
 def _cmd_roots(args) -> int:
     Q = _load_quiver(args.quiver)
     base = positive_roots(Q, args.budget)
+    base_roots = base.sorted()
     doc = {
         "count": len(base),
-        "positive_roots": [r.to_json() for r in base.sorted()],
+        "positive_roots": [r.to_json() for r in base_roots],
     }
     lines = [f"positive roots ({len(base)}):"]
-    lines += [f"  {r.serialize()}" for r in base.sorted()]
+    lines += [f"  {r.serialize()}" for r in base_roots]
     if args.extended:
-        ext = extend_by_simples(Q, base)
+        ext = extend_by_simples(Q, base).sorted()
         doc["extended_count"] = len(ext)
-        doc["extended_positive_roots"] = [r.to_json() for r in ext.sorted()]
+        doc["extended_positive_roots"] = [r.to_json() for r in ext]
         lines.append(f"extended positive roots ({len(ext)}):")
-        lines += [f"  {r.serialize()}" for r in ext.sorted()]
+        lines += [f"  {r.serialize()}" for r in ext]
     _emit(doc, args.json, lines)
     return 0
 
@@ -150,17 +151,13 @@ def _cmd_indecs(args) -> int:
 
 def _cmd_path_algebra(args) -> int:
     Q = _load_quiver(args.quiver)
-    # a non-empty grade sums products of simple classes, so it is non-zero
-    grades = [(0, pa.grade_class(Q, 0))]
-    while grade := pa.grade_class(Q, len(grades)):
-        grades.append((len(grades), grade))
-    total = sum((c for _, c in grades[1:]), grades[0][1])
+    grades = list(pa._grades(Q))
     doc = {
-        "grades": [{"length": k, "class": c.to_json()} for k, c in grades],
-        "total": total.to_json(),
+        "grades": [{"length": k, "class": c.to_json()} for k, c in enumerate(grades)],
+        "total": sum(grades[1:], grades[0]).to_json(),
     }
-    lines = [f"grade {k}: {json.dumps(c.to_json(), sort_keys=True)}" for k, c in grades]
-    lines.append(f"total: {json.dumps(total.to_json(), sort_keys=True)}")
+    lines = [f"grade {g['length']}: {json.dumps(g['class'], sort_keys=True)}" for g in doc["grades"]]
+    lines.append(f"total: {json.dumps(doc['total'], sort_keys=True)}")
     _emit(doc, args.json, lines)
     return 0
 

@@ -273,7 +273,7 @@ class FusionElem:
         )
 
     def __hash__(self):
-        return hash((self.labels, tuple(sorted((s.key, c) for s, c in self.coeffs.items()))))
+        return hash((self.labels, self.key()))
 
     def key(self) -> tuple:
         """Canonical sortable form."""

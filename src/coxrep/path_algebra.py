@@ -1,15 +1,16 @@
 """Graded Grothendieck classes of the path algebra of a Coxeter quiver.
 
-Grade zero is the vertex algebra (one unit summand per vertex); grade n sums,
-over all composable arrow sequences of length n, the product of the label
-classes of the arrows.  Composition is read right to left: a path
-(a_n, ..., a_1) starts along a_1.  Acyclicity makes the total class a finite
-sum.
+The path algebra is the tensor algebra of the arrow objects over the
+semisimple vertex algebra, so the class of the length-n paths ending at w sums,
+over the arrows a: v -> w, the class of the length-(n-1) paths ending at v
+times the label class of a; grade zero has one unit summand per vertex.  A path
+(a_n, ..., a_1) starts along a_1.  Acyclicity makes the total class finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .fusion import FusionElem, arrow_label_class
 from .quiver import CoxeterQuiver
@@ -54,28 +55,31 @@ def arrow_class(Q: CoxeterQuiver, arrow_id: str) -> FusionElem:
     return arrow_label_class(Q.label_set, arrow.label)
 
 
+def _grades(Q: CoxeterQuiver):
+    """The grade classes from length 0 up to the longest path: `ending[w]` is
+    the class of the paths of the current length that end at w.  Grade 0 is
+    always yielded, even for the empty quiver."""
+    labels = Q.label_set
+    zero = FusionElem.zero(labels)
+    label_class = {n: arrow_label_class(labels, n) for n in labels}
+    ending = dict.fromkeys(Q.vertices, FusionElem.unit(labels))
+    while True:
+        yield sum(ending.values(), zero)
+        ending = {
+            w: sum((ending[a.source] * label_class[a.label] for a in Q.in_arrows(w)), zero)
+            for w in Q.vertices
+        }
+        if not any(ending.values()):
+            return
+
+
 def grade_class(Q: CoxeterQuiver, n: int) -> FusionElem:
     """Class of the n-th graded piece of the path algebra."""
-    labels = Q.label_set
-    if n == 0:
-        return FusionElem.unit(labels) * len(Q.vertices)
-    classes = {a.id: arrow_class(Q, a.id) for a in Q.arrows}
-    grade = enumerate_paths(Q, n)
-    total = FusionElem.zero(labels)
-    for path in grade.paths:
-        term = FusionElem.unit(labels)
-        for arrow_id in path:
-            term = term * classes[arrow_id]
-        total = total + term
-    return total
+    if n < 0:
+        raise ValueError("path length must be non-negative")
+    return next(islice(_grades(Q), n, None), FusionElem.zero(Q.label_set))
 
 
 def path_algebra_class(Q: CoxeterQuiver) -> FusionElem:
     """Total class: sum of all graded pieces, finite by acyclicity."""
-    total = grade_class(Q, 0)
-    n = 1
-    # a non-empty grade sums products of simple classes, so it is non-zero
-    while grade := grade_class(Q, n):
-        total = total + grade
-        n += 1
-    return total
+    return sum(_grades(Q), FusionElem.zero(Q.label_set))

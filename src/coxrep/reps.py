@@ -358,14 +358,12 @@ def _knit(Q: CoxeterQuiver, n_roots: int):
                 raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
 
 
-def indecomposable_for(
-    Q: CoxeterQuiver, v: RootVector, budget: int = 10_000, _roots=None
-) -> UnfoldedRep:
+def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = 10_000) -> UnfoldedRep:
     """The indecomposable representation whose dimension vector is the given
     extended positive root, taken from the forward knitting of the simples."""
     if not is_finite_type(Q):
         raise NotFiniteType("indecomposables are only enumerated in finite type")
-    roots = _roots if _roots is not None else extended_positive_roots(Q, budget).roots
+    roots = extended_positive_roots(Q, budget).roots
     if v not in roots:
         raise NotAnExtendedRoot(f"{v!r} is not an extended positive root")
     for W in _knit(Q, len(roots)):

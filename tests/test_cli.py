@@ -87,6 +87,47 @@ def test_path_algebra_output(capsys, qfile):
     assert 'total: {"5:0": 2, "5:2": 1}' in out
 
 
+def test_path_algebra_empty_quiver(capsys, qfile):
+    code, out, _ = run(capsys, "path-algebra", qfile(""))
+    assert code == 0
+    assert out == "grade 0: {}\ntotal: {}\n"
+
+
+# an 8-vertex DAG with labels 3-6 and a doubled arrow: 304 paths, longest 7
+DAG_TEXT = "".join(f"vertex {v}\n" for v in range(1, 9)) + "".join(
+    f"arrow {a}\n"
+    for a in (
+        "1 2 5", "1 3", "1 4 4", "1 5 6", "1 7", "1 8 4", "2 3", "2 4 5", "2 5",
+        "2 6 4", "2 8 5", "3 4 6", "3 5 5", "3 6", "3 7 4", "4 5 4", "4 6",
+        "4 7 5", "4 8", "5 6 4", "5 7 6", "5 8 5", "6 7", "6 8 4", "7 8", "1 2 5",
+    )
+)
+
+# sha256 of `path-algebra` stdout, text then --json, recorded before the
+# grades came from the per-vertex sweep
+PATH_ALGEBRA_SHA256 = {
+    "": (
+        "55461bd494ef22ca518c32879a9438779c06d642dea4ede9a955ad954422a60b",
+        "bb120cdd4a3bf2c30eb2231aa117b21a8cd67f5bbbca962e4f617c4e7b98ddb0",
+    ),
+    DAG_TEXT: (
+        "476c60cb2fe314395b0acd5209d35ebcc8e710c14cb060adbe085dd2994c02f7",
+        "1f08d633ab98c6bed4239152f91af27350e2453d3ec722700e5e5213950722cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(PATH_ALGEBRA_SHA256), ids=["empty", "dag"])
+def test_path_algebra_bytes_are_recorded(capsys, qfile, text):
+    p = qfile(text)
+    digests = []
+    for flags in ([], ["--json"]):
+        code, out, _ = run(capsys, "path-algebra", p, *flags)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == PATH_ALGEBRA_SHA256[text]
+
+
 def test_fusion_mul(capsys):
     code, out, _ = run(
         capsys, "fusion", "--labels", "5", "--mul", '{"5:2": 1}', '{"5:2": 1}'

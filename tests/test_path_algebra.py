@@ -1,4 +1,7 @@
+import math
 import random
+
+import pytest
 
 from coxrep import (
     Arrow,
@@ -13,6 +16,8 @@ from coxrep import (
     path_algebra_class,
     pf_eval,
 )
+from coxrep.fusion import arrow_label_class
+from coxrep.path_algebra import _grades
 from families import family_quiver
 
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 1 2\n")
@@ -132,3 +137,85 @@ def test_simple_dim_vectors_generate_positively():
         Q = family_quiver(name)
         for V in enumerate_indecomposables(Q):
             assert is_positive_vec(dim_vector(V))
+
+
+def reference_grade_class(Q, n):
+    """The n-th grade as the sum over every listed path of the product of its
+    arrow classes, independent of the per-vertex sweep."""
+    labels = Q.label_set
+    if n == 0:
+        return FusionElem.unit(labels) * len(Q.vertices)
+    arrows = {a.id: a for a in Q.arrows}
+    total = FusionElem.zero(labels)
+    for path in enumerate_paths(Q, n).paths:
+        term = FusionElem.unit(labels)
+        for arrow_id in path:
+            term = term * arrow_label_class(labels, arrows[arrow_id].label)
+        total = total + term
+    return total
+
+
+def random_dag(rng, n):
+    vertices = [str(i) for i in range(1, n + 1)]
+    arrows = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.5:
+                arrows.append(Arrow(f"a{len(arrows)}", str(i), str(j), rng.randint(3, 8)))
+    return CoxeterQuiver(vertices, arrows)
+
+
+def test_grades_match_path_listing():
+    rng = random.Random(51)
+    for _ in range(30):
+        Q = random_dag(rng, rng.randint(1, 8))
+        reference = [reference_grade_class(Q, n) for n in range(longest_path(Q) + 3)]
+        assert [grade_class(Q, n) for n in range(len(reference))] == reference
+        assert path_algebra_class(Q) == sum(reference, FusionElem.zero(Q.label_set))
+
+
+def transitive_tournament(n, label=3):
+    vertices = [str(i) for i in range(1, n + 1)]
+    arrows = [
+        Arrow(f"a{i}_{j}", str(i), str(j), label)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
+    return CoxeterQuiver(vertices, arrows)
+
+
+def test_classical_tournament_closed_form():
+    # the length-k paths of T_n are its (k+1)-subsets of vertices
+    Q = transitive_tournament(20)
+    assert list(_grades(Q)) == [unit(Q) * math.comb(20, k + 1) for k in range(20)]
+    assert path_algebra_class(Q) == unit(Q) * (2**20 - 1)
+    assert not grade_class(Q, 20)
+
+
+def test_label5_tournament_closed_form():
+    # every arrow has Perron-Frobenius dimension phi, the golden ratio
+    phi = (1 + math.sqrt(5)) / 2
+    Q = transitive_tournament(12, label=5)
+    grades = list(_grades(Q))
+    assert len(grades) == 12
+    for k, grade in enumerate(grades):
+        assert pf_eval(grade) == pytest.approx(math.comb(12, k + 1) * phi**k, rel=1e-9)
+
+
+def test_zero_vertex_quiver():
+    Q = CoxeterQuiver([], [])
+    assert list(_grades(Q)) == [FusionElem.zero(())]
+    assert not grade_class(Q, 0)
+    assert not path_algebra_class(Q)
+
+
+def test_vertices_without_arrows():
+    Q = parse_quiver("vertex 1\nvertex 2\nvertex 3\n")
+    assert list(_grades(Q)) == [unit(Q) * 3]
+    assert not grade_class(Q, 1)
+    assert path_algebra_class(Q) == unit(Q) * 3
+
+
+def test_negative_length_raises():
+    with pytest.raises(ValueError, match="path length must be non-negative"):
+        grade_class(A3, -1)

@@ -515,7 +515,7 @@ def test_indecomposable_for_agrees_with_enumeration():
         ext = extended_positive_roots(Q).roots
         by_dim = {dim_vector(W).serialize(): W for W in enumerate_indecomposables(Q)}
         for v in sorted(ext, key=lambda r: r.serialize()):
-            W = indecomposable_for(Q, v, _roots=ext)
+            W = indecomposable_for(Q, v)
             assert dim_vector(W) == v
             assert W.dims == by_dim[v.serialize()].dims
 
