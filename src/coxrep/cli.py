@@ -64,11 +64,14 @@ def _load_quiver(path: str) -> CoxeterQuiver:
         raise QuiverParseError(f"invalid quiver: {exc}") from exc
 
 
-def _emit(doc, as_json: bool, text_lines):
+def _emit(as_json: bool, doc, text_lines):
+    """Print the JSON document (as_json) or the text lines.  Both are
+    zero-argument callables, and only the printed form is built, in full
+    before anything is printed."""
     if as_json:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=2))
+        print(json.dumps(doc(), sort_keys=True, separators=(",", ": "), indent=2))
     else:
-        for line in text_lines:
+        for line in list(text_lines()):
             print(line)
 
 
@@ -76,89 +79,105 @@ def _cmd_classify(args) -> int:
     Q = _load_quiver(args.quiver)
     comps = classify_graph(Q)
     finite = all(t.is_dynkin for _, t in comps)
-    doc = {
-        "components": [
-            {"vertices": list(vs), "type": t.name} for vs, t in comps
-        ],
-        "finite_type": finite,
-    }
-    lines = [f"component [{', '.join(vs)}]: {t.name}" for vs, t in comps]
-    lines.append("finite type" if finite else "infinite type")
-    _emit(doc, args.json, lines)
+    _emit(
+        args.json,
+        lambda: {
+            "components": [{"vertices": list(vs), "type": t.name} for vs, t in comps],
+            "finite_type": finite,
+        },
+        lambda: [f"component [{', '.join(vs)}]: {t.name}" for vs, t in comps]
+        + ["finite type" if finite else "infinite type"],
+    )
     return 0
 
 
 def _cmd_unfold(args) -> int:
     Q = _load_quiver(args.quiver)
     uq = unfold(Q)
-    doc = uq.to_json()
-    lines = [f"unfolded vertices ({len(uq.vertices)}):"]
-    lines += [f"  {v}" for v in uq.vertices]
-    lines.append(f"unfolded arrows ({len(uq.arrows)}):")
-    lines += [f"  {a.source} -> {a.target}  [{a.provenance}]" for a in uq.arrows]
-    if args.components:
-        comps = classify_graph(uq.to_coxeter())
-        names = sorted(t.name for _, t in comps)
-        doc["components"] = [
-            {"vertices": list(vs), "type": t.name} for vs, t in comps
-        ]
-        lines.append("components: " + " ".join(names))
-    _emit(doc, args.json, lines)
+    comps = classify_graph(uq.to_coxeter()) if args.components else None
+
+    def doc():
+        out = uq.to_json()
+        if comps is not None:
+            out["components"] = [{"vertices": list(vs), "type": t.name} for vs, t in comps]
+        return out
+
+    def lines():
+        yield f"unfolded vertices ({len(uq.vertices)}):"
+        yield from (f"  {v}" for v in uq.vertices)
+        yield f"unfolded arrows ({len(uq.arrows)}):"
+        yield from (f"  {a.source} -> {a.target}  [{a.provenance}]" for a in uq.arrows)
+        if comps is not None:
+            yield "components: " + " ".join(sorted(t.name for _, t in comps))
+
+    _emit(args.json, doc, lines)
     return 0
 
 
 def _cmd_roots(args) -> int:
     Q = _load_quiver(args.quiver)
     base = positive_roots(Q, args.budget)
-    base_roots = base.sorted()
-    doc = {
-        "count": len(base),
-        "positive_roots": [r.to_json() for r in base_roots],
-    }
-    lines = [f"positive roots ({len(base)}):"]
-    lines += [f"  {r.serialize()}" for r in base_roots]
-    if args.extended:
-        ext = extend_by_simples(Q, base).sorted()
-        doc["extended_count"] = len(ext)
-        doc["extended_positive_roots"] = [r.to_json() for r in ext]
-        lines.append(f"extended positive roots ({len(ext)}):")
-        lines += [f"  {r.serialize()}" for r in ext]
-    _emit(doc, args.json, lines)
+    ext = extend_by_simples(Q, base) if args.extended else None
+
+    def doc():
+        out = {"count": len(base), "positive_roots": [r.to_json() for r in base.sorted()]}
+        if ext is not None:
+            out["extended_count"] = len(ext)
+            out["extended_positive_roots"] = [r.to_json() for r in ext.sorted()]
+        return out
+
+    def lines():
+        # the serialized root is both the printed line and the sort key
+        yield f"positive roots ({len(base)}):"
+        yield from sorted(f"  {r.serialize()}" for r in base.roots)
+        if ext is not None:
+            yield f"extended positive roots ({len(ext)}):"
+            yield from sorted(f"  {r.serialize()}" for r in ext.roots)
+
+    _emit(args.json, doc, lines)
     return 0
 
 
 def _cmd_indecs(args) -> int:
     Q = _load_quiver(args.quiver)
     found = reps_mod._indecomposables_with_dims(Q, args.budget)
-    doc = {"count": len(found), "indecomposables": []}
-    lines = [f"indecomposables ({len(found)}):"]
-    for dv, W in found:
-        entry = {"dim_vector": dv.to_json()}
-        if args.full:
-            entry["rep"] = W.to_json()
-        doc["indecomposables"].append(entry)
-        lines.append(f"  {dv.serialize()}")
-        if args.full:
-            for name, d in sorted(W.dims.items()):
-                if d:
-                    lines.append(f"    dim {name} = {d}")
-            for k, m in sorted(W.maps.items()):
-                if not m.is_zero():
-                    lines.append(f"    map {k} = {m.to_json()}")
-    _emit(doc, args.json, lines)
+
+    def doc():
+        entries = []
+        for dv, W in found:
+            entry = {"dim_vector": dv.to_json()}
+            if args.full:
+                entry["rep"] = W.to_json()
+            entries.append(entry)
+        return {"count": len(found), "indecomposables": entries}
+
+    def lines():
+        yield f"indecomposables ({len(found)}):"
+        for dv, W in found:
+            yield f"  {dv.serialize()}"
+            if args.full:
+                for name, d in sorted(W.dims.items()):
+                    if d:
+                        yield f"    dim {name} = {d}"
+                for k, m in sorted(W.maps.items()):
+                    if not m.is_zero():
+                        yield f"    map {k} = {m.to_json()}"
+
+    _emit(args.json, doc, lines)
     return 0
 
 
 def _cmd_path_algebra(args) -> int:
     Q = _load_quiver(args.quiver)
-    grades = list(pa._grades(Q))
-    doc = {
-        "grades": [{"length": k, "class": c.to_json()} for k, c in enumerate(grades)],
-        "total": sum(grades[1:], grades[0]).to_json(),
-    }
-    lines = [f"grade {g['length']}: {json.dumps(g['class'], sort_keys=True)}" for g in doc["grades"]]
-    lines.append(f"total: {json.dumps(doc['total'], sort_keys=True)}")
-    _emit(doc, args.json, lines)
+    classes = list(pa._grades(Q))
+    grades = [c.to_json() for c in classes]
+    total = sum(classes[1:], classes[0]).to_json()
+    _emit(
+        args.json,
+        lambda: {"grades": [{"length": k, "class": g} for k, g in enumerate(grades)], "total": total},
+        lambda: [f"grade {k}: {json.dumps(g, sort_keys=True)}" for k, g in enumerate(grades)]
+        + [f"total: {json.dumps(total, sort_keys=True)}"],
+    )
     return 0
 
 
@@ -177,13 +196,12 @@ def _cmd_reflect(args) -> int:
         W = reps_mod.reflect_plus(Q, args.vertex, V)
     else:
         W = reps_mod.reflect_minus(Q, args.vertex, V)
-    doc = W.to_json()
-    dv = reps_mod.dim_vector(W)
-    lines = [
-        f"dim_vector: {dv.serialize()}",
-        json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=2),
-    ]
-    _emit(doc, args.json, lines)
+
+    def lines():
+        yield f"dim_vector: {reps_mod.dim_vector(W).serialize()}"
+        yield json.dumps(W.to_json(), sort_keys=True, separators=(",", ": "), indent=2)
+
+    _emit(args.json, W.to_json, lines)
     return 0
 
 
@@ -197,9 +215,8 @@ def _cmd_fusion(args) -> int:
         y = FusionElem.from_json(json.loads(args.mul[1]), labels)
     except json.JSONDecodeError as exc:
         raise QuiverParseError(f"bad fusion element JSON: {exc}") from exc
-    product = x * y
-    doc = {"product": product.to_json()}
-    _emit(doc, args.json, [json.dumps(product.to_json(), sort_keys=True)])
+    product = (x * y).to_json()
+    _emit(args.json, lambda: {"product": product}, lambda: [json.dumps(product, sort_keys=True)])
     return 0
 
 

@@ -213,6 +213,16 @@ class FusionElem:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_key", None)
 
+    @classmethod
+    def _trusted(cls, labels: tuple[int, ...], coeffs: dict[SimpleObject, int]) -> "FusionElem":
+        # the result of an operation: labels sorted, every key a simple over
+        # them and every coefficient a non-zero int, so no check is repeated
+        x = object.__new__(cls)
+        object.__setattr__(x, "labels", labels)
+        object.__setattr__(x, "coeffs", coeffs)
+        object.__setattr__(x, "_key", None)
+        return x
+
     def __setattr__(self, *args):
         raise AttributeError("FusionElem is immutable")
 
@@ -237,20 +247,23 @@ class FusionElem:
         self._check(other)
         out = dict(self.coeffs)
         for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) + c
-        return FusionElem(self.labels, out)
+            c += out.get(s, 0)
+            if c:
+                out[s] = c
+            else:
+                del out[s]
+        return FusionElem._trusted(self.labels, out)
 
     def __sub__(self, other: "FusionElem") -> "FusionElem":
         return self + (-other)
 
     def __neg__(self) -> "FusionElem":
-        return FusionElem(self.labels, {s: -c for s, c in self.coeffs.items()})
+        return FusionElem._trusted(self.labels, {s: -c for s, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return FusionElem(
-                self.labels, {s: c * other for s, c in self.coeffs.items()}
-            )
+            coeffs = {s: c * other for s, c in self.coeffs.items()} if other else {}
+            return FusionElem._trusted(self.labels, coeffs)
         self._check(other)
         out: dict[SimpleObject, int] = {}
         for sx, cx in self.coeffs.items():
@@ -258,7 +271,7 @@ class FusionElem:
                 c = cx * cy
                 for s in _simple_mul(sx, sy):
                     out[s] = out.get(s, 0) + c
-        return FusionElem(self.labels, out)
+        return FusionElem._trusted(self.labels, {s: c for s, c in out.items() if c})
 
     __rmul__ = __mul__
 

@@ -32,7 +32,7 @@ from math import lcm
 from .fusion import SimpleObject
 from .linalg import Mat, charpoly, int_kernel, int_rows, integer_roots, kernel_basis, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
-from .rootsys import CapExceeded, RootVector, extended_positive_roots
+from .rootsys import CapExceeded, RootVector, _int_reflect, _int_reflections, extended_positive_roots
 from .unfold import UnfoldedQuiver, fold_dim, unfold, vertex_name
 
 DEFAULT_SEED = 7
@@ -332,9 +332,11 @@ def _knit(Q: CoxeterQuiver, n_roots: int):
     With the admissible ordering v_0, ..., v_{n-1}, let Q_k be Q reversed at
     v_0, ..., v_{k-1}.  For each k and simple A the chain starts at the
     one-dimensional representation at (A, v_k) over Q_k and applies the
-    cokernel functor at v_{k-1}, ..., v_0, v_{n-1}, ..., v_0, ... until it
-    vanishes; each member over Q_0 = Q is yielded.  A chain longer than
-    n * n_roots steps raises CapExceeded.
+    cokernel functor at v_{k-1}, ..., v_0, v_{n-1}, ..., v_0, ... up to its
+    last member over Q_0 = Q, yielding each member over Q.  Where that is
+    comes from the chain of unfolded dimension vectors, run ahead of it by
+    `_last_landing`; a chain longer than n * n_roots steps raises
+    CapExceeded.
     """
     ordering = admissible_sink_ordering(Q)
     n = len(ordering)
@@ -342,20 +344,45 @@ def _knit(Q: CoxeterQuiver, n_roots: int):
     for j in ordering[:-1]:
         quivers.append(reverse_at(quivers[-1], j))
     unfolded = [unfold(q) for q in quivers]
-    max_steps = n * n_roots
+    # the unfolded vertices have the same names in every orientation
+    reflections = _int_reflections(Q, unfolded[0])
     for k, vk in enumerate(ordering):
         for A in unfolded[k].irr:
-            W = UnfoldedRep(unfolded[k], {vertex_name(A, vk): 1})
+            start = vertex_name(A, vk)
+            steps = _last_landing(unfolded[0].vertices, reflections, ordering, k, start, n * n_roots)
+            W = UnfoldedRep(unfolded[k], {start: 1})
             p = k
-            for _ in range(max_steps):
+            for _ in range(steps):
                 if p == 0:
                     yield W
                 p = (p - 1) % n
                 W = _reflection_step(unfolded[p], ordering[p], W, at_sink=False)
-                if W.is_zero():
-                    break
-            else:
-                raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
+            yield W
+
+
+def _last_landing(names, reflections, ordering, k: int, start: str, max_steps: int) -> int:
+    """The number of cokernel steps from the simple at `start` over Q_k to
+    the last member of its knitting chain over Q_0.
+
+    The dimension vector of a step is the integer reflection of the one
+    before, and the step vanishes exactly when that has a negative
+    coordinate: the chain is indecomposable, and over the unfolded vertices
+    of one vertex the functor is a product of classical reflection functors,
+    which kill only the simple at their vertex.  The first k steps reflect
+    away from v_k and keep the coordinate 1 at `start`, so every chain lands
+    on Q_0 at least once."""
+    n = len(ordering)
+    x = tuple(int(u == start) for u in names)
+    p = k
+    last = 0
+    for step in range(max_steps):
+        if p == 0:
+            last = step
+        p = (p - 1) % n
+        x = _int_reflect(x, reflections[ordering[p]])
+        if min(x) < 0:
+            return last
+    raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
 
 
 def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = 10_000) -> UnfoldedRep:

@@ -5,6 +5,14 @@ labelled graph; the symmetric form takes the value 2 on a diagonal pair and
 minus the sum of the label classes on an edge pair.  Roots are the orbit of
 the standard basis under all simple reflections; positive roots are the orbit
 members with non-negative classes at every vertex.
+
+The orbit is closed in integer coordinates over the vertices (B, v) of the
+unfolded quiver and folded back to one fusion class per vertex, sum of
+x[(B, v)] [B], only for the vectors returned.  The simple reflection at i is
+the product of the commuting classical reflections at the unfolded vertices
+over i (Etingof-Khovanov), and folding is a bijection, so the integer orbit
+is the image of the fusion-valued one.  `reflect` keeps the fusion-valued
+rule as an independent route.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from dataclasses import dataclass
 
 from .fusion import (
     FusionElem,
+    SimpleObject,
     arrow_label_class,
     invertible_simples,
     irr_enumerate,
@@ -182,13 +191,8 @@ def reflect(Q: CoxeterQuiver, i: str, v: RootVector) -> RootVector:
     Q._require(i)
     if v.labels != Q.label_set:
         raise MismatchedQuiver("root vector over a different label set")
-    return _reflect(i, v, _edge_classes(Q)[i])
-
-
-def _reflect(i: str, v: RootVector, edges_i) -> RootVector:
-    # edges_i: the (neighbour, label class) items of i from _edge_classes
     new_i = -v.entry(i)
-    for j, gen in edges_i:
+    for j, gen in _edge_classes(Q)[i]:
         vj = v.entries.get(j)
         if vj is not None:
             new_i = new_i + gen * vj
@@ -198,6 +202,45 @@ def _reflect(i: str, v: RootVector, edges_i) -> RootVector:
     else:
         out.pop(i, None)
     return RootVector(v.labels, out)
+
+
+def _fold(uq, coords) -> RootVector:
+    """The root vector of integer coordinates over the unfolded quiver uq,
+    given as (unfolded vertex, int) pairs: the class at v is the sum of
+    d [B] over the pairs ((B, v), d)."""
+    labels = uq.source.label_set
+    classes: dict[str, dict[SimpleObject, int]] = {}
+    for name, d in coords:
+        if d:
+            simple, v = uq.parts[name]
+            classes.setdefault(v, {})[simple] = d
+    return RootVector(labels, {v: FusionElem._trusted(labels, c) for v, c in classes.items()})
+
+
+def _int_reflections(Q: CoxeterQuiver, uq) -> dict[str, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The simple reflection at each vertex i of Q in integer coordinates
+    over the vertices of uq, an unfolding of Q in any orientation: for each
+    unfolded u over i, the position of u and the positions of its
+    neighbours, one per arrow at u in either direction."""
+    index = {u: k for k, u in enumerate(uq.vertices)}
+    nbrs: dict[str, list[int]] = {u: [] for u in uq.vertices}
+    for a in uq.arrows:
+        nbrs[a.source].append(index[a.target])
+        nbrs[a.target].append(index[a.source])
+    return {
+        i: tuple((index[u], tuple(nbrs[u])) for u in uq.vertices_over(i))
+        for i in Q.vertices
+    }
+
+
+def _int_reflect(x: tuple[int, ...], reflection) -> tuple[int, ...]:
+    # x[u] becomes the sum over u's neighbours minus x[u]; the unfolded
+    # vertices over one vertex are pairwise non-adjacent, so the order of the
+    # pairs does not matter
+    y = list(x)
+    for u, nbrs in reflection:
+        y[u] = sum([x[w] for w in nbrs]) - x[u]
+    return tuple(y)
 
 
 def _check_ordering(Q: CoxeterQuiver, ordering) -> tuple[str, ...]:
@@ -245,29 +288,51 @@ class RootSet:
 DEFAULT_BUDGET = 10_000
 
 
-def root_orbit(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> frozenset[RootVector]:
-    """Closure of the simple roots under all simple reflections, both signs."""
-    edges = _edge_classes(Q)
-    seen: set[RootVector] = set()
-    frontier = [RootVector.basis(Q, i) for i in Q.vertices]
-    seen.update(frontier)
+def _int_orbit(Q: CoxeterQuiver, budget: int):
+    """The reflection orbit of the simple roots in integer coordinates over
+    the vertices of unfold(Q), returned with unfold(Q).
+
+    Breadth first from the simple roots in vertex order, reflecting in vertex
+    order: the image under `_fold` of the fusion-valued closure, member by
+    member, so the budget trips at the same orbit size.  A member is
+    positive iff its least coordinate is >= 0 (no member is zero)."""
+    from .unfold import unfold, vertex_name  # unfold imports RootVector from here
+
+    uq = unfold(Q)
+    reflections = _int_reflections(Q, uq)
+    unit = SimpleObject.unit(Q.label_set)
+    frontier = []
+    for i in Q.vertices:
+        x = [0] * len(uq.vertices)
+        x[uq.vertices.index(vertex_name(unit, i))] = 1
+        frontier.append(tuple(x))
+    seen = set(frontier)
     while frontier:
         nxt = []
-        for w in frontier:
+        for x in frontier:
             for i in Q.vertices:
-                r = _reflect(i, w, edges[i])
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
+                y = _int_reflect(x, reflections[i])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
                     if len(seen) > budget:
                         partial = RootSet(
-                            frozenset(x for x in seen if is_positive_vec(x)), False
+                            frozenset(
+                                _fold(uq, zip(uq.vertices, z)) for z in seen if min(z) >= 0
+                            ),
+                            False,
                         )
                         raise OrbitBudgetExceeded(
                             f"orbit exceeded budget {budget}", partial
                         )
         frontier = nxt
-    return frozenset(seen)
+    return uq, seen
+
+
+def root_orbit(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> frozenset[RootVector]:
+    """Closure of the simple roots under all simple reflections, both signs."""
+    uq, orbit = _int_orbit(Q, budget)
+    return frozenset(_fold(uq, zip(uq.vertices, x)) for x in orbit)
 
 
 def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
@@ -280,19 +345,20 @@ def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
     makes positive root counts match the classical Coxeter tables and the
     extended positive roots a disjoint union over the simples.
     """
-    orbit = root_orbit(Q, budget)
+    uq, orbit = _int_orbit(Q, budget)
     units = [
         FusionElem.simple(Q.label_set, s)
         for s in invertible_simples(Q.label_set)
         if not s.is_unit()
     ]
-    chosen: dict[RootVector, RootVector] = {}
-    for r in orbit:
-        if not is_positive_vec(r):
+    chosen: set[RootVector] = set()
+    for x in orbit:
+        if min(x) < 0:
             continue
-        twisted = [r] + [r.scale(u) for u in units]
-        rep = min(twisted, key=lambda w: w.serialize())
-        chosen[rep] = rep
+        r = _fold(uq, zip(uq.vertices, x))
+        if units:
+            r = min([r] + [r.scale(u) for u in units], key=lambda w: w.serialize())
+        chosen.add(r)
     return RootSet(frozenset(chosen), True)
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fusion import FusionElem, SimpleObject, irr_enumerate, tlj_simples, tlj_tensor
+from .fusion import SimpleObject, irr_enumerate, tlj_simples, tlj_tensor
 from .quiver import Arrow, CoxeterQuiver, UnknownVertex, vertex_key
-from .rootsys import RootVector
+from .rootsys import RootVector, _fold
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,12 @@ def unfolded_arrow_count(Q: CoxeterQuiver, arrow_id: str) -> int:
 
 def fold_dim(uq: UnfoldedQuiver, dims: dict[str, int]) -> RootVector:
     """Collapse unfolded dimensions to one fusion-ring class per original vertex."""
-    labels = uq.source.label_set
-    entries = {v: FusionElem.zero(labels) for v in uq.source.vertices}
+    coords = []
     for name, d in dims.items():
         if name not in uq.parts:
             raise UnknownVertex(f"unknown unfolded vertex {name!r}")
         d = int(d)
         if d < 0:
             raise ValueError("dimensions must be non-negative")
-        if d:
-            simple, v = uq.parts[name]
-            entries[v] = entries[v] + FusionElem.simple(labels, simple) * d
-    return RootVector(labels, entries)
+        coords.append((name, d))
+    return _fold(uq, coords)

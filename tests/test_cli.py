@@ -202,6 +202,42 @@ def test_internal_fault_exit_code(capsys, qfile, monkeypatch):
     assert err.startswith("error: internal: knitted")
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
+    from coxrep import RootVector, enumerate_indecomposables, parse_quiver
+    from coxrep.linalg import Mat
+
+    n_maps = sum(
+        not m.is_zero()
+        for W in enumerate_indecomposables(parse_quiver(I25_TEXT))
+        for m in W.maps.values()
+    )
+    calls = {"serialize": 0, "to_json": 0}
+    serialize, to_json = RootVector.serialize, Mat.to_json
+
+    def counted_serialize(self):
+        calls["serialize"] += 1
+        return serialize(self)
+
+    def counted_to_json(self):
+        calls["to_json"] += 1
+        return to_json(self)
+
+    monkeypatch.setattr(RootVector, "serialize", counted_serialize)
+    monkeypatch.setattr(Mat, "to_json", counted_to_json)
+    p = qfile(I25_TEXT)
+    flags = ["--json"] if as_json else []
+    # I2(5) has no twist to choose: one serialization per root, the sort key
+    # and, in text, the printed line
+    assert run(capsys, "roots", p, "--extended", *flags)[0] == 0
+    assert calls == {"serialize": 5 + 10, "to_json": 0}
+    calls.update(serialize=0)
+    # one serialization per indecomposable for the sort and one per printed
+    # text line; one Mat.to_json per non-zero map, in either form
+    assert run(capsys, "indecs", p, "--full", *flags)[0] == 0
+    assert calls == {"serialize": 10 if as_json else 20, "to_json": n_maps}
+
+
 def test_runs_are_byte_identical(capsys, qfile):
     p = qfile(H3_TEXT)
     _, out1, _ = run(capsys, "roots", p, "--extended", "--json")
@@ -214,7 +250,9 @@ def test_runs_are_byte_identical(capsys, qfile):
 
 # sha256 of stdout on the representative orientation of each family, in the
 # order of `_pinned_argvs`; the CLI output is part of the interface, so these
-# change only on purpose
+# change only on purpose.  The last two entries and the families F4, G2 and
+# I2(8), whose even labels exercise the twist choice of `positive_roots`, were
+# recorded before the root orbit was closed in unfolded integer coordinates
 STDOUT_SHA256 = {
     "B3": (
         "5d1ab94158b155f5e1a79c40f8ba8b0b618773e889551e8066ce1c7225ca271c",
@@ -222,6 +260,8 @@ STDOUT_SHA256 = {
         "23ac0785d697c1784af3ef60772a85542dbc6dfd86660a3c331febed60480d28",
         "1a8996b00dcdf2a95c99659d99a840997097a79ee47d02f604fb217d2f4cfc37",
         "58420aa8820070bf62b2b6e5a741c9ecb3f22f1c47a7c6943f25341bdf9d9701",
+        "c681c854496fcc2a5554f0b102269180b2bfb750d1f6915d02462e80163e09c2",
+        "55c9ad2814ffdc045d5d240ea7d17639c08927e5bf2e6be86e29eae960a5208d",
     ),
     "D4": (
         "1ecd435e9bf11baf71b3d393246b3ea337a843aea63ca3b2b4c3d15f767ca397",
@@ -229,6 +269,26 @@ STDOUT_SHA256 = {
         "1a35edacfcf73fe4d54dcc3680e26cfef321a1efaa26389bf95e6218c28d2ce5",
         "926961994ab1f91b008185b691d44e64410f52ebad251c5d30ed38a959435264",
         "0aa8aeb1eea94c354b89affd891cf8331c1a9297b5a82af8a894e692eb3acb97",
+        "3def95c1c1f395b7e79e6bf8f0f7540c2bbd4cd4639f3270876d526c891993a5",
+        "5d08ad923898e8f44a8a9baf55faa667b097df4df2b549a9efdf8995a464182a",
+    ),
+    "F4": (
+        "9fe87e93fa2adaf2194daa9374e9e762e985d709e63018a50fcc748a4f01faec",
+        "ad0db0033529a2eac6cfd0c7af66e7d8d99faadd9fd6b0e01b76556a8019154f",
+        "854be3409a3b46a9f507b9c2055ed77fc8a4f7bec654942b6a347a9d5a2cee58",
+        "4fb182b4af21b10d069c85eabcc8e037fa6d3ce490e9d8061a10ef5c36147aa5",
+        "eafb8bf768010a220c3ec5da50a1fb236a2730127d0db6643c00b351ce2bb1de",
+        "a85f68aecfc7914aacf9f65e0c9d24c050acf5b55baeb0251d8d710cb6aa376d",
+        "a35ac90b68f89eca443b2937508d5b72255b0e1aa9895565003165c4d9312b8a",
+    ),
+    "G2": (
+        "2c5f8aa7dda6d169c122857806c17b8792fdb51d1e6194ecec5b39b3b7031c4f",
+        "48ed2f5543dcdc618b80ad3a6a4978046ee92d761cf496a16d261d4cbf9635c6",
+        "39abfb1bc82e6c0fb9567ba20328bdc32c079303643dcc098366b7fff96f76de",
+        "59976950e7d76a6283f54bdb61715a218c5ddd1420ef07c678ca997e67a1a5d3",
+        "fffc4e0a3f7276cd67933b6c79b4307af805b36b6c06cee4eeec39b63c552770",
+        "dd96117827b73ae77aa73e31de16f972a36982b621472e0dc915e5ddb12c8cf7",
+        "1e69ccaf62e4dff5d91b337c6c6d5af410f73a1e69276496ee828d8b6f693796",
     ),
     "H3": (
         "a51e8f1552ad25e1d7f669afcdcfde5919b419fb97b71ab2823e8387cae93c57",
@@ -236,6 +296,8 @@ STDOUT_SHA256 = {
         "0110f0a48bf8e4bea90152f8831d9db23328da42f3604c0ed5785286500f8fe6",
         "9f9a4c031483f8cc0a6a0d5975c3cbd4c379e867fa8d3d55afd391658805d33d",
         "0f90243a89ec6a922e16fbe21fc9f829c9c31ead83dd8582980074d73a6b9efa",
+        "b294b6cad8df9ce386c545cf359cc1cb99de54d8a4d0722ab08a9a0990ad57a2",
+        "3e689d266c08114eeb134e07c05e24b08033b4482483d0db22e6ce7c90519260",
     ),
     "I2(5)": (
         "f883cb7b96e18cc1fe34822f22ab3b078b7e6238649ba9b83f2ef0d2e808a482",
@@ -243,21 +305,34 @@ STDOUT_SHA256 = {
         "83a41b96392412b47aa57cd812db0d843647af2b5f5d34a8c6452dd29320c7e7",
         "9dc840344599ca778432f1849f70e0aeb09f8e5420815abdf796d5571a051767",
         "768c1b00fcdbfe862da54a3c99cf8b2366d1161189d0fb985a07695500a6c75a",
+        "aa6caf57dceb5ed5a670de0f85ea1623eb158add9f7cee19f84540230f850c55",
+        "7a301ba066a13722abe5ac95c2e8842cc1928118d0ec2b4359ce55dacd3a3404",
+    ),
+    "I2(8)": (
+        "ad5e21bd2f5d2941f49518ce356082103aa1b2dff82c1ce5a443168861f35cea",
+        "326d14e3beee87ed0b2b697af40d4a7dd36d4ef7f2aa94c117afd12ee3e8a91d",
+        "8f4e9a2f47990f61100af181a12411648f8ff3a54826267caa2334ef27ecd9fd",
+        "ecb303e100ca98a5a60aa4cdc072f9b0534e00c8b643d18e242c3bfb459418f4",
+        "f255cd69ea20f325dfa34962f7784ebbf168f837ba9ae9d5681158245ee9f1d1",
+        "c2757a51d8793e0cf512e48146f0d05cac73c080624477cc96b9868d8e70488e",
+        "53d6b094a7438c1deb82e84c5d5049821e8cb70c652d82e4bd383b0ee909f3c9",
     ),
 }
 
 
 def _pinned_argvs(Q, qpath, rep_path):
     """The pinned commands: the full indecomposables, the extended roots, the
-    path-algebra classes, and both reflection functors (at the first source
-    and the first sink) applied to the first indecomposable of largest total
-    dimension."""
+    path-algebra classes, both reflection functors (at the first source and
+    the first sink) applied to the first indecomposable of largest total
+    dimension, and the full indecomposables and extended roots as text."""
     return [
         ["indecs", qpath, "--full", "--json"],
         ["roots", qpath, "--extended", "--json"],
         ["path-algebra", qpath, "--json"],
         ["reflect", rep_path, "--vertex", Q.sources()[0], "--sign", "-"],
         ["reflect", rep_path, "--vertex", Q.sinks()[0], "--sign", "+"],
+        ["indecs", qpath, "--full"],
+        ["roots", qpath, "--extended"],
     ]
 
 

@@ -202,3 +202,43 @@ def test_empty_label_set_is_integers():
     one = FusionElem.unit(())
     assert one * one == one
     assert (one + one) * (one + one) == one * 4
+
+
+def rebuilt(x):
+    """The same value built through the validating constructor."""
+    return FusionElem(x.labels, {s.key: c for s, c in x.coeffs.items()})
+
+
+def test_arithmetic_results_equal_validated_construction():
+    rng = random.Random(17)
+    for labels in [(), (5,), (4, 5), (3, 6)]:
+        simples = irr_enumerate(labels)
+        for _ in range(40):
+            x = random_elem(rng, labels, simples)
+            y = random_elem(rng, labels, simples)
+            k = rng.randint(-3, 3)
+            for z in (x + y, x - y, -x, x * y, x * k, k * x):
+                assert z == rebuilt(z)
+                assert z.labels == tuple(sorted(labels))
+                assert all(type(c) is int and c for c in z.coeffs.values())
+                assert all(s.labels == z.labels for s in z.coeffs)
+                assert hash(z) == hash(rebuilt(z))
+
+
+def test_arithmetic_drops_zero_coefficients():
+    labels = (4, 5)
+    zero = FusionElem.zero(labels)
+    x = elem(labels, ("4:0|5:0", 2), ("4:1|5:2", -3), ("4:2|5:0", 1))
+    for z in (x + (-x), x - x, x * 0, 0 * x, x * zero, -zero):
+        assert not z
+        assert z == zero
+        assert z.coeffs == {}
+    # partial cancellation keeps only the surviving simple
+    y = elem(labels, ("4:0|5:0", -2), ("4:1|5:2", 3))
+    assert x + y == elem(labels, ("4:2|5:0", 1))
+    assert set((x + y).coeffs) == {SimpleObject.from_key("4:2|5:0")}
+    # a product whose terms cancel: (t - 1) * (t + 1) = t^2 - 1 = t at label 5
+    t = elem((5,), ("5:2", 1))
+    one = FusionElem.unit((5,))
+    assert (t - one) * (t + one) == t
+    assert set(((t - one) * (t + one)).coeffs) == {SimpleObject.from_key("5:2")}

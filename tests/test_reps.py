@@ -37,7 +37,10 @@ from coxrep import (
     zero_rep,
 )
 from coxrep.linalg import Mat, cokernel_projection, kernel_basis
-from coxrep.reps import UnfoldedRep, _knit, _try_split
+from coxrep import reps as reps_mod
+from coxrep.quiver import admissible_sink_ordering
+from coxrep.reps import UnfoldedRep, _knit, _reflection_step, _try_split
+from coxrep.unfold import vertex_name
 from families import all_orientations, family_quiver
 
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 2 1\n")  # sink at 1
@@ -312,6 +315,65 @@ def test_enumerate_a2():
     # the chain from the simple at 2 takes 3 steps, over the bound 2 * 1
     with pytest.raises(CapExceeded):
         list(_knit(A2, 1))
+
+
+def reference_knit(Q, n_roots):
+    """The knitting as it was before the dimension vectors ran ahead of the
+    chain: every chain runs on until its representation vanishes."""
+    ordering = admissible_sink_ordering(Q)
+    n = len(ordering)
+    quivers = [Q]
+    for j in ordering[:-1]:
+        quivers.append(reverse_at(quivers[-1], j))
+    unfolded = [unfold(q) for q in quivers]
+    max_steps = n * n_roots
+    for k, vk in enumerate(ordering):
+        for A in unfolded[k].irr:
+            W = UnfoldedRep(unfolded[k], {vertex_name(A, vk): 1})
+            p = k
+            for _ in range(max_steps):
+                if p == 0:
+                    yield W
+                p = (p - 1) % n
+                W = reps_mod._reflection_step(unfolded[p], ordering[p], W, at_sink=False)
+                if W.is_zero():
+                    break
+            else:
+                raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3", "I2(5)", "G2"])
+def test_knit_matches_reference_and_stops_at_last_landing(name, monkeypatch):
+    steps = []
+
+    def counted(uq2, i, V, at_sink):
+        W = _reflection_step(uq2, i, V, at_sink)
+        steps.append(W.is_zero())
+        return W
+
+    monkeypatch.setattr(reps_mod, "_reflection_step", counted)
+    for Q in all_orientations(family_quiver(name)):
+        n_roots = len(extended_positive_roots(Q))
+        expect = list(reference_knit(Q, n_roots))
+        reference_steps = steps[:]
+        del steps[:]
+        assert list(_knit(Q, n_roots)) == expect
+        # every chain of the reference ends in a step that vanishes; the
+        # knitting stops before it and takes no step that vanishes
+        assert steps and not any(steps)
+        assert len(steps) < len(reference_steps)
+        del steps[:]
+
+
+def test_knit_cap_matches_reference():
+    # the chain from the simple at 2 takes 3 steps to vanish: over the bound
+    # 2 * 1, within 2 * 2
+    with pytest.raises(CapExceeded) as expected:
+        list(reference_knit(A2, 1))
+    with pytest.raises(CapExceeded) as got:
+        list(_knit(A2, 1))
+    assert str(got.value) == str(expected.value)
+    assert list(_knit(A2, 2)) == list(reference_knit(A2, 2))
 
 
 def test_enumerate_i25():

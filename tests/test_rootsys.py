@@ -14,6 +14,8 @@ from coxrep import (
     coxeter_order,
     depositivize_exponent,
     extended_positive_roots,
+    RootSet,
+    fold_dim,
     irr_enumerate,
     is_positive_vec,
     parse_quiver,
@@ -22,6 +24,7 @@ from coxrep import (
     root_orbit,
     unfold,
 )
+from coxrep.fusion import invertible_simples
 from ade_oracle import count_positive_roots_of_components
 from families import expected_root_count, family_quiver
 
@@ -280,3 +283,121 @@ def test_depositivize_cap_exceeded_on_radical_vector():
     v = e(Q, "1") + e(Q, "2")
     with pytest.raises(CapExceeded):
         depositivize_exponent(Q, ("1", "2"), v, cap=50)
+
+
+# --- the integer orbit against a fusion-valued reference ---------------------
+#
+# The reference closes the orbit with the public, fusion-valued `reflect` and
+# picks the twist representatives as `positive_roots` did before the orbit was
+# closed in unfolded integer coordinates.
+
+
+def reference_root_orbit(Q, budget=10_000):
+    seen = set()
+    frontier = [RootVector.basis(Q, i) for i in Q.vertices]
+    seen.update(frontier)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in Q.vertices:
+                r = reflect(Q, i, w)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+                    if len(seen) > budget:
+                        partial = RootSet(
+                            frozenset(x for x in seen if is_positive_vec(x)), False
+                        )
+                        raise OrbitBudgetExceeded(
+                            f"orbit exceeded budget {budget}", partial
+                        )
+        frontier = nxt
+    return frozenset(seen)
+
+
+def reference_positive_roots(Q, budget=10_000):
+    units = [
+        FusionElem.simple(Q.label_set, s)
+        for s in invertible_simples(Q.label_set)
+        if not s.is_unit()
+    ]
+    chosen = set()
+    for r in reference_root_orbit(Q, budget):
+        if is_positive_vec(r):
+            chosen.add(min([r] + [r.scale(u) for u in units], key=lambda w: w.serialize()))
+    return RootSet(frozenset(chosen), True)
+
+
+def reference_extended_positive_roots(Q):
+    base = reference_positive_roots(Q)
+    return frozenset(
+        r.scale(FusionElem.simple(Q.label_set, s))
+        for s in irr_enumerate(Q.label_set)
+        for r in base.roots
+    )
+
+
+FAMILY_NAMES = [
+    "A1", "A2", "A5", "B2", "B3", "B5", "D4", "D6", "E6", "E7", "E8", "F4",
+    "G2", "H3", "H4", "I2(5)", "I2(7)", "I2(8)", "I2(10)",
+]
+
+# B2 and I2(5) side by side: labels {4, 5}, Irr a product of 3 * 2 simples
+B2_I25 = CoxeterQuiver(
+    ["1", "2", "3", "4"], [Arrow("a", "1", "2", 4), Arrow("b", "4", "3", 5)]
+)
+KRONECKER = CoxeterQuiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+AFFINE_D4 = CoxeterQuiver(
+    ["c", "1", "2", "3", "4"], [Arrow(f"a{k}", str(k), "c") for k in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES + ["B2+I2(5)"])
+def test_integer_orbit_matches_fusion_reference(name):
+    Q = B2_I25 if name == "B2+I2(5)" else family_quiver(name)
+    orbit = root_orbit(Q)
+    assert orbit == reference_root_orbit(Q)
+    base = positive_roots(Q)
+    assert base == reference_positive_roots(Q)
+    assert extended_positive_roots(Q).roots == reference_extended_positive_roots(Q)
+    if name != "B2+I2(5)":
+        assert len(base) == expected_root_count(name)
+
+
+def test_disconnected_two_label_quiver():
+    assert len(irr_enumerate(B2_I25.label_set)) == 6
+    # B2 has 4 positive roots, I2(5) has 5, each carried by 6 simples
+    assert len(positive_roots(B2_I25)) == 9
+    assert len(extended_positive_roots(B2_I25)) == 6 * 9
+
+
+@pytest.mark.parametrize(
+    "Q, budget", [(KRONECKER, 10), (KRONECKER, 40), (AFFINE_D4, 200)], ids=["kronecker-10", "kronecker-40", "affine-d4-200"]
+)
+def test_budget_exceeded_matches_fusion_reference(Q, budget):
+    with pytest.raises(OrbitBudgetExceeded) as expected:
+        reference_root_orbit(Q, budget)
+    for compute in (root_orbit, positive_roots, extended_positive_roots):
+        with pytest.raises(OrbitBudgetExceeded) as got:
+            compute(Q, budget)
+        assert str(got.value) == str(expected.value)
+        assert got.value.partial == expected.value.partial
+        assert not got.value.partial.closed
+        assert len(got.value.partial) > 0
+
+
+def test_fold_dim_matches_fusion_sum():
+    Q = B2_I25
+    uq = unfold(Q)
+    rng = random.Random(5)
+    for _ in range(20):
+        dims = {u: rng.randint(0, 3) for u in uq.vertices}
+        expect = RootVector.zero(Q.label_set)
+        for u, d in dims.items():
+            simple, v = uq.parts[u]
+            expect = expect + RootVector(
+                Q.label_set, {v: FusionElem.simple(Q.label_set, simple) * d}
+            )
+        assert fold_dim(uq, dims) == expect
+    with pytest.raises(ValueError):
+        fold_dim(uq, {uq.vertices[0]: -1})
