@@ -1,10 +1,14 @@
 """Batch command line interface.
 
 Deterministic given input and flags: every listing is canonically ordered and
-repeated runs are byte identical.  Exit codes: 0 success, 1 unreadable input,
-2 precondition violation, 3 budget or cap exceeded, 4 internal fault (a failed
-internal cross-check, such as the knitted dimension vectors against the
-extended roots; reported as "error: internal: ..." with empty stdout).
+repeated runs are byte identical.  Exit codes: 0 success, 1 unreadable input
+(a file, quiver, representation or fusion element that does not parse or
+validate), 2 precondition violation (a named condition of the command, such
+as a sink, a source or finite type), 3 budget or cap exceeded, 4 internal
+fault (a failed internal cross-check, such as the knitted dimension vectors
+against the extended roots, or any ValueError that escapes a command, such as
+a matrix shape mismatch; reported as "error: internal: ..." with empty
+stdout).
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ _PRECONDITION_EXC = (
     reps_mod.NotASource,
     reps_mod.NotAnExtendedRoot,
     reps_mod.NotFiniteType,
-    ValueError,
 )
 _BUDGET_EXC = (OrbitBudgetExceeded, CapExceeded, reps_mod.SplittingFailed)
 
@@ -210,11 +213,16 @@ def _cmd_fusion(args) -> int:
         labels = tuple(int(x) for x in args.labels.split(",") if x)
     except ValueError as exc:
         raise QuiverParseError(f"bad label list {args.labels!r}") from exc
+    if any(n < 3 for n in labels):
+        raise QuiverParseError(f"bad label list {args.labels!r}: labels are integers >= 3")
     try:
-        x = FusionElem.from_json(json.loads(args.mul[0]), labels)
-        y = FusionElem.from_json(json.loads(args.mul[1]), labels)
+        operands = [json.loads(s) for s in args.mul]
     except json.JSONDecodeError as exc:
         raise QuiverParseError(f"bad fusion element JSON: {exc}") from exc
+    try:
+        x, y = (FusionElem.from_json(obj, labels) for obj in operands)
+    except (TypeError, ValueError) as exc:
+        raise QuiverParseError(f"bad fusion element: {exc}") from exc
     product = (x * y).to_json()
     _emit(args.json, lambda: {"product": product}, lambda: [json.dumps(product, sort_keys=True)])
     return 0
@@ -286,7 +294,7 @@ def main(argv=None) -> int:
     except _PRECONDITION_EXC as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

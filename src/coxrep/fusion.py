@@ -134,10 +134,11 @@ class SimpleObject:
         if key == "":
             comps = ()
         else:
-            comps = tuple(
-                (int(part.split(":")[0]), int(part.split(":")[1]))
-                for part in key.split("|")
-            )
+            parts = (part.split(":") for part in key.split("|"))
+            try:
+                comps = tuple((int(n), int(a)) for n, a in parts)
+            except ValueError as exc:
+                raise ValueError(f"bad simple key {key!r}: expected label:index parts joined by '|'") from exc
         obj = cls(comps)
         if labels is not None and obj.labels != tuple(sorted(labels)):
             raise MismatchedLabelSets(
@@ -301,6 +302,8 @@ class FusionElem:
 
     @classmethod
     def from_json(cls, obj, labels) -> "FusionElem":
+        if not isinstance(obj, dict):
+            raise TypeError(f"a fusion element is an object of simple keys to coefficients, got {obj!r}")
         labels = tuple(sorted(set(labels)))
         return cls(
             labels, {SimpleObject.from_key(k, labels): int(c) for k, c in obj.items()}

@@ -1,18 +1,21 @@
 """Exact rational matrices: rank, kernels, cokernels and full linear solving,
 plus the integer polynomial tools of the Krull-Schmidt splitter.
 
-Dense matrices over arbitrary-precision rationals.  Zero-dimensional matrices
-are legal and required (empty kernels, zero representations).  Every solve
-runs on integer rows: each row is scaled to integers, reduced to echelon form
-by cross-multiplication with gcd stripping, and the entries above each pivot
-are then cleared the same way.  In that reduced form each pivot column is zero
-outside its pivot row, so the kernel vector of free column f (x_f = 1, other
-free coordinates 0) and the particular solution (free coordinates 0) are read
-off directly, x_pc = -row[f] / row[pc] and rhs / row[pc]: the only rationals
-are these final quotients.  `int_rows` scales rational rows to integer rows,
-one lcm of denominators per row, and `int_kernel` solves integer rows
-directly; `rank`, `kernel_basis`, `solve_all` and the reflection functors all
-enter through them.
+Dense matrices over arbitrary-precision rationals, held as integers: a `Mat`
+is a tuple of integer rows `num` over one positive denominator `den`, in
+lowest terms, and its sums, products, scalings and transposes are computed on
+those integers.  Zero-dimensional matrices are legal and required (empty
+kernels, zero representations).  Every solve runs on integer rows: the
+numerators are reduced to echelon form by cross-multiplication with gcd
+stripping, and the entries above each pivot are then cleared the same way.
+In that reduced form each pivot column is zero outside its pivot row, so the
+kernel vector of free column f (x_f = 1, other free coordinates 0) and the
+particular solution (free coordinates 0) are read off directly,
+x_pc = -row[f] / row[pc] and rhs / row[pc], as integer matrices over the lcm
+of the pivots.  `int_kernel` solves integer rows directly; `rank`,
+`kernel_basis`, `solve_all` and the reflection functors all enter through the
+numerators, and a Fraction is built only when `Mat.data`, an entry or a
+column is read.
 
 `charpoly` (Berkowitz, division free) and `integer_roots` (square-free part
 and Hensel lifting) work on integer matrices and polynomials only.
@@ -21,8 +24,9 @@ and Hensel lifting) work on integer matrices and polynomials only.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd, lcm
+from operator import mul
 
 
 class NoSolution(Exception):
@@ -30,25 +34,70 @@ class NoSolution(Exception):
 
 
 class Mat:
-    """Immutable dense matrix over Fraction."""
+    """Immutable dense rational matrix, stored as integer numerators over one
+    shared denominator.
 
-    __slots__ = ("rows", "cols", "data")
+    Entry (r, c) is num[r][c] / den, where num is a tuple of integer rows and
+    den a positive int, always in lowest terms: gcd(den, every numerator) is
+    1, so equal matrices have equal (num, den).  The public constructor takes
+    any rationals and converts them once; `_trusted` takes integer rows and a
+    denominator as they are (only the shape is checked) and brings them to
+    lowest terms.  Arithmetic works on the integers, and `data`, the entries
+    as rows of Fractions, is built only when it is read."""
+
+    __slots__ = ("rows", "cols", "num", "den", "_data")
 
     def __init__(self, rows: int, cols: int, data=None):
+        if data is None:
+            num, den = [[0] * cols for _ in range(max(rows, 0))], 1
+        else:
+            grid = [[x if type(x) is int else Fraction(x) for x in row] for row in data]
+            den = lcm(*(x.denominator for row in grid for x in row))
+            num = [[x.numerator * (den // x.denominator) for x in row] for row in grid]
+        self._init(rows, cols, num, den)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, num, den: int = 1) -> "Mat":
+        """The matrix num / den for a sequence of integer rows num and a
+        positive int den, reduced to lowest terms."""
+        M = object.__new__(cls)
+        M._init(rows, cols, num, den)
+        return M
+
+    def _init(self, rows: int, cols: int, num, den: int) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if data is None:
-            grid = tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-        else:
-            grid = tuple(tuple(Fraction(x) for x in row) for row in data)
-            if len(grid) != rows or any(len(r) != cols for r in grid):
-                raise ValueError("data shape does not match dimensions")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", grid)
+        num = tuple(map(tuple, num))
+        if len(num) != rows or (rows and set(map(len, num)) != {cols}):
+            raise ValueError("data shape does not match dimensions")
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g > 1:
+                num, den = tuple(tuple(x // g for x in r) for r in num), den // g
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_data(self, None)
 
     def __setattr__(self, *args):
         raise AttributeError("Mat is immutable")
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as rows of Fractions."""
+        if self._data is None:
+            den = self.den
+            _set_data(self, tuple(tuple(Fraction(x, den) for x in r) for r in self.num))
+        return self._data
+
+    def num_over(self, den: int) -> list[list[int]]:
+        """Fresh integer rows of den times the matrix; den must be a multiple
+        of self.den."""
+        k = den // self.den
+        if k == 1:
+            return [list(r) for r in self.num]
+        return [[x * k for x in r] for r in self.num]
 
     @classmethod
     def from_rows(cls, data) -> "Mat":
@@ -63,114 +112,120 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __getitem__(self, rc):
         r, c = rc
-        return self.data[r][c]
+        return Fraction(self.num[r][c], self.den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
+
+    def _transposed_num(self):
+        return tuple(zip(*self.num)) if self.rows else ((),) * self.cols
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)],
-        )
+        return Mat._trusted(self.cols, self.rows, self._transposed_num(), self.den)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Mat(
-            self.rows,
-            self.cols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        num = [[x * a + y * b for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)]
+        return Mat._trusted(self.rows, self.cols, num, den)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-x for x in row] for row in self.data])
+        return Mat._trusted(self.rows, self.cols, [[-x for x in row] for row in self.num], self.den)
 
     def scale(self, s) -> "Mat":
-        s = Fraction(s)
-        return Mat(self.rows, self.cols, [[s * x for x in row] for row in self.data])
+        if not isinstance(s, (int, Fraction)):
+            s = Fraction(s)
+        n = s.numerator
+        num = [[n * x for x in row] for row in self.num]
+        return Mat._trusted(self.rows, self.cols, num, self.den * s.denominator)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = other.transpose().data
-        return Mat(
-            self.rows,
-            other.cols,
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
-                for row in self.data
-            ],
-        )
+        ot = other._transposed_num()
+        num = [[sum(map(mul, row, col)) for col in ot] for row in self.num]
+        return Mat._trusted(self.rows, other.cols, num, self.den * other.den)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Mat(
-            self.rows,
-            self.cols + other.cols,
-            [list(a) + list(b) for a, b in zip(self.data, other.data)],
-        )
+        den = lcm(self.den, other.den)
+        num = [a + b for a, b in zip(self.num_over(den), other.num_over(den))]
+        return Mat._trusted(self.rows, self.cols + other.cols, num, den)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return Mat(self.rows + other.rows, self.cols, list(self.data) + list(other.data))
+        den = lcm(self.den, other.den)
+        return Mat._trusted(self.rows + other.rows, self.cols, self.num_over(den) + other.num_over(den), den)
 
     def submatrix(self, row_range, col_range) -> "Mat":
         rows = list(row_range)
         cols = list(col_range)
-        return Mat(
-            len(rows), len(cols), [[self.data[r][c] for c in cols] for r in rows]
-        )
+        return Mat._trusted(len(rows), len(cols), [[self.num[r][c] for c in cols] for r in rows], self.den)
 
     def columns(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(self.data[r][c] for r in range(self.rows)) for c in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.data]
+        den = self.den
+        if den == 1:
+            return [[str(x) for x in row] for row in self.num]
+        return [[_fraction_str(x, den) for x in row] for row in self.num]
 
     @classmethod
     def from_json(cls, obj, rows: int, cols: int) -> "Mat":
-        data = [[Fraction(x) for x in row] for row in obj]
-        return cls(rows, cols, data)
+        """The matrix of rows of entries, each an int or a string that
+        Fraction parses ("-3", "2/5"); floats are refused, since their binary
+        value is seldom the decimal that was meant."""
+        return cls(rows, cols, [[_parse_entry(x) for x in row] for row in obj])
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
 
 
-def int_rows(rows) -> list[list[int]]:
-    """Integer rows from rational ones, each scaled by the lcm of its
-    denominators."""
-    out = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (mult // x.denominator) for x in row])
-    return out
+# the slot setters, cheaper than object.__setattr__ on the construction path
+_set_rows, _set_cols, _set_num, _set_den, _set_data = (Mat.__dict__[k].__set__ for k in Mat.__slots__)
+
+
+def _fraction_str(x: int, den: int) -> str:
+    # str(Fraction(x, den)) without building the Fraction
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _parse_entry(x) -> int | Fraction:
+    if type(x) is int:
+        return x
+    if not isinstance(x, str):
+        raise TypeError(f"matrix entries must be strings or integers, got {x!r}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"matrix entry {x!r} has a zero denominator") from exc
 
 
 def _eliminate(row: list[int], prow: list[int], pc: int, nonzero: list[int]) -> list[int]:
@@ -226,7 +281,7 @@ def rank(M: Mat) -> int:
     """Exact rank."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    _, pivots = _echelon(int_rows(M.data), M.cols)
+    _, pivots = _echelon([list(r) for r in M.num], M.cols)
     return len(pivots)
 
 
@@ -244,18 +299,26 @@ def _reduce(rows: list[list[int]], pivots: list[int], ncols: int) -> None:
                 rows[i] = _eliminate(rows[i], prow, pc, nonzero)
 
 
+def _pivot_den(rows: list[list[int]], pivots: list[int]) -> int:
+    """A common denominator of every quotient row[j] / row[pc] of reduced
+    rows: the lcm of the pivots, each divided by the content of its row."""
+    return lcm(*(row[pc] // gcd(*row) for row, pc in zip(rows, pivots)))
+
+
 def _read_kernel(rows: list[list[int]], pivots: list[int], ncols: int) -> Mat:
     """Kernel basis from reduced rows: column k belongs to the k-th free column
-    f, with x_f = 1 and x_pc = -row[f] / row[pc] at each pivot."""
+    f, with x_f = 1 and x_pc = -row[f] / row[pc] at each pivot, all over one
+    denominator."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    data = [[0] * len(free) for _ in range(ncols)]
+    den = _pivot_den(rows, pivots)
+    num = [[0] * len(free) for _ in range(ncols)]
     for k, f in enumerate(free):
-        data[f][k] = 1
+        num[f][k] = den
         for row, pc in zip(rows, pivots):
             if row[f]:
-                data[pc][k] = Fraction(-row[f], row[pc])
-    return Mat(ncols, len(free), data)
+                num[pc][k] = -row[f] * den // row[pc]
+    return Mat._trusted(ncols, len(free), num, den)
 
 
 def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
@@ -271,7 +334,7 @@ def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
 
 def kernel_basis(M: Mat) -> Mat:
     """Matrix whose columns form a basis of the null space of M."""
-    return int_kernel(int_rows(M.data), M.cols)
+    return int_kernel([list(r) for r in M.num], M.cols)
 
 
 def cokernel_projection(M: Mat) -> Mat:
@@ -308,16 +371,19 @@ def solve_all(A: Mat, B: Mat) -> Solution:
     if A.rows != B.rows:
         raise ValueError("incompatible shapes")
     n, p = A.cols, B.cols
-    rows, pivots = _echelon(int_rows(a + b for a, b in zip(A.data, B.data)), n + p)
+    den = lcm(A.den, B.den)
+    rows = [a + b for a, b in zip(A.num_over(den), B.num_over(den))]
+    rows, pivots = _echelon(rows, n + p)
     if any(pc >= n for pc in pivots):
         raise NoSolution("system is inconsistent")
     _reduce(rows, pivots, n + p)
+    den = _pivot_den(rows, pivots)
     particular = [[0] * p for _ in range(n)]
     for row, pc in zip(rows, pivots):
         for k in range(p):
             if row[n + k]:
-                particular[pc][k] = Fraction(row[n + k], row[pc])
-    return Solution(Mat(n, p, particular), _read_kernel(rows, pivots, n))
+                particular[pc][k] = row[n + k] * den // row[pc]
+    return Solution(Mat._trusted(n, p, particular, den), _read_kernel(rows, pivots, n))
 
 
 def charpoly(M: list[list[int]]) -> list[int]:
@@ -333,8 +399,8 @@ def charpoly(M: list[list[int]]) -> list[int]:
         v = [M[i][k] for i in range(k + 1, n)]
         t = [1, -M[k][k]]
         for _ in range(n - k - 1):
-            t.append(-sum(r * x for r, x in zip(R, v)))
-            v = [sum(s * x for s, x in zip(row, v)) for row in sub]
+            t.append(-sum(map(mul, R, v)))
+            v = [sum(map(mul, row, v)) for row in sub]
         poly = [
             sum(t[i - j] * poly[j] for j in range(max(0, i - len(t) + 1), min(i + 1, len(poly))))
             for i in range(len(poly) + 1)

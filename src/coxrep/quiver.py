@@ -171,7 +171,7 @@ class CoxeterQuiver:
                         int(a.get("label", 3)),
                     )
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise QuiverParseError(f"bad quiver JSON: {exc}") from exc
         return cls(vertices, arrows)
 

@@ -20,6 +20,12 @@ in integers only: an endomorphism scaled to integer matrices splits the
 representation into its generalized eigenspaces for the integer roots of the
 blockwise characteristic polynomials, plus one part for all other
 eigenvalues.
+
+Everything here runs on the integer core of `Mat`: each matrix is integer
+rows `num` over one denominator `den`, and the reflection step, the Hom/End
+rows, direct sums and the splitting scale blocks to a common denominator and
+work on the numerators, so no Fraction is built between parsing a
+representation and reading its entries.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ import os
 import random
 from itertools import chain, islice
 from math import lcm
+from operator import mul
 
 from .fusion import SimpleObject
-from .linalg import Mat, charpoly, int_kernel, int_rows, integer_roots, kernel_basis, solve_all
+from .linalg import Mat, charpoly, int_kernel, integer_roots, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
 from .rootsys import CapExceeded, RootVector, _int_reflect, _int_reflections, extended_positive_roots
 from .unfold import UnfoldedQuiver, fold_dim, unfold, vertex_name
@@ -125,9 +132,12 @@ class UnfoldedRep:
     def from_json(cls, obj) -> "UnfoldedRep":
         Q = CoxeterQuiver.from_json(obj["quiver"])
         uq = unfold(Q)
-        dims = {str(k): int(v) for k, v in obj.get("dims", {}).items()}
+        dims_obj, maps_obj = obj.get("dims", {}), obj.get("maps", {})
+        if not isinstance(dims_obj, dict) or not isinstance(maps_obj, dict):
+            raise TypeError('"dims" and "maps" must be objects keyed by unfolded vertex and arrow')
+        dims = {str(k): int(v) for k, v in dims_obj.items()}
         maps = {}
-        for k, rows in obj.get("maps", {}).items():
+        for k, rows in maps_obj.items():
             arrow = next((a for a in uq.arrows if a.id == k), None)
             if arrow is None:
                 raise UnknownVertex(f"unknown unfolded arrow {k!r}")
@@ -168,12 +178,10 @@ def direct_sum(V: UnfoldedRep, W: UnfoldedRep) -> UnfoldedRep:
     maps = {}
     for a in V.quiver.arrows:
         mv, mw = V.maps[a.id], W.maps[a.id]
-        rows = [
-            list(r) + [0] * mw.cols for r in mv.data
-        ] + [
-            [0] * mv.cols + list(r) for r in mw.data
-        ]
-        maps[a.id] = Mat(mv.rows + mw.rows, mv.cols + mw.cols, rows)
+        den = lcm(mv.den, mw.den)
+        num = [r + [0] * mw.cols for r in mv.num_over(den)]
+        num += [[0] * mv.cols + r for r in mw.num_over(den)]
+        maps[a.id] = Mat._trusted(mv.rows + mw.rows, mv.cols + mw.cols, num, den)
     return UnfoldedRep(V.quiver, dims, maps)
 
 
@@ -218,22 +226,23 @@ def _reflection_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep, at_sink: bool)
     maps = {a.id: V.maps[a.id] for a in uq.arrows if a.source not in over_i and a.target not in over_i}
     for u in sorted(over_i):
         arrows = uq.in_arrows(u) if at_sink else uq.out_arrows(u)
-        blocks = [V.maps[a.id].data for a in arrows]
+        den = lcm(*(V.maps[a.id].den for a in arrows))
+        blocks = [V.maps[a.id].num_over(den) for a in arrows]
         if at_sink:
             rows = [[x for b in blocks for x in b[r]] for r in range(V.dims[u])]
         else:
             rows = [[row[r] for b in blocks for row in b] for r in range(V.dims[u])]
         widths = [V.dims[a.source if at_sink else a.target] for a in arrows]
-        K = int_kernel(int_rows(rows), sum(widths))
+        K = int_kernel(rows, sum(widths))
         dims[u] = K.cols
         offset = 0
         for a, w in zip(arrows, widths):
-            piece = K.data[offset : offset + w]
+            piece = K.num[offset : offset + w]
             offset += w
             if at_sink:
-                m = Mat(w, K.cols, piece)
+                m = Mat._trusted(w, K.cols, piece, K.den)
             else:
-                m = Mat(K.cols, w, [[row[c] for row in piece] for c in range(K.cols)])
+                m = Mat._trusted(K.cols, w, [[row[c] for row in piece] for c in range(K.cols)], K.den)
             maps[f"{a.provenance}:{a.target}>{a.source}"] = m
     return UnfoldedRep(uq2, dims, maps)
 
@@ -273,12 +282,11 @@ def _hom_rows(V: UnfoldedRep, W: UnfoldedRep) -> tuple[list[list[int]], dict[str
     rows = []
     for a in uq.arrows:
         s, t = a.source, a.target
-        MV, MW = V.maps[a.id].data, W.maps[a.id].data
+        MV, MW = V.maps[a.id], W.maps[a.id]
         ds_v, dt_v = V.dims[s], V.dims[t]
         ds_w, dt_w = W.dims[s], W.dims[t]
-        L = lcm(*(x.denominator for m in (MV, MW) for row in m for x in row))
-        mv = [[x.numerator * (L // x.denominator) for x in row] for row in MV]
-        mw = [[x.numerator * (L // x.denominator) for x in row] for row in MW]
+        L = lcm(MV.den, MW.den)
+        mv, mw = MV.num_over(L), MW.num_over(L)
         for r in range(dt_w):
             for c in range(ds_v):
                 row = [0] * n_unknowns
@@ -314,13 +322,11 @@ def endomorphism_basis(V: UnfoldedRep) -> list[dict[str, Mat]]:
     rows, base, n_unknowns = _hom_rows(V, V)
     hom = int_kernel(rows, n_unknowns)
     basis = []
-    for col in range(hom.cols):
+    for col in zip(*hom.num):
         elem = {}
         for u in V.quiver.vertices:
-            d = V.dims[u]
-            elem[u] = Mat(
-                d, d, [[hom.data[base[u] + r * d + c][col] for c in range(d)] for r in range(d)]
-            )
+            d, b = V.dims[u], base[u]
+            elem[u] = Mat._trusted(d, d, [col[b + r * d : b + r * d + d] for r in range(d)], hom.den)
         basis.append(elem)
     return basis
 
@@ -436,7 +442,7 @@ def _int_poly_at(coeffs: list[int], g: list[list[int]]) -> list[list[int]]:
     cols = list(zip(*g))
     out = [[0] * d for _ in range(d)]
     for c in coeffs:
-        out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in out]
+        out = [[sum(map(mul, row, col)) for col in cols] for row in out]
         for i in range(d):
             out[i][i] += c
     return out
@@ -452,14 +458,14 @@ def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
     polynomials of the blocks g_u.  The part for mu is ker (g_u - mu)^e at
     each vertex, e the multiplicity of mu in charpoly(g_u); the last part is
     the kernel of the cofactor of those roots."""
-    D = lcm(*(x.denominator for m in f.values() for row in m.data for x in row))
+    D = lcm(*(m.den for m in f.values()))
     eigenspaces: dict[int, dict[str, Mat]] = {}
     rest_space: dict[str, Mat] = {}
     for u in V.quiver.vertices:
         d = V.dims[u]
         if not d:
             continue
-        g = [[x.numerator * (D // x.denominator) for x in row] for row in f[u].data]
+        g = f[u].num_over(D)
         roots, rest = integer_roots(charpoly(g))
         for mu, e in roots:
             shifted = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(g)]
@@ -513,8 +519,11 @@ def _annihilator_candidates(V, basis, rng):
     and sampled elements seldom have rational eigenvalues."""
     u = min((u for u in V.quiver.vertices if V.dims[u]), key=V.dims.__getitem__)
     d = V.dims[u]
-    ann = kernel_basis(Mat(d, len(basis), [[b[u].data[r][0] for b in basis] for r in range(d)]))
-    ideal = [_combination(basis, coeffs) for coeffs in ann.columns()]
+    den = lcm(*(b[u].den for b in basis))
+    ann = int_kernel([[b[u].num[r][0] * (den // b[u].den) for b in basis] for r in range(d)], len(basis))
+    # combinations by the kernel's numerators: scaling every candidate by the
+    # same positive ann.den moves no eigenspace and keeps their order
+    ideal = [_combination(basis, coeffs) for coeffs in zip(*ann.num)]
     if ideal:
         yield from _split_candidates(ideal, rng)
 

@@ -151,6 +151,30 @@ def test_reflect_round_trip(capsys, qfile, tmp_path):
     assert sum(W.dims.values()) == 1
 
 
+# sha256 of `reflect --json` at the first sink of H3 on its largest
+# indecomposable with arrow k scaled by (2k + 1) / 3, whose output has
+# non-integer entries; recorded before `Mat` held integer numerators over a
+# shared denominator
+REFLECT_RATIONAL_SHA256 = "9f576b3e69a15b66b584909d0ccd27a59fd48abfd4707e4348102a0617a9a11e"
+
+
+def test_reflect_rational_bytes_are_recorded(capsys, qfile):
+    from fractions import Fraction
+
+    from coxrep import enumerate_indecomposables
+
+    Q = family_quiver("H3")
+    V = max(enumerate_indecomposables(Q), key=lambda W: W.total_dim())
+    doc = V.to_json()
+    for k, (a, rows) in enumerate(sorted(doc["maps"].items())):
+        doc["maps"][a] = [[str(Fraction(x) * Fraction(2 * k + 1, 3)) for x in row] for row in rows]
+    rep_path = qfile(json.dumps(doc), "rep.json")
+    code, out, _ = run(capsys, "reflect", rep_path, "--vertex", Q.sinks()[0], "--sign", "+", "--json")
+    assert code == 0
+    assert "/" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == REFLECT_RATIONAL_SHA256
+
+
 def test_reflect_wrong_side_is_precondition_error(capsys, qfile, tmp_path):
     from coxrep import RootVector, indecomposable_for, parse_quiver
 
@@ -200,6 +224,71 @@ def test_internal_fault_exit_code(capsys, qfile, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: internal: knitted")
+
+
+def test_escaped_value_error_is_an_internal_fault(capsys, qfile, monkeypatch):
+    from coxrep import reps
+
+    def broken(Q, budget):
+        raise ValueError("shape mismatch in product")
+
+    monkeypatch.setattr(reps, "_indecomposables_with_dims", broken)
+    code, out, err = run(capsys, "indecs", qfile(H3_TEXT))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal: shape mismatch")
+
+
+@pytest.mark.parametrize(
+    "labels, x",
+    [
+        ("5", '{"5:7": 1}'),  # index out of range
+        ("5", '{"5:1": 1}'),  # odd index at an odd label
+        ("5", '{"5": 1}'),  # not label:index
+        ("5", "[1]"),  # not an object
+        ("2", "{}"),  # label below 3
+    ],
+)
+def test_bad_fusion_element_is_unreadable_input(capsys, labels, x):
+    code, out, err = run(capsys, "fusion", "--labels", labels, "--mul", x, "{}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad ")
+
+
+def _rep_doc():
+    from coxrep import RootVector, indecomposable_for, parse_quiver
+
+    Q = parse_quiver("vertex 1\nvertex 2\narrow 2 1\n")
+    return indecomposable_for(Q, RootVector.basis(Q, "1") + RootVector.basis(Q, "2")).to_json()
+
+
+def _with_entry(entry):
+    doc = _rep_doc()
+    (arrow,) = doc["maps"]
+    doc["maps"][arrow] = [[entry]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_rep_doc(), "maps": []},
+        {**_rep_doc(), "dims": [1]},
+        _with_entry("1/0"),
+        _with_entry(1.5),
+        _with_entry(0.1),
+        _with_entry(True),
+        [1],
+        {**_rep_doc(), "quiver": {"vertices": ["1", "2"], "arrows": [["2", "1"]]}},
+    ],
+    ids=["maps-list", "dims-list", "zero-denominator", "float", "float-0.1", "bool", "not-an-object", "arrow-list"],
+)
+def test_malformed_representation_is_unreadable_input(capsys, qfile, doc):
+    code, out, err = run(capsys, "reflect", qfile(json.dumps(doc), "rep.json"), "--vertex", "1", "--sign", "+")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(("error: bad representation JSON", "error: bad quiver JSON"))
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

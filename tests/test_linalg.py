@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -279,3 +280,113 @@ def test_integer_roots_of_scaled_rational_eigenvalues():
     f = [[Fraction(1, 2), 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, Fraction(-2, 3), 0], [0, 0, 0, 0]]
     g = [[int(6 * x) for x in row] for row in f]
     assert integer_roots(charpoly(g)) == ([(-4, 1), (0, 1), (3, 2)], [1])
+
+
+# --- the integer core: Mat against plain lists of Fractions -----------------
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+
+
+def random_rational_rows(rng, rows, cols):
+    # mixed denominators, zeros and some integers, so den is often > 1 and
+    # sometimes cancels
+    return [
+        [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6, 9])) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def ref_mul(a, b, inner, cols):
+    return [[sum((r[k] * b[k][c] for k in range(inner)), Fraction(0)) for c in range(cols)] for r in a]
+
+
+def assert_lowest_terms(M):
+    assert M.den > 0 and type(M.den) is int
+    assert all(type(x) is int for row in M.num for x in row)
+    assert gcd(M.den, *(x for row in M.num for x in row)) == 1
+    assert len(M.num) == M.rows and all(len(row) == M.cols for row in M.num)
+
+
+def assert_equals_rows(M, rows, cols):
+    assert (M.rows, M.cols) == (len(rows), cols)
+    assert [list(r) for r in M.data] == rows
+    assert all(type(x) is Fraction for row in M.data for x in row)
+    assert all(M[r, c] == rows[r][c] and type(M[r, c]) is Fraction for r in range(M.rows) for c in range(cols))
+    assert M.columns() == [tuple(row[c] for row in rows) for c in range(cols)]
+    assert M.to_json() == [[str(x) for x in row] for row in rows]
+    assert M.is_zero() == all(x == 0 for row in rows for x in row)
+    assert_lowest_terms(M)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
+def test_integer_core_matches_fraction_lists(shape):
+    rows, cols = shape
+    rng = random.Random(f"core:{rows}x{cols}")
+    for _ in range(25):
+        a, b = random_rational_rows(rng, rows, cols), random_rational_rows(rng, rows, cols)
+        A, B = Mat(rows, cols, a), Mat(rows, cols, b)
+        assert_equals_rows(A, a, cols)
+        assert_equals_rows(A + B, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)], cols)
+        assert_equals_rows(A - B, [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)], cols)
+        assert_equals_rows(-A, [[-x for x in p] for p in a], cols)
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        assert_equals_rows(A.scale(s), [[s * x for x in p] for p in a], cols)
+        assert_equals_rows(A * s, [[s * x for x in p] for p in a], cols)
+        assert_equals_rows(A.scale(0), [[Fraction(0)] * cols for _ in range(rows)], cols)
+        t = [[a[r][c] for r in range(rows)] for c in range(cols)]
+        assert_equals_rows(A.transpose(), t, rows)
+        for inner in (0, 1, 3):
+            c = random_rational_rows(rng, cols, inner)
+            assert_equals_rows(A * Mat(cols, inner, c), ref_mul(a, c, cols, inner), inner)
+        back = Mat.from_json(A.to_json(), rows, cols)
+        assert back == A and hash(back) == hash(A)
+        assert_equals_rows(back, a, cols)
+
+
+def test_equal_values_built_by_different_routes_are_equal():
+    half = Mat(1, 1, [[Fraction(2, 4)]])
+    routes = [
+        Mat._trusted(1, 1, [[1]], 2),
+        Mat._trusted(1, 1, [[3]], 6),
+        Mat._trusted(1, 1, [[-5]], 10).scale(-1),
+        Mat(1, 1, [["1/2"]]),
+        Mat(1, 1, [[0.5]]),
+        Mat.from_json([["2/4"]], 1, 1),
+        Mat.identity(1).scale(Fraction(1, 2)),
+        Mat(1, 1, [[1]]) * Mat(1, 1, [[Fraction(1, 2)]]),
+        Mat(1, 1, [[Fraction(1, 3)]]) + Mat(1, 1, [[Fraction(1, 6)]]),
+    ]
+    for M in routes:
+        assert (M.num, M.den) == (((1,),), 2)
+        assert M == half and hash(M) == hash(half)
+    zeros = [Mat.zeros(2, 3), Mat._trusted(2, 3, [[0] * 3] * 2, 7), Mat(2, 3, [[Fraction(0, 5)] * 3] * 2)]
+    assert all(M.den == 1 and M == zeros[0] and hash(M) == hash(zeros[0]) for M in zeros)
+    assert len({Mat.zeros(0, 3), Mat._trusted(0, 3, [], 5)}) == 1
+    assert Mat.zeros(0, 3) != Mat.zeros(3, 0)
+    assert Mat(1, 1, [[Fraction(1, 2)]]) != Mat(1, 1, [[Fraction(1, 3)]])
+
+
+def test_trusted_constructor_keeps_the_shape_check():
+    with pytest.raises(ValueError):
+        Mat._trusted(2, 2, [[1, 2]], 1)
+    with pytest.raises(ValueError):
+        Mat._trusted(1, 2, [[1, 2, 3]], 3)
+    with pytest.raises(ValueError):
+        Mat(1, 1, [[1, 2]])
+
+
+@pytest.mark.parametrize("entry", [1.5, 0.1, True, None, [1]])
+def test_from_json_accepts_only_strings_and_integers(entry):
+    with pytest.raises(TypeError):
+        Mat.from_json([[entry]], 1, 1)
+
+
+def test_from_json_rejects_a_zero_denominator():
+    with pytest.raises(ValueError):
+        Mat.from_json([["1/0"]], 1, 1)
+
+
+def test_from_json_reads_integers_and_fraction_strings():
+    M = Mat.from_json([[3, "-2/6"], ["0", "4/2"]], 2, 2)
+    assert M.data == ((3, Fraction(-1, 3)), (0, 2))
+    assert M.to_json() == [["3", "-1/3"], ["0", "2"]]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -530,6 +532,26 @@ def assert_splits_into(V, summands):
         dim_vector(W).serialize() for W in summands
     )
     assert all(end_dim(W) == 1 for W in parts)
+    return parts
+
+
+def leaves_sha256(leaves) -> str:
+    return hashlib.sha256(json.dumps([W.to_json() for W in leaves], sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the `to_json()` of every leaf, in order, over all inputs of a
+# scrambled-basis test; recorded before `Mat` held integer numerators over a
+# shared denominator, so the split matrices themselves are pinned, not only
+# their dimensions
+LEAVES_SHA256 = {
+    ("powers", "A3"): "65840e720310fa35b7873c8795284dbe8ea0bc22fbdef224e6cdf613778e9765",
+    ("powers", "D4"): "1a3c12908a5a15185cfd02c778ab4a1bfc5ddb4c02ff1aaffd4d8226b511bf61",
+    ("powers", "B3"): "f309ff1865f3cd152c58f9dedde5988c1ca9ed4825cf73ff82b65c489a9c789f",
+    ("powers", "I2(5)"): "f00a4eaf8ca262dd3a11407a2e5195e371d006fb275d9f2dad5e34018d823cdc",
+    ("sum", "A3"): "5f18a6bd13bc025a52a07ac8a4c8dd37a3f44e63d3eddcef894f2d38366dbb40",
+    ("sum", "D4"): "e47c29c8c9c38dee701af898eb1519d697c81dc24f1ab7bd5c92f289a88ada8c",
+    ("sum", "I2(5)"): "0db0b1dd361fa1b3ca22addb1c0305e71dc9bf5f4fc80b029f5444de1dcf3b56",
+}
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "B3", "I2(5)"])
@@ -537,12 +559,14 @@ def test_decompose_scrambled_powers(name):
     rng = random.Random(f"powers:{name}")
     reps = enumerate_indecomposables(family_quiver(name))
     largest = max(reps, key=lambda W: W.total_dim())
+    leaves = []
     for V in [largest, rng.choice(reps)]:
         for k in (1, 2, 3):
             total = V
             for _ in range(k - 1):
                 total = direct_sum(total, V)
-            assert_splits_into(scrambled(total, rng), [V] * k)
+            leaves += assert_splits_into(scrambled(total, rng), [V] * k)
+    assert leaves_sha256(leaves) == LEAVES_SHA256["powers", name]
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "I2(5)"])
@@ -551,7 +575,8 @@ def test_decompose_scrambled_sum_of_all(name):
     total = reps[0]
     for W in reps[1:]:
         total = direct_sum(total, W)
-    assert_splits_into(scrambled(total, random.Random(f"sum:{name}")), reps)
+    leaves = assert_splits_into(scrambled(total, random.Random(f"sum:{name}")), reps)
+    assert leaves_sha256(leaves) == LEAVES_SHA256["sum", name]
 
 
 def test_decompose_does_not_import_sympy():
