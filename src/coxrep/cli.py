@@ -221,7 +221,7 @@ def _cmd_fusion(args) -> int:
         raise QuiverParseError(f"bad fusion element JSON: {exc}") from exc
     try:
         x, y = (FusionElem.from_json(obj, labels) for obj in operands)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MismatchedLabelSets) as exc:
         raise QuiverParseError(f"bad fusion element: {exc}") from exc
     product = (x * y).to_json()
     _emit(args.json, lambda: {"product": product}, lambda: [json.dumps(product, sort_keys=True)])

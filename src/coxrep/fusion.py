@@ -304,10 +304,11 @@ class FusionElem:
     def from_json(cls, obj, labels) -> "FusionElem":
         if not isinstance(obj, dict):
             raise TypeError(f"a fusion element is an object of simple keys to coefficients, got {obj!r}")
+        bad = [c for c in obj.values() if type(c) is not int]
+        if bad:
+            raise TypeError(f"coefficients must be integers, got {bad[0]!r}")
         labels = tuple(sorted(set(labels)))
-        return cls(
-            labels, {SimpleObject.from_key(k, labels): int(c) for k, c in obj.items()}
-        )
+        return cls(labels, {SimpleObject.from_key(k, labels): c for k, c in obj.items()})
 
     def __repr__(self):
         if not self.coeffs:

@@ -3,12 +3,20 @@
 A Coxeter quiver is a finite acyclic directed multigraph whose arrows carry
 integer labels >= 3; label 3 is the classical unlabelled arrow.  Vertex ids are
 arbitrary strings, ordered numerically when they look like numbers.
+
+Each graph question is answered by one walk.  The admissible sink ordering is
+Kahn's algorithm on the out-degrees, and the same walk is the acyclicity check
+of every quiver built.  Components come from one search over an undirected
+adjacency; a component is Coxeter-Dynkin only if it is a tree with at most one
+vertex of degree 3, and its type is read off the label sequences of the arms
+that leave that vertex, or of the path from its lowest end.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 
 class QuiverError(Exception):
@@ -88,24 +96,10 @@ class CoxeterQuiver:
         object.__setattr__(self, "arrows", arrs)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", incoming)
-        self._check_acyclic()
+        admissible_sink_ordering(self)
 
     def __setattr__(self, *args):
         raise AttributeError("CoxeterQuiver is immutable")
-
-    def _check_acyclic(self):
-        indeg = {v: len(self._in[v]) for v in self.vertices}
-        queue = [v for v in self.vertices if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for a in self._out[v]:
-                indeg[a.target] -= 1
-                if indeg[a.target] == 0:
-                    queue.append(a.target)
-        if seen != len(self.vertices):
-            raise CyclicQuiver("quiver contains a directed cycle")
 
     @property
     def label_set(self) -> tuple[int, ...]:
@@ -163,13 +157,11 @@ class CoxeterQuiver:
             vertices = [str(v) for v in obj["vertices"]]
             arrows = []
             for k, a in enumerate(obj.get("arrows", [])):
+                label = a.get("label", 3)
+                if type(label) is not int:
+                    raise TypeError(f"label {label!r} is not an integer")
                 arrows.append(
-                    Arrow(
-                        str(a.get("id", f"a{k}")),
-                        str(a["source"]),
-                        str(a["target"]),
-                        int(a.get("label", 3)),
-                    )
+                    Arrow(str(a.get("id", f"a{k}")), str(a["source"]), str(a["target"]), label)
                 )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise QuiverParseError(f"bad quiver JSON: {exc}") from exc
@@ -218,7 +210,8 @@ def parse_quiver(text: str) -> CoxeterQuiver:
             arrows.append(Arrow(f"a{len(arrows)}", parts[1], parts[2], label))
         else:
             raise QuiverParseError(f"line {lineno}: cannot parse {raw!r}")
-    if any(a.source not in set(vertices) or a.target not in set(vertices) for a in arrows):
+    declared = set(vertices)
+    if any(a.source not in declared or a.target not in declared for a in arrows):
         raise QuiverParseError("arrow endpoint references an undeclared vertex")
     return CoxeterQuiver(vertices, arrows)
 
@@ -241,23 +234,25 @@ def admissible_sink_ordering(Q: CoxeterQuiver) -> tuple[str, ...]:
     the previous vertices; reversing at all of them restores Q.
 
     Equivalently a linear order in which every arrow points from a later
-    vertex to an earlier one.  Ties break to the lowest vertex id.
+    vertex to an earlier one.  Ties break to the lowest vertex id.  Raises
+    CyclicQuiver when some vertex never becomes a sink.
     """
+    # Kahn's algorithm on the out-degrees; the heap holds positions in
+    # Q.vertices, which is sorted by vertex_key
+    position = {v: k for k, v in enumerate(Q.vertices)}
+    outdeg = [len(Q._out[v]) for v in Q.vertices]
+    ready = [k for k, d in enumerate(outdeg) if not d]
     placed: list[str] = []
-    placed_set: set[str] = set()
-    remaining = set(Q.vertices)
-    while remaining:
-        ready = [
-            v
-            for v in remaining
-            if all(a.target in placed_set for a in Q.out_arrows(v))
-        ]
-        if not ready:
-            raise CyclicQuiver("no admissible ordering: directed cycle")
-        v = min(ready, key=vertex_key)
+    while ready:
+        v = Q.vertices[heappop(ready)]
         placed.append(v)
-        placed_set.add(v)
-        remaining.discard(v)
+        for a in Q._in[v]:
+            k = position[a.source]
+            outdeg[k] -= 1
+            if not outdeg[k]:
+                heappush(ready, k)
+    if len(placed) != len(Q.vertices):
+        raise CyclicQuiver("quiver contains a directed cycle")
     return tuple(placed)
 
 
@@ -287,122 +282,85 @@ class DynkinType:
 NOT_DYNKIN = DynkinType("NotDynkin")
 
 
-def _undirected_components(Q: CoxeterQuiver):
-    adj: dict[str, set[str]] = {v: set() for v in Q.vertices}
-    for a in Q.arrows:
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
-    seen: set[str] = set()
-    comps = []
-    for v in sorted(Q.vertices, key=vertex_key):
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp, key=vertex_key)))
-    return comps
+_E_ARMS = {(1, 2, 2): 6, (1, 2, 3): 7, (1, 2, 4): 8}
 
 
-def _classify_component(vertices, edges) -> DynkinType:
-    # vertices: list of ids; edges: list of (u, v, label), undirected, u != v
+def _arm_labels(adj, start, w, label) -> list[int]:
+    """Labels along the arm that leaves start through the edge (w, label),
+    up to the first vertex whose degree is not 2."""
+    labels, prev = [label], start
+    while len(adj[w]) == 2:
+        nxt = adj[w][0] if adj[w][0][0] != prev else adj[w][1]
+        prev, (w, label) = w, nxt
+        labels.append(label)
+    return labels
+
+
+def _classify_component(vertices, adj) -> DynkinType:
+    """Type of a connected component; adj maps each of its vertices to its
+    (neighbour, label) pairs, one per incident arrow."""
     n = len(vertices)
-    if n == 1:
-        return DynkinType("A", 1)
-    pair_count: dict[frozenset, int] = {}
-    for u, v, _ in edges:
-        key = frozenset((u, v))
-        pair_count[key] = pair_count.get(key, 0) + 1
-    if any(c > 1 for c in pair_count.values()):
+    if sum(len(adj[v]) for v in vertices) != 2 * (n - 1):
+        return NOT_DYNKIN  # a cycle, possibly a multi-edge
+    centres = [v for v in vertices if len(adj[v]) > 2]
+    if len(centres) > 1 or any(len(adj[v]) > 3 for v in centres):
         return NOT_DYNKIN
-    if len(edges) != n - 1:
-        return NOT_DYNKIN  # connected with a cycle
-    deg: dict[str, int] = {v: 0 for v in vertices}
-    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in vertices}
-    for u, v, lab in edges:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append((v, lab))
-        adj[v].append((u, lab))
-    high = [lab for _, _, lab in edges if lab > 3]
-    maxdeg = max(deg.values())
-    if high:
-        if maxdeg > 2 or len(high) > 1:
+    start = centres[0] if centres else next(v for v in vertices if len(adj[v]) < 2)
+    arms = [_arm_labels(adj, start, w, label) for w, label in adj[start]]
+    if centres:
+        if any(label != 3 for arm in arms for label in arm):
             return NOT_DYNKIN
-        # walk the path from an endpoint and record edge labels in order
-        start = min((v for v in vertices if deg[v] == 1), key=vertex_key)
-        labels = []
-        prev, cur = None, start
-        while True:
-            nxt = [(w, lab) for w, lab in adj[cur] if w != prev]
-            if not nxt:
-                break
-            (w, lab) = nxt[0]
-            labels.append(lab)
-            prev, cur = cur, w
-        m = high[0]
-        idx = labels.index(m)
-        at_end = idx in (0, len(labels) - 1)
-        if n == 2:
-            if m == 4:
-                return DynkinType("B", 2)
-            if m == 6:
-                return DynkinType("G", 2)
-            return DynkinType("I2", m)
-        if m == 4 and at_end:
-            return DynkinType("B", n)
-        if m == 4 and n == 4 and idx == 1:
-            return DynkinType("F", 4)
-        if m == 5 and at_end and n in (3, 4):
-            return DynkinType("H", n)
-        return NOT_DYNKIN
-    # simply laced: path, fork or exceptional star
-    if maxdeg <= 2:
+        lengths = tuple(sorted(map(len, arms)))
+        if lengths[:2] == (1, 1):
+            return DynkinType("D", n)
+        return DynkinType("E", _E_ARMS[lengths]) if lengths in _E_ARMS else NOT_DYNKIN
+    labels = arms[0] if arms else []
+    high = [k for k, m in enumerate(labels) if m > 3]
+    if not high:
         return DynkinType("A", n)
-    if maxdeg > 3 or sum(1 for v in vertices if deg[v] == 3) > 1:
+    if len(high) > 1:
         return NOT_DYNKIN
-    branch = next(v for v in vertices if deg[v] == 3)
-    arms = []
-    for w, _ in adj[branch]:
-        length = 1
-        prev, cur = branch, w
-        while True:
-            nxt = [x for x, _ in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return DynkinType("D", n)
-    if arms == [1, 2, 2]:
-        return DynkinType("E", 6)
-    if arms == [1, 2, 3]:
-        return DynkinType("E", 7)
-    if arms == [1, 2, 4]:
-        return DynkinType("E", 8)
+    k = high[0]
+    m = labels[k]
+    at_end = k in (0, n - 2)
+    if n == 2:
+        if m == 4:
+            return DynkinType("B", 2)
+        if m == 6:
+            return DynkinType("G", 2)
+        return DynkinType("I2", m)
+    if m == 4 and at_end:
+        return DynkinType("B", n)
+    if m == 4 and n == 4 and k == 1:
+        return DynkinType("F", 4)
+    if m == 5 and at_end and n in (3, 4):
+        return DynkinType("H", n)
     return NOT_DYNKIN
 
 
 def classify_graph(Q: CoxeterQuiver) -> list[tuple[tuple[str, ...], DynkinType]]:
     """Coxeter-Dynkin type of each connected component of the underlying
     labelled graph (orientation forgotten, labels and multi-edges kept)."""
-    out = []
-    for comp in _undirected_components(Q):
-        cset = set(comp)
-        edges = [
-            (a.source, a.target, a.label) for a in Q.arrows if a.source in cset
-        ]
-        out.append((comp, _classify_component(comp, edges)))
-    return out
+    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in Q.vertices}
+    for a in Q.arrows:
+        adj[a.source].append((a.target, a.label))
+        adj[a.target].append((a.source, a.label))
+    # one search labels every vertex with the first vertex of its component;
+    # grouping in vertex order keeps both orders sorted by vertex_key
+    root: dict[str, str] = {}
+    for v in Q.vertices:
+        if v not in root:
+            root[v] = v
+            stack = [v]
+            while stack:
+                for w, _ in adj[stack.pop()]:
+                    if w not in root:
+                        root[w] = v
+                        stack.append(w)
+    comps: dict[str, list[str]] = {}
+    for v in Q.vertices:
+        comps.setdefault(root[v], []).append(v)
+    return [(tuple(comp), _classify_component(comp, adj)) for comp in comps.values()]
 
 
 def is_finite_type(Q: CoxeterQuiver) -> bool:

@@ -30,7 +30,6 @@ representation and reading its entries.
 
 from __future__ import annotations
 
-import os
 import random
 from itertools import chain, islice
 from math import lcm
@@ -135,10 +134,14 @@ class UnfoldedRep:
         dims_obj, maps_obj = obj.get("dims", {}), obj.get("maps", {})
         if not isinstance(dims_obj, dict) or not isinstance(maps_obj, dict):
             raise TypeError('"dims" and "maps" must be objects keyed by unfolded vertex and arrow')
-        dims = {str(k): int(v) for k, v in dims_obj.items()}
+        bad = [d for d in dims_obj.values() if type(d) is not int]
+        if bad:
+            raise TypeError(f"dimensions must be integers, got {bad[0]!r}")
+        dims = {str(k): v for k, v in dims_obj.items()}
+        arrows = {a.id: a for a in uq.arrows}
         maps = {}
         for k, rows in maps_obj.items():
-            arrow = next((a for a in uq.arrows if a.id == k), None)
+            arrow = arrows.get(k)
             if arrow is None:
                 raise UnknownVertex(f"unknown unfolded arrow {k!r}")
             maps[k] = Mat.from_json(
@@ -261,7 +264,7 @@ def apply_reflection_word(Q: CoxeterQuiver, V: UnfoldedRep, word) -> UnfoldedRep
             V = reflect_minus(cur_Q, vertex, V)
         else:
             raise ValueError(f"bad sign {sign!r}")
-        cur_Q = reverse_at(cur_Q, vertex)
+        cur_Q = V.quiver.source
     return V
 
 
@@ -544,7 +547,7 @@ def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
     leaf as indecomposable.  Leaves are sorted by dimension vector.
     """
     if seed is None:
-        seed = int(os.environ.get("COXREP_SEED", DEFAULT_SEED))
+        seed = DEFAULT_SEED
     if V.is_zero():
         return []
     basis = endomorphism_basis(V)

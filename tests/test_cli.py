@@ -193,6 +193,12 @@ def test_parse_error_exit_code(capsys, qfile):
     assert code == 1
     code, _, err = run(capsys, "classify", qfile("vertex 1\nvertex 2\narrow 1 2 2\n"))
     assert code == 1
+    # a label is a JSON integer: no float, string or bool is converted
+    for label in (4.9, "4", True):
+        arrow = {"source": "1", "target": "2", "label": label}
+        code, out, err = run(capsys, "classify", qfile(json.dumps({"vertices": ["1", "2"], "arrows": [arrow]})))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad quiver JSON")
 
 
 def test_missing_file_exit_code(capsys):
@@ -247,6 +253,10 @@ def test_escaped_value_error_is_an_internal_fault(capsys, qfile, monkeypatch):
         ("5", '{"5": 1}'),  # not label:index
         ("5", "[1]"),  # not an object
         ("2", "{}"),  # label below 3
+        ("5", '{"5:0": 1.5}'),  # float coefficient
+        ("5", '{"5:0": true}'),  # bool coefficient
+        ("5", '{"5:0": "1"}'),  # string coefficient
+        ("5", '{"4:0": 1}'),  # simple over another label set
     ],
 )
 def test_bad_fusion_element_is_unreadable_input(capsys, labels, x):
@@ -281,8 +291,23 @@ def _with_entry(entry):
         _with_entry(True),
         [1],
         {**_rep_doc(), "quiver": {"vertices": ["1", "2"], "arrows": [["2", "1"]]}},
+        {**_rep_doc(), "dims": {"3:0@1": 1.7, "3:0@2": 1}},
+        {**_rep_doc(), "dims": {"3:0@1": True, "3:0@2": 1}},
+        {**_rep_doc(), "quiver": {"vertices": ["1", "2"], "arrows": [{"id": "a0", "source": "2", "target": "1", "label": 3.5}]}},
     ],
-    ids=["maps-list", "dims-list", "zero-denominator", "float", "float-0.1", "bool", "not-an-object", "arrow-list"],
+    ids=[
+        "maps-list",
+        "dims-list",
+        "zero-denominator",
+        "float",
+        "float-0.1",
+        "bool",
+        "not-an-object",
+        "arrow-list",
+        "float-dim",
+        "bool-dim",
+        "float-label",
+    ],
 )
 def test_malformed_representation_is_unreadable_input(capsys, qfile, doc):
     code, out, err = run(capsys, "reflect", qfile(json.dumps(doc), "rep.json"), "--vertex", "1", "--sign", "+")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from coxrep import (
     reverse_at,
     validate,
 )
+from coxrep.quiver import QuiverError, vertex_key
 from families import all_orientations, family_quiver, path_quiver
 
 
@@ -217,3 +219,213 @@ def test_disconnected_components():
     comps = classify_graph(Q)
     names = sorted(t.name for _, t in comps)
     assert names == ["A1", "A1", "I2(5)"]
+
+
+# The previous implementation of the graph questions, kept as the reference
+# for the single-walk versions: a separate acyclicity check, a rescanning
+# sink ordering, a separate component search and a path/star classifier with
+# its own multi-edge check.
+
+
+def reference_is_acyclic(vertices, arrows) -> bool:
+    out = {v: [] for v in vertices}
+    indeg = {v: 0 for v in vertices}
+    for a in arrows:
+        out[a.source].append(a)
+        indeg[a.target] += 1
+    queue = [v for v in vertices if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for a in out[v]:
+            indeg[a.target] -= 1
+            if indeg[a.target] == 0:
+                queue.append(a.target)
+    return seen == len(vertices)
+
+
+def reference_ordering(Q):
+    placed, placed_set, remaining = [], set(), set(Q.vertices)
+    while remaining:
+        ready = [v for v in remaining if all(a.target in placed_set for a in Q.out_arrows(v))]
+        if not ready:
+            raise CyclicQuiver("no admissible ordering: directed cycle")
+        v = min(ready, key=vertex_key)
+        placed.append(v)
+        placed_set.add(v)
+        remaining.discard(v)
+    return tuple(placed)
+
+
+def reference_components(Q):
+    adj = {v: set() for v in Q.vertices}
+    for a in Q.arrows:
+        adj[a.source].add(a.target)
+        adj[a.target].add(a.source)
+    seen, comps = set(), []
+    for v in sorted(Q.vertices, key=vertex_key):
+        if v in seen:
+            continue
+        comp, stack = [], [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp, key=vertex_key)))
+    return comps
+
+
+def reference_classify_component(vertices, edges):
+    n = len(vertices)
+    if n == 1:
+        return "A1"
+    pairs = [frozenset((u, v)) for u, v, _ in edges]
+    if len(set(pairs)) != len(pairs) or len(edges) != n - 1:
+        return "NotDynkin"
+    deg = {v: 0 for v in vertices}
+    adj = {v: [] for v in vertices}
+    for u, v, lab in edges:
+        deg[u] += 1
+        deg[v] += 1
+        adj[u].append((v, lab))
+        adj[v].append((u, lab))
+    high = [lab for _, _, lab in edges if lab > 3]
+    maxdeg = max(deg.values())
+    if high:
+        if maxdeg > 2 or len(high) > 1:
+            return "NotDynkin"
+        start = min((v for v in vertices if deg[v] == 1), key=vertex_key)
+        labels, prev, cur = [], None, start
+        while True:
+            nxt = [(w, lab) for w, lab in adj[cur] if w != prev]
+            if not nxt:
+                break
+            w, lab = nxt[0]
+            labels.append(lab)
+            prev, cur = cur, w
+        m = high[0]
+        idx = labels.index(m)
+        at_end = idx in (0, len(labels) - 1)
+        if n == 2:
+            return {4: "B2", 6: "G2"}.get(m, f"I2({m})")
+        if m == 4 and at_end:
+            return f"B{n}"
+        if m == 4 and n == 4 and idx == 1:
+            return "F4"
+        if m == 5 and at_end and n in (3, 4):
+            return f"H{n}"
+        return "NotDynkin"
+    if maxdeg <= 2:
+        return f"A{n}"
+    if maxdeg > 3 or sum(1 for v in vertices if deg[v] == 3) > 1:
+        return "NotDynkin"
+    branch = next(v for v in vertices if deg[v] == 3)
+    arms = []
+    for w, _ in adj[branch]:
+        length, prev, cur = 1, branch, w
+        while True:
+            nxt = [x for x, _ in adj[cur] if x != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return f"D{n}"
+    return {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}.get(tuple(arms), "NotDynkin")
+
+
+def reference_classify_graph(Q):
+    out = []
+    for comp in reference_components(Q):
+        cset = set(comp)
+        edges = [(a.source, a.target, a.label) for a in Q.arrows if a.source in cset]
+        out.append((comp, reference_classify_component(comp, edges)))
+    return out
+
+
+# ids with pairwise distinct vertex_key, numeric and not, so the reference's
+# ties are never decided by set order
+ID_POOL = ["1", "2", "3", "10", "-4", "07", "b", "a", "zz", "x1", "100", "-12"]
+
+
+def assert_matches_reference(vertices, arrows):
+    """The quiver layer and the reference agree on (vertices, arrows): the
+    same exception class for a directed cycle, otherwise the same ordering
+    and the same components with the same type names."""
+    if not reference_is_acyclic(vertices, arrows):
+        with pytest.raises(QuiverError) as info:
+            CoxeterQuiver(vertices, arrows)
+        assert type(info.value) is CyclicQuiver
+        return
+    Q = CoxeterQuiver(vertices, arrows)
+    assert admissible_sink_ordering(Q) == reference_ordering(Q)
+    assert [(c, t.name) for c, t in classify_graph(Q)] == reference_classify_graph(Q)
+    assert is_finite_type(Q) == all(t != "NotDynkin" for _, t in reference_classify_graph(Q))
+
+
+def labelled_trees(n):
+    """Every tree on range(n), as edge lists, by Pruefer sequence."""
+    if n == 1:
+        yield []
+        return
+    for code in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for x in code:
+            degree[x] += 1
+        edges = []
+        for x in code:
+            leaf = min(v for v in range(n) if degree[v] == 1)
+            edges.append((leaf, x))
+            degree[leaf] -= 1
+            degree[x] -= 1
+        edges.append(tuple(v for v in range(n) if degree[v] == 1))
+        yield edges
+
+
+@pytest.mark.parametrize(
+    "max_n, pool",
+    [(5, (3,)), (5, (3, 4)), (5, (3, 5)), (4, (3, 4, 5, 6, 7))],
+    ids=["3", "3-4", "3-5", "3-to-7"],
+)
+def test_trees_match_reference(max_n, pool):
+    rng = random.Random(max_n * 100 + len(pool) + sum(pool))
+    for n in range(1, max_n + 1):
+        for edges in labelled_trees(n):
+            for labels in itertools.product(pool, repeat=len(edges)):
+                ids = rng.sample(ID_POOL, n)
+                arrows = [
+                    Arrow(f"a{k}", ids[u], ids[v], lab) if rng.random() < 0.5 else Arrow(f"a{k}", ids[v], ids[u], lab)
+                    for k, ((u, v), lab) in enumerate(zip(edges, labels))
+                ]
+                assert_matches_reference(ids, arrows)
+
+
+def test_random_multigraphs_match_reference():
+    # cycles, directed cycles, parallel and antiparallel arrows, several
+    # components and non-numeric ids; every third graph is a random tree,
+    # mostly simply laced, so the D and E shapes occur
+    rng = random.Random(8)
+    for trial in range(3000):
+        n = rng.randint(1, 11)
+        ids = rng.sample(ID_POOL, n)
+        if trial % 3 == 0:
+            edges = [(v, rng.choice(ids[:k]), rng.choice([3] * 8 + [4, 5])) for k, v in enumerate(ids) if k]
+        else:
+            edges = []
+            for _ in range(rng.randint(0, n + 2) if n > 1 else 0):
+                u, v = rng.choice(edges)[:2] if edges and rng.random() < 0.4 else rng.sample(ids, 2)
+                edges.append((u, v, rng.choice([3, 3, 3, 4, 5, 6, 8])))
+        rank = {v: rng.random() for v in ids}
+        acyclic = rng.random() < 0.6  # orient every arrow from higher to lower rank
+        arrows = [
+            Arrow(f"a{k}", v, u, lab) if (rank[u] < rank[v] if acyclic else rng.random() < 0.5) else Arrow(f"a{k}", u, v, lab)
+            for k, (u, v, lab) in enumerate(edges)
+        ]
+        assert_matches_reference(ids, arrows)

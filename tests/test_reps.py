@@ -615,6 +615,16 @@ def test_decompose_respects_seed_determinism():
     assert a == b
 
 
+def test_decompose_reads_no_environment(monkeypatch):
+    # without a seed argument the splitter uses DEFAULT_SEED, whatever the
+    # environment holds
+    P = indecomposable_for(A2, RootVector.basis(A2, "1") + RootVector.basis(A2, "2"))
+    V = direct_sum(direct_sum(P, simple_rep(A2, "2", unit_simple(A2))), P)
+    expected = decompose(V, seed=reps_mod.DEFAULT_SEED)
+    monkeypatch.setenv("COXREP_SEED", "bogus")
+    assert decompose(V) == expected
+
+
 def test_rep_json_round_trip():
     v = RootVector.basis(I25, "1").scale(tau_elem()) + RootVector.basis(
         I25, "2"
