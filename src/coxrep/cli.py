@@ -1,14 +1,16 @@
 """Batch command line interface.
 
 Deterministic given input and flags: every listing is canonically ordered and
-repeated runs are byte identical.  Exit codes: 0 success, 1 unreadable input
-(a file, quiver, representation or fusion element that does not parse or
-validate), 2 precondition violation (a named condition of the command, such
-as a sink, a source or finite type), 3 budget or cap exceeded, 4 internal
-fault (a failed internal cross-check, such as the knitted dimension vectors
-against the extended roots, or any ValueError that escapes a command, such as
-a matrix shape mismatch; reported as "error: internal: ..." with empty
-stdout).
+repeated runs are byte identical.  A --json document is printed with sorted
+keys, a 2-space indent, "," and ": " separators and ASCII escapes: the bytes
+json.dumps gives with sort_keys=True, separators (",", ": ") and indent 2.
+Exit codes: 0 success, 1 unreadable input (a file, quiver, representation or
+fusion element that does not parse or validate), 2 precondition violation (a
+named condition of the command, such as a sink, a source or finite type), 3
+budget or cap exceeded, 4 internal fault (a failed internal cross-check, such
+as the knitted dimension vectors against the extended roots, or any
+ValueError that escapes a command, such as a matrix shape mismatch; reported
+as "error: internal: ..." with empty stdout).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import path_algebra as pa
 from . import reps as reps_mod
@@ -67,12 +70,56 @@ def _load_quiver(path: str) -> CoxeterQuiver:
         raise QuiverParseError(f"invalid quiver: {exc}") from exc
 
 
+def _dumps(doc) -> str:
+    """The --json bytes of doc (see the module docstring) for a document of
+    dicts with str keys, lists, tuples, str, int, True, False and None; any
+    other type raises TypeError.  The stdlib encodes an indented document in
+    pure Python; here strings go through its C escaper and the fragments are
+    joined once."""
+    parts: list[str] = []
+
+    def put(head: str, x, pad: str) -> None:
+        # head (separator, indent, key) shares a fragment with x's first text
+        if isinstance(x, str):
+            parts.append(head + _escape(x))
+        elif x is None or x is True or x is False:
+            parts.append(head + ("null" if x is None else "true" if x else "false"))
+        elif isinstance(x, int):
+            parts.append(head + int.__repr__(x))
+        elif isinstance(x, dict):
+            if not x:
+                parts.append(head + "{}")
+                return
+            inner = pad + "  "
+            sep = head + "{" + inner
+            for k in sorted(x):
+                # _escape raises TypeError on a key that is not a str
+                put(sep + _escape(k) + ": ", x[k], inner)
+                sep = "," + inner
+            parts.append(pad + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                parts.append(head + "[]")
+                return
+            inner = pad + "  "
+            sep = head + "[" + inner
+            for item in x:
+                put(sep, item, inner)
+                sep = "," + inner
+            parts.append(pad + "]")
+        else:
+            raise TypeError(f"{type(x).__name__} is not JSON serializable here")
+
+    put("", doc, "\n")
+    return "".join(parts)
+
+
 def _emit(as_json: bool, doc, text_lines):
     """Print the JSON document (as_json) or the text lines.  Both are
     zero-argument callables, and only the printed form is built, in full
     before anything is printed."""
     if as_json:
-        print(json.dumps(doc(), sort_keys=True, separators=(",", ": "), indent=2))
+        print(_dumps(doc()))
     else:
         for line in list(text_lines()):
             print(line)
@@ -147,7 +194,7 @@ def _cmd_indecs(args) -> int:
 
     def doc():
         entries = []
-        for dv, W in found:
+        for _, dv, W in found:
             entry = {"dim_vector": dv.to_json()}
             if args.full:
                 entry["rep"] = W.to_json()
@@ -156,8 +203,8 @@ def _cmd_indecs(args) -> int:
 
     def lines():
         yield f"indecomposables ({len(found)}):"
-        for dv, W in found:
-            yield f"  {dv.serialize()}"
+        for key, _, W in found:
+            yield f"  {key}"
             if args.full:
                 for name, d in sorted(W.dims.items()):
                     if d:
@@ -202,7 +249,7 @@ def _cmd_reflect(args) -> int:
 
     def lines():
         yield f"dim_vector: {reps_mod.dim_vector(W).serialize()}"
-        yield json.dumps(W.to_json(), sort_keys=True, separators=(",", ": "), indent=2)
+        yield _dumps(W.to_json())
 
     _emit(args.json, W.to_json, lines)
     return 0

@@ -2,7 +2,8 @@
 
 A Coxeter quiver is a finite acyclic directed multigraph whose arrows carry
 integer labels >= 3; label 3 is the classical unlabelled arrow.  Vertex ids are
-arbitrary strings, ordered numerically when they look like numbers.
+arbitrary strings; ids of ASCII digits with an optional leading minus come
+first, ordered by value.
 
 Each graph question is answered by one walk.  The admissible sink ordering is
 Kahn's algorithm on the out-degrees, and the same walk is the acyclicity check
@@ -15,6 +16,7 @@ that leave that vertex, or of the path from its lowest end.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -43,11 +45,16 @@ class QuiverParseError(Exception):
     """Malformed quiver text or JSON."""
 
 
+_NUMERIC_ID = re.compile("-?[0-9]+")
+
+
 def vertex_key(v: str):
-    """Sort key: numeric ids before and among themselves by value."""
+    """Sort key, total and injective on strings: numeric ids (ASCII digits
+    with an optional leading minus) come first, by value and then by text
+    ("-0" before "0", "01" before "1"), then every other id by text."""
     s = str(v)
-    if s.lstrip("-").isdigit():
-        return (0, int(s), "")
+    if _NUMERIC_ID.fullmatch(s):
+        return (0, int(s), s)
     return (1, 0, s)
 
 

@@ -408,24 +408,24 @@ def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = 10_000) ->
     raise AssertionError("knitting did not reach an extended positive root")
 
 
-def _indecomposables_with_dims(Q: CoxeterQuiver, budget: int) -> list[tuple[RootVector, UnfoldedRep]]:
-    """The pairs (dimension vector, indecomposable) behind
-    `enumerate_indecomposables`, in its order."""
+def _indecomposables_with_dims(Q: CoxeterQuiver, budget: int) -> list[tuple[str, RootVector, UnfoldedRep]]:
+    """The triples (serialized dimension vector, dimension vector,
+    indecomposable) behind `enumerate_indecomposables`, in its order; the
+    serialized form is both the sort key and the printed text line."""
     if not is_finite_type(Q):
         raise NotFiniteType("enumeration requires a finite-type quiver")
     roots = extended_positive_roots(Q, budget).roots
-    out = [(dim_vector(W), W) for W in _knit(Q, len(roots))]
-    if len(out) != len(roots) or {v for v, _ in out} != roots:
+    dims = [(dim_vector(W), W) for W in _knit(Q, len(roots))]
+    if len(dims) != len(roots) or {v for v, _ in dims} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
-    out.sort(key=lambda pair: pair[0].serialize())
-    return out
+    return sorted(((v.serialize(), v, W) for v, W in dims), key=lambda triple: triple[0])
 
 
 def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = 10_000) -> list[UnfoldedRep]:
     """One representative per extended positive root, sorted by the serialized
     dimension vector, knitted forward from the simples.  The knitted dimension
     vectors are checked against `extended_positive_roots`."""
-    return [W for _, W in _indecomposables_with_dims(Q, budget)]
+    return [W for _, _, W in _indecomposables_with_dims(Q, budget)]
 
 
 def _restrict(V: UnfoldedRep, bases: dict[str, Mat]) -> UnfoldedRep:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -33,6 +34,15 @@ def test_classify_h3(capsys, qfile):
     assert code == 0
     assert "H3" in out
     assert "finite type" in out
+
+
+@pytest.mark.parametrize("vid", ["\u00b2", "--1"])
+def test_classify_ids_that_int_rejects(capsys, tmp_path, vid):
+    # "\u00b2" passes str.isdigit and "--1" passed lstrip("-"); the sort key
+    # called int() on both and classify exited 4
+    p = tmp_path / "q.txt"
+    p.write_text(f"vertex {vid}\nvertex 1\narrow 1 {vid}\n", encoding="utf-8")
+    assert run(capsys, "classify", str(p)) == (0, f"component [1, {vid}]: A2\nfinite type\n", "")
 
 
 def test_classify_json_round_trips(capsys, qfile):
@@ -346,10 +356,53 @@ def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
     assert run(capsys, "roots", p, "--extended", *flags)[0] == 0
     assert calls == {"serialize": 5 + 10, "to_json": 0}
     calls.update(serialize=0)
-    # one serialization per indecomposable for the sort and one per printed
-    # text line; one Mat.to_json per non-zero map, in either form
+    # one serialization per indecomposable, the sort key and, in text, the
+    # printed line; one Mat.to_json per non-zero map, in either form
     assert run(capsys, "indecs", p, "--full", *flags)[0] == 0
-    assert calls == {"serialize": 10 if as_json else 20, "to_json": n_maps}
+    assert calls == {"serialize": 10, "to_json": n_maps}
+
+
+JSON_TEXT_POOL = 'aZ0 "\\/\n\t\x00\x1f\x7f\u00e9\u4e2d\u2028\u2029\U0001f600'
+
+
+def random_json_doc(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.randint(-1000, 1000)
+    if kind == 2:
+        return rng.choice([-1, 1]) * rng.randrange(10**49, 10**60)
+    if kind == 3:
+        return "".join(rng.choice(JSON_TEXT_POOL) for _ in range(rng.randrange(6)))
+    if kind == 4:
+        keys = ("".join(rng.choice(JSON_TEXT_POOL) for _ in range(rng.randrange(4))) for _ in range(rng.randrange(5)))
+        return {k: random_json_doc(rng, depth + 1) for k in keys}
+    items = [random_json_doc(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return items if kind == 5 else tuple(items)
+
+
+def test_json_writer_matches_stdlib_indent_encoder():
+    from coxrep.cli import _dumps
+
+    def stdlib(doc):
+        return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=2)
+
+    fixed = {
+        "": [],
+        "\u2028\"\\\x01\u00e9": {"\t": {}, "b": [[], {}, [[]]], "a": ("x", -7)},
+        "big": [10**50, -(10**55), 0, -1],
+        "consts": [True, False, None, {"n": None}],
+        "text": ["\u4e2d\U0001f600", "\u2028\u2029", "\x00\x1f\x7f", '"\\/'],
+    }
+    assert _dumps(fixed) == stdlib(fixed)
+    rng = random.Random(11)
+    for _ in range(500):
+        doc = random_json_doc(rng)
+        assert _dumps(doc) == stdlib(doc)
+    for bad in (1.5, {"a": [0.0]}, {1: 2}, {"a": {b"b": 1}}, [object()]):
+        with pytest.raises(TypeError):
+            _dumps(bad)
 
 
 def test_runs_are_byte_identical(capsys, qfile):

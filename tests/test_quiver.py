@@ -221,6 +221,21 @@ def test_disconnected_components():
     assert names == ["A1", "A1", "I2(5)"]
 
 
+def test_vertex_key_is_total_and_injective():
+    # "01" and "1", and "-0" and "0", had one key, so the order the ids were
+    # given in decided the vertex and arrow order, and with it ==
+    for ids in (["01", "1"], ["-0", "0"]):
+        assert CoxeterQuiver(ids[::-1], []).vertices == tuple(ids)
+        assert CoxeterQuiver(ids[::-1], []) == CoxeterQuiver(ids, [])
+        Q = CoxeterQuiver(["a", "b", "c"], [Arrow(ids[1], "b", "c"), Arrow(ids[0], "a", "b")])
+        assert [a.id for a in Q.arrows] == ids
+    # "²" passes str.isdigit and "--1" passed lstrip("-"); int() rejects both
+    ids = ["²", "--1", "-1", "1", "1²", "-", "01", "-0", "0", "a"]
+    expected = ("-1", "-0", "0", "01", "1", "-", "--1", "1²", "a", "²")
+    assert CoxeterQuiver(ids, []).vertices == expected
+    assert len({vertex_key(v) for v in ids}) == len(ids)
+
+
 # The previous implementation of the graph questions, kept as the reference
 # for the single-walk versions: a separate acyclicity check, a rescanning
 # sink ordering, a separate component search and a path/star classifier with
