@@ -31,6 +31,7 @@ from .quiver import (
     parse_quiver,
 )
 from .rootsys import (
+    DEFAULT_BUDGET,
     CapExceeded,
     InvalidOrdering,
     MismatchedQuiver,
@@ -295,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="positive roots over the fusion ring")
     p.add_argument("quiver")
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("indecs", help="all indecomposable representations")
     p.add_argument("quiver")
     p.add_argument("--full", action="store_true", help="include matrices")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_indecs)
 

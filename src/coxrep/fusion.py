@@ -140,6 +140,8 @@ class SimpleObject:
             except ValueError as exc:
                 raise ValueError(f"bad simple key {key!r}: expected label:index parts joined by '|'") from exc
         obj = cls(comps)
+        if obj.key != key:
+            raise ValueError(f"bad simple key {key!r}: the canonical form is {obj.key!r}")
         if labels is not None and obj.labels != tuple(sorted(labels)):
             raise MismatchedLabelSets(
                 f"key {key!r} does not match label set {tuple(sorted(labels))}"
@@ -298,7 +300,7 @@ class FusionElem:
         return self._key
 
     def to_json(self) -> dict[str, int]:
-        return {s.key: c for s, c in sorted(self.coeffs.items())}
+        return {s.key: c for s, c in self.coeffs.items()}
 
     @classmethod
     def from_json(cls, obj, labels) -> "FusionElem":

@@ -161,9 +161,17 @@ class CoxeterQuiver:
     @classmethod
     def from_json(cls, obj) -> "CoxeterQuiver":
         try:
-            vertices = [str(v) for v in obj["vertices"]]
+            vertices, arrow_objs = obj["vertices"], obj.get("arrows", [])
+            if type(vertices) is not list or type(arrow_objs) is not list:
+                raise TypeError('"vertices" and "arrows" must be arrays')
+            # an id is a string or an integer (no bool), read as str(2) == "2"
+            ids = vertices + [a[k] for a in arrow_objs for k in ("id", "source", "target") if k in a]
+            bad = [x for x in ids if type(x) not in (str, int)]
+            if bad:
+                raise TypeError(f"id {bad[0]!r} is not a string or an integer")
+            vertices = [str(v) for v in vertices]
             arrows = []
-            for k, a in enumerate(obj.get("arrows", [])):
+            for k, a in enumerate(arrow_objs):
                 label = a.get("label", 3)
                 if type(label) is not int:
                     raise TypeError(f"label {label!r} is not an integer")

@@ -38,8 +38,9 @@ from operator import mul
 from .fusion import SimpleObject
 from .linalg import Mat, charpoly, int_kernel, integer_roots, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
-from .rootsys import CapExceeded, RootVector, _int_reflect, _int_reflections, extended_positive_roots
-from .unfold import UnfoldedQuiver, fold_dim, unfold, vertex_name
+from .rootsys import DEFAULT_BUDGET, CapExceeded, RootVector, extend_by_simples
+from .rootsys import _int_reflect, _int_reflections, _positive_roots
+from .unfold import UnfoldedQuiver, fold_dim, unfold, unfolded_arrow_id, vertex_name
 
 DEFAULT_SEED = 7
 _SPLIT_ATTEMPTS = 64
@@ -121,10 +122,8 @@ class UnfoldedRep:
     def to_json(self) -> dict:
         return {
             "quiver": self.quiver.source.to_json(),
-            "dims": {k: v for k, v in sorted(self.dims.items()) if v},
-            "maps": {
-                k: m.to_json() for k, m in sorted(self.maps.items()) if not m.is_zero()
-            },
+            "dims": {k: v for k, v in self.dims.items() if v},
+            "maps": {k: m.to_json() for k, m in self.maps.items() if not m.is_zero()},
         }
 
     @classmethod
@@ -246,7 +245,7 @@ def _reflection_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep, at_sink: bool)
                 m = Mat._trusted(w, K.cols, piece, K.den)
             else:
                 m = Mat._trusted(K.cols, w, [[row[c] for row in piece] for c in range(K.cols)], K.den)
-            maps[f"{a.provenance}:{a.target}>{a.source}"] = m
+            maps[unfolded_arrow_id(a.provenance, a.target, a.source)] = m
     return UnfoldedRep(uq2, dims, maps)
 
 
@@ -334,9 +333,9 @@ def endomorphism_basis(V: UnfoldedRep) -> list[dict[str, Mat]]:
     return basis
 
 
-def _knit(Q: CoxeterQuiver, n_roots: int):
-    """Yield the indecomposables of the finite-type quiver Q, knitted forward
-    from the simples.
+def _knit(uq: UnfoldedQuiver, n_roots: int):
+    """Yield the indecomposables of the finite-type quiver Q = uq.source,
+    knitted forward from the simples; uq is the unfolding of Q.
 
     With the admissible ordering v_0, ..., v_{n-1}, let Q_k be Q reversed at
     v_0, ..., v_{k-1}.  For each k and simple A the chain starts at the
@@ -347,18 +346,17 @@ def _knit(Q: CoxeterQuiver, n_roots: int):
     `_last_landing`; a chain longer than n * n_roots steps raises
     CapExceeded.
     """
-    ordering = admissible_sink_ordering(Q)
+    ordering = admissible_sink_ordering(uq.source)
     n = len(ordering)
-    quivers = [Q]
+    unfolded = [uq]
     for j in ordering[:-1]:
-        quivers.append(reverse_at(quivers[-1], j))
-    unfolded = [unfold(q) for q in quivers]
+        unfolded.append(unfold(reverse_at(unfolded[-1].source, j)))
     # the unfolded vertices have the same names in every orientation
-    reflections = _int_reflections(Q, unfolded[0])
+    reflections = _int_reflections(uq)
     for k, vk in enumerate(ordering):
         for A in unfolded[k].irr:
             start = vertex_name(A, vk)
-            steps = _last_landing(unfolded[0].vertices, reflections, ordering, k, start, n * n_roots)
+            steps = _last_landing(uq.vertices, reflections, ordering, k, start, n * n_roots)
             W = UnfoldedRep(unfolded[k], {start: 1})
             p = k
             for _ in range(steps):
@@ -394,15 +392,16 @@ def _last_landing(names, reflections, ordering, k: int, start: str, max_steps: i
     raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
 
 
-def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = 10_000) -> UnfoldedRep:
+def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = DEFAULT_BUDGET) -> UnfoldedRep:
     """The indecomposable representation whose dimension vector is the given
     extended positive root, taken from the forward knitting of the simples."""
     if not is_finite_type(Q):
         raise NotFiniteType("indecomposables are only enumerated in finite type")
-    roots = extended_positive_roots(Q, budget).roots
+    uq = unfold(Q)
+    roots = extend_by_simples(Q, _positive_roots(uq, budget)).roots
     if v not in roots:
         raise NotAnExtendedRoot(f"{v!r} is not an extended positive root")
-    for W in _knit(Q, len(roots)):
+    for W in _knit(uq, len(roots)):
         if dim_vector(W) == v:
             return W
     raise AssertionError("knitting did not reach an extended positive root")
@@ -414,14 +413,15 @@ def _indecomposables_with_dims(Q: CoxeterQuiver, budget: int) -> list[tuple[str,
     serialized form is both the sort key and the printed text line."""
     if not is_finite_type(Q):
         raise NotFiniteType("enumeration requires a finite-type quiver")
-    roots = extended_positive_roots(Q, budget).roots
-    dims = [(dim_vector(W), W) for W in _knit(Q, len(roots))]
+    uq = unfold(Q)
+    roots = extend_by_simples(Q, _positive_roots(uq, budget)).roots
+    dims = [(dim_vector(W), W) for W in _knit(uq, len(roots))]
     if len(dims) != len(roots) or {v for v, _ in dims} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
     return sorted(((v.serialize(), v, W) for v, W in dims), key=lambda triple: triple[0])
 
 
-def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = 10_000) -> list[UnfoldedRep]:
+def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> list[UnfoldedRep]:
     """One representative per extended positive root, sorted by the serialized
     dimension vector, knitted forward from the simples.  The knitted dimension
     vectors are checked against `extended_positive_roots`."""

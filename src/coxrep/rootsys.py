@@ -130,7 +130,7 @@ class RootVector:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     def to_json(self) -> dict:
-        return {v: e.to_json() for v, e in sorted(self.entries.items())}
+        return {v: e.to_json() for v, e in self.entries.items()}
 
     @classmethod
     def from_json(cls, obj, labels) -> "RootVector":
@@ -217,11 +217,11 @@ def _fold(uq, coords) -> RootVector:
     return RootVector(labels, {v: FusionElem._trusted(labels, c) for v, c in classes.items()})
 
 
-def _int_reflections(Q: CoxeterQuiver, uq) -> dict[str, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The simple reflection at each vertex i of Q in integer coordinates
-    over the vertices of uq, an unfolding of Q in any orientation: for each
-    unfolded u over i, the position of u and the positions of its
-    neighbours, one per arrow at u in either direction."""
+def _int_reflections(uq) -> dict[str, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The simple reflection at each vertex i of uq.source in integer
+    coordinates over the vertices of its unfolding uq, the same in every
+    orientation: for each unfolded u over i, the position of u and the
+    positions of its neighbours, one per arrow at u in either direction."""
     index = {u: k for k, u in enumerate(uq.vertices)}
     nbrs: dict[str, list[int]] = {u: [] for u in uq.vertices}
     for a in uq.arrows:
@@ -229,7 +229,7 @@ def _int_reflections(Q: CoxeterQuiver, uq) -> dict[str, tuple[tuple[int, tuple[i
         nbrs[a.target].append(index[a.source])
     return {
         i: tuple((index[u], tuple(nbrs[u])) for u in uq.vertices_over(i))
-        for i in Q.vertices
+        for i in uq.source.vertices
     }
 
 
@@ -288,51 +288,41 @@ class RootSet:
 DEFAULT_BUDGET = 10_000
 
 
-def _int_orbit(Q: CoxeterQuiver, budget: int):
-    """The reflection orbit of the simple roots in integer coordinates over
-    the vertices of unfold(Q), returned with unfold(Q).
+def _int_orbit(uq, budget: int):
+    """The reflection orbit of the simple roots of uq.source in integer
+    coordinates over the vertices of its unfolding uq.
 
     Breadth first from the simple roots in vertex order, reflecting in vertex
     order: the image under `_fold` of the fusion-valued closure, member by
     member, so the budget trips at the same orbit size.  A member is
     positive iff its least coordinate is >= 0 (no member is zero)."""
-    from .unfold import unfold, vertex_name  # unfold imports RootVector from here
-
-    uq = unfold(Q)
-    reflections = _int_reflections(Q, uq)
-    unit = SimpleObject.unit(Q.label_set)
-    frontier = []
-    for i in Q.vertices:
-        x = [0] * len(uq.vertices)
-        x[uq.vertices.index(vertex_name(unit, i))] = 1
-        frontier.append(tuple(x))
+    vertices = uq.source.vertices
+    reflections = _int_reflections(uq)
+    # the simple root at i is 1 at the unit simple over i
+    start = {v: k for k, (B, v) in enumerate(map(uq.parts.get, uq.vertices)) if B.is_unit()}
+    frontier = [tuple(int(k == start[i]) for k in range(len(uq.vertices))) for i in vertices]
     seen = set(frontier)
     while frontier:
         nxt = []
         for x in frontier:
-            for i in Q.vertices:
+            for i in vertices:
                 y = _int_reflect(x, reflections[i])
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
                     if len(seen) > budget:
-                        partial = RootSet(
-                            frozenset(
-                                _fold(uq, zip(uq.vertices, z)) for z in seen if min(z) >= 0
-                            ),
-                            False,
-                        )
-                        raise OrbitBudgetExceeded(
-                            f"orbit exceeded budget {budget}", partial
-                        )
+                        partial = frozenset(_fold(uq, zip(uq.vertices, z)) for z in seen if min(z) >= 0)
+                        raise OrbitBudgetExceeded(f"orbit exceeded budget {budget}", RootSet(partial, False))
         frontier = nxt
-    return uq, seen
+    return seen
 
 
 def root_orbit(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> frozenset[RootVector]:
     """Closure of the simple roots under all simple reflections, both signs."""
-    uq, orbit = _int_orbit(Q, budget)
-    return frozenset(_fold(uq, zip(uq.vertices, x)) for x in orbit)
+    from .unfold import unfold  # unfold imports RootVector from here
+
+    uq = unfold(Q)
+    return frozenset(_fold(uq, zip(uq.vertices, x)) for x in _int_orbit(uq, budget))
 
 
 def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
@@ -345,14 +335,17 @@ def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
     makes positive root counts match the classical Coxeter tables and the
     extended positive roots a disjoint union over the simples.
     """
-    uq, orbit = _int_orbit(Q, budget)
-    units = [
-        FusionElem.simple(Q.label_set, s)
-        for s in invertible_simples(Q.label_set)
-        if not s.is_unit()
-    ]
+    from .unfold import unfold
+
+    return _positive_roots(unfold(Q), budget)
+
+
+def _positive_roots(uq, budget: int) -> RootSet:
+    """`positive_roots` of uq.source, given its unfolding uq."""
+    labels = uq.source.label_set
+    units = [FusionElem.simple(labels, s) for s in invertible_simples(labels) if not s.is_unit()]
     chosen: set[RootVector] = set()
-    for x in orbit:
+    for x in _int_orbit(uq, budget):
         if min(x) < 0:
             continue
         r = _fold(uq, zip(uq.vertices, x))

@@ -2,17 +2,18 @@
 
 Vertices of the unfolded quiver are pairs (simple object, original vertex),
 named "<simple-key>@<vertex-id>".  An arrow labelled n from i to j unfolds to
-one arrow (B,i) -> (C,j) for every pair of simples whose n-components satisfy
-the label-n summand condition with all other components equal.  Arrows coming
-from different original arrows are distinct even between the same vertices.
+one arrow (B,i) -> (C,j) for every simple C in X_n ⊗ B, where X_n is the
+class of the arrow (the label-n simple of index n-3).  Arrows coming from
+different original arrows are distinct even between the same vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .fusion import SimpleObject, irr_enumerate, tlj_simples, tlj_tensor
-from .quiver import Arrow, CoxeterQuiver, UnknownVertex, vertex_key
+from .fusion import SimpleObject, _simple_mul, arrow_label_class, irr_enumerate, tlj_simples
+from .quiver import Arrow, CoxeterQuiver, UnknownVertex
 from .rootsys import RootVector, _fold
 
 
@@ -26,6 +27,11 @@ class UnfoldedArrow:
 
 def vertex_name(simple: SimpleObject, v: str) -> str:
     return f"{simple.key}@{v}"
+
+
+def unfolded_arrow_id(provenance: str, source: str, target: str) -> str:
+    """The id of the unfolded arrow source -> target over the arrow `provenance`."""
+    return f"{provenance}:{source}>{target}"
 
 
 class UnfoldedQuiver:
@@ -103,50 +109,39 @@ class UnfoldedQuiver:
 
 
 def unfold(Q: CoxeterQuiver) -> UnfoldedQuiver:
-    """Construct the unfolded classical quiver of Q."""
+    """Construct the unfolded classical quiver of Q.
+
+    Vertices are ordered by simple key, then as in Q; arrows as in Q, then
+    by (source, target) within each arrow's block."""
     labels = Q.label_set
     irr = irr_enumerate(labels)
-    names = []
-    parts = {}
-    for simple in irr:
-        for v in Q.vertices:
-            name = vertex_name(simple, v)
-            names.append(name)
-            parts[name] = (simple, v)
-    names.sort(key=lambda nm: (parts[nm][0].key, vertex_key(parts[nm][1])))
+    parts = {vertex_name(B, v): (B, v) for B in sorted(irr, key=lambda s: s.key) for v in Q.vertices}
     arrows = []
     for alpha in Q.arrows:
-        n = alpha.label
-        gen = n - 3  # index of the generating simple for this label
-        for B in irr:
-            for c in tlj_tensor(n, gen, B.index(n)):
-                C = B.replace(n, c)
-                src = vertex_name(B, alpha.source)
-                tgt = vertex_name(C, alpha.target)
-                arrows.append(
-                    UnfoldedArrow(f"{alpha.id}:{src}>{tgt}", src, tgt, alpha.id)
-                )
-    arrows.sort(key=lambda a: (vertex_key(a.provenance), a.source, a.target))
-    return UnfoldedQuiver(Q, irr, names, parts, arrows)
+        (X,) = arrow_label_class(labels, alpha.label).coeffs
+        # uncached: the cache would keep all |Irr| products per label alive
+        block = sorted(
+            (vertex_name(B, alpha.source), vertex_name(C, alpha.target))
+            for B in irr
+            for C in _simple_mul.__wrapped__(X, B)
+        )
+        arrows += [UnfoldedArrow(unfolded_arrow_id(alpha.id, s, t), s, t, alpha.id) for s, t in block]
+    return UnfoldedQuiver(Q, irr, list(parts), parts, arrows)
 
 
 def unfolded_arrow_count(Q: CoxeterQuiver, arrow_id: str) -> int:
     """Number of unfolded arrows of a given arrow of Q.
 
     An arrow labelled n contributes 2(n-2) arrows per complement simple when n
-    is even and (n-2) when n is odd; the number of complements is
-    |Irr| / |simples at n|.
+    is even and (n-2) when n is odd; the complements are the simples over the
+    other labels.
     """
-    match = [a for a in Q.arrows if a.id == str(arrow_id)]
-    if not match:
+    labels = {a.id: a.label for a in Q.arrows}
+    if str(arrow_id) not in labels:
         raise UnknownVertex(f"unknown arrow id {arrow_id!r}")
-    n = match[0].label
-    total = 1
-    for m in Q.label_set:
-        total *= len(tlj_simples(m))
-    r = total // len(tlj_simples(n))
-    per = (n - 2) if n % 2 else 2 * (n - 2)
-    return r * per
+    n = labels[str(arrow_id)]
+    complements = prod(len(tlj_simples(m)) for m in Q.label_set if m != n)
+    return complements * ((n - 2) if n % 2 else 2 * (n - 2))
 
 
 def fold_dim(uq: UnfoldedQuiver, dims: dict[str, int]) -> RootVector:

@@ -209,6 +209,26 @@ def test_parse_error_exit_code(capsys, qfile):
         code, out, err = run(capsys, "classify", qfile(json.dumps({"vertices": ["1", "2"], "arrows": [arrow]})))
         assert (code, out) == (1, "")
         assert err.startswith("error: bad quiver JSON")
+    # vertices and arrows are JSON arrays, ids strings or integers (no bool)
+    arrow = {"source": "1", "target": "2"}
+    for doc in (
+        {"vertices": "12"},
+        {"vertices": {"1": 0, "2": 0}},
+        {"vertices": ["1", 2, None]},
+        {"vertices": ["1", 2, True]},
+        {"vertices": ["1", "2"], "arrows": {"a": arrow}},
+        {"vertices": ["1", "2"], "arrows": [{**arrow, "id": None}]},
+        {"vertices": ["1", "2"], "arrows": [{**arrow, "id": 1.5}]},
+        {"vertices": ["1", "2"], "arrows": [{**arrow, "source": True}]},
+        {"vertices": ["1", "2"], "arrows": [{**arrow, "target": ["2"]}]},
+    ):
+        code, out, err = run(capsys, "classify", qfile(json.dumps(doc)))
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("error: bad quiver JSON"), doc
+    # an integer id is read as its decimal text
+    doc = {"vertices": [1, "2"], "arrows": [{"id": 7, "source": 2, "target": "1"}]}
+    code, out, _ = run(capsys, "classify", qfile(json.dumps(doc)))
+    assert (code, out) == (0, "component [1, 2]: A2\nfinite type\n")
 
 
 def test_missing_file_exit_code(capsys):
@@ -267,6 +287,10 @@ def test_escaped_value_error_is_an_internal_fault(capsys, qfile, monkeypatch):
         ("5", '{"5:0": true}'),  # bool coefficient
         ("5", '{"5:0": "1"}'),  # string coefficient
         ("5", '{"4:0": 1}'),  # simple over another label set
+        ("5", '{"5:0": 1, "5:00": 1}'),  # two spellings of one simple
+        ("5", '{" 5:+0": 1}'),  # space and sign, read by int()
+        ("5", '{"5:0_0": 1}'),  # digit separator, read by int()
+        ("4,5", '{"5:0|4:1": 1}'),  # labels not ascending
     ],
 )
 def test_bad_fusion_element_is_unreadable_input(capsys, labels, x):

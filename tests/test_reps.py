@@ -316,7 +316,7 @@ def test_enumerate_a2():
     assert len(dvs) == 3
     # the chain from the simple at 2 takes 3 steps, over the bound 2 * 1
     with pytest.raises(CapExceeded):
-        list(_knit(A2, 1))
+        list(_knit(unfold(A2), 1))
 
 
 def reference_knit(Q, n_roots):
@@ -359,7 +359,7 @@ def test_knit_matches_reference_and_stops_at_last_landing(name, monkeypatch):
         expect = list(reference_knit(Q, n_roots))
         reference_steps = steps[:]
         del steps[:]
-        assert list(_knit(Q, n_roots)) == expect
+        assert list(_knit(unfold(Q), n_roots)) == expect
         # every chain of the reference ends in a step that vanishes; the
         # knitting stops before it and takes no step that vanishes
         assert steps and not any(steps)
@@ -373,9 +373,9 @@ def test_knit_cap_matches_reference():
     with pytest.raises(CapExceeded) as expected:
         list(reference_knit(A2, 1))
     with pytest.raises(CapExceeded) as got:
-        list(_knit(A2, 1))
+        list(_knit(unfold(A2), 1))
     assert str(got.value) == str(expected.value)
-    assert list(_knit(A2, 2)) == list(reference_knit(A2, 2))
+    assert list(_knit(unfold(A2), 2)) == list(reference_knit(A2, 2))
 
 
 def test_enumerate_i25():

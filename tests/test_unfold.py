@@ -1,4 +1,6 @@
 import random
+import sys
+from math import prod
 
 import pytest
 
@@ -7,14 +9,21 @@ from coxrep import (
     CoxeterQuiver,
     FusionElem,
     classify_graph,
+    enumerate_indecomposables,
+    indecomposable_for,
     is_positive_vec,
     parse_quiver,
     reverse_at,
+    tlj_simples,
+    tlj_tensor,
     unfold,
     unfolded_arrow_count,
 )
-from coxrep.unfold import fold_dim
-from families import family_quiver, path_quiver
+from coxrep import reps as reps_mod
+from coxrep.fusion import irr_enumerate
+from coxrep.quiver import vertex_key
+from coxrep.unfold import UnfoldedArrow, UnfoldedQuiver, fold_dim, vertex_name
+from families import all_orientations, family_quiver, path_quiver
 
 
 def names(uq):
@@ -176,3 +185,90 @@ def test_fold_dim_classical_identity():
     rv = fold_dim(uq, {"3:0@1": 2, "3:0@2": 1})
     assert rv.entry("1") == FusionElem.unit((3,)) * 2
     assert rv.entry("2") == FusionElem.unit((3,))
+
+
+def reference_unfold(Q):
+    """The unfolding as it was before the arrows were read off X_n ⊗ B: the
+    label-n component of B is replaced by each index of the tensor rule, and
+    all names and all arrows are sorted at the end."""
+    labels = Q.label_set
+    irr = irr_enumerate(labels)
+    names = []
+    parts = {}
+    for simple in irr:
+        for v in Q.vertices:
+            name = vertex_name(simple, v)
+            names.append(name)
+            parts[name] = (simple, v)
+    names.sort(key=lambda nm: (parts[nm][0].key, vertex_key(parts[nm][1])))
+    arrows = []
+    for alpha in Q.arrows:
+        n = alpha.label
+        gen = n - 3
+        for B in irr:
+            for c in tlj_tensor(n, gen, B.index(n)):
+                C = B.replace(n, c)
+                src = vertex_name(B, alpha.source)
+                tgt = vertex_name(C, alpha.target)
+                arrows.append(UnfoldedArrow(f"{alpha.id}:{src}>{tgt}", src, tgt, alpha.id))
+    arrows.sort(key=lambda a: (vertex_key(a.provenance), a.source, a.target))
+    return UnfoldedQuiver(Q, irr, names, parts, arrows)
+
+
+def assert_same_unfolding(got, expect):
+    assert got.vertices == expect.vertices
+    assert got.parts == expect.parts
+    assert got.irr == expect.irr
+    # ids, endpoints, provenance and order
+    assert got.arrows == expect.arrows
+
+
+_IDS = ["0", "1", "2", "01", "-0", "-1", "10", "a", "b", "a0", "²", "x.1"]
+
+
+def random_quiver(rng):
+    """A random acyclic quiver on ids that sort in every way vertex_key
+    tells apart, with parallel arrows, labels 3..13 and at most 100 simples."""
+    vertices = rng.sample(_IDS, rng.randint(1, 6))
+    rank = {v: k for k, v in enumerate(rng.sample(vertices, len(vertices)))}
+    arrows = []
+    if len(vertices) > 1:
+        for arrow_id in rng.sample(_IDS, rng.randint(0, 4)):
+            s, t = sorted(rng.sample(vertices, 2), key=rank.__getitem__)
+            arrows.append(Arrow(arrow_id, s, t, rng.randint(3, 13)))
+    while prod(len(tlj_simples(n)) for n in {a.label for a in arrows}) > 100:
+        arrows.pop()
+    return CoxeterQuiver(vertices, arrows)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4", "G2", "H3", "H4", "I2(5)", "I2(8)"])
+def test_unfold_matches_reference_on_every_orientation(name):
+    for Q in all_orientations(family_quiver(name)):
+        assert_same_unfolding(unfold(Q), reference_unfold(Q))
+
+
+def test_unfold_matches_reference_on_random_quivers():
+    rng = random.Random(10)
+    for _ in range(1000):
+        Q = random_quiver(rng)
+        assert_same_unfolding(unfold(Q), reference_unfold(Q))
+
+
+@pytest.mark.parametrize("name", ["D4", "B3"])
+def test_one_unfolding_per_orientation(name, monkeypatch):
+    # `coxrep.unfold` is the function, so the module comes from sys.modules;
+    # rootsys imports `unfold` from it at call time, reps at import time
+    calls = []
+
+    def counted(Q):
+        calls.append(Q)
+        return unfold(Q)
+
+    monkeypatch.setattr(sys.modules["coxrep.unfold"], "unfold", counted)
+    monkeypatch.setattr(reps_mod, "unfold", counted)
+    Q = family_quiver(name)
+    reps = enumerate_indecomposables(Q)
+    assert len(calls) == len(Q.vertices) == len(set(calls))
+    del calls[:]
+    indecomposable_for(Q, reps_mod.dim_vector(reps[-1]))
+    assert len(calls) == len(Q.vertices)
