@@ -328,9 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing leaves the parser unchanged
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except QuiverParseError as exc:

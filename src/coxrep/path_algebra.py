@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .fusion import FusionElem, arrow_label_class
-from .quiver import CoxeterQuiver
+from .quiver import CoxeterQuiver, UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,9 @@ def enumerate_paths(Q: CoxeterQuiver, n: int) -> PathGrade:
 
 def arrow_class(Q: CoxeterQuiver, arrow_id: str) -> FusionElem:
     """The fusion class attached to one arrow: the label-n simple of index n-3."""
-    arrow = next(a for a in Q.arrows if a.id == str(arrow_id))
+    arrow = next((a for a in Q.arrows if a.id == str(arrow_id)), None)
+    if arrow is None:
+        raise UnknownVertex(f"unknown arrow id {arrow_id!r}")
     return arrow_label_class(Q.label_set, arrow.label)
 
 

@@ -5,12 +5,13 @@ integer labels >= 3; label 3 is the classical unlabelled arrow.  Vertex ids are
 arbitrary strings; ids of ASCII digits with an optional leading minus come
 first, ordered by value.
 
-Each graph question is answered by one walk.  The admissible sink ordering is
-Kahn's algorithm on the out-degrees, and the same walk is the acyclicity check
-of every quiver built.  Components come from one search over an undirected
-adjacency; a component is Coxeter-Dynkin only if it is a tree with at most one
-vertex of degree 3, and its type is read off the label sequences of the arms
-that leave that vertex, or of the path from its lowest end.
+Every walk reads the arrows into and out of a vertex from the tuples stored
+at construction.  Each graph question is answered by one walk.  The admissible
+sink ordering is Kahn's algorithm on the out-degrees, and the same walk is the
+acyclicity check of every quiver built.  Components come from one search over
+the incident arrows; a component is Coxeter-Dynkin only if it is a tree with
+at most one vertex of degree 3, and its type is read off the label sequences
+of the arms that leave that vertex, or of the path from its lowest end.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 
 
 class QuiverError(Exception):
@@ -58,6 +60,14 @@ def vertex_key(v: str):
     return (1, 0, s)
 
 
+def _grouped(keys, items, key) -> dict:
+    """One tuple per key of the items x with key(x) == key, in item order."""
+    groups = {k: [] for k in keys}
+    for x in items:
+        groups[key(x)].append(x)
+    return {k: tuple(group) for k, group in groups.items()}
+
+
 @dataclass(frozen=True)
 class Arrow:
     id: str
@@ -94,15 +104,10 @@ class CoxeterQuiver:
         if len({a.id for a in arrs}) != len(arrs):
             raise QuiverError("duplicate arrow id")
         arrs = tuple(sorted(arrs, key=lambda a: vertex_key(a.id)))
-        out: dict[str, list[Arrow]] = {v: [] for v in verts}
-        incoming: dict[str, list[Arrow]] = {v: [] for v in verts}
-        for a in arrs:
-            out[a.source].append(a)
-            incoming[a.target].append(a)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "arrows", arrs)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", incoming)
+        object.__setattr__(self, "_out", _grouped(verts, arrs, attrgetter("source")))
+        object.__setattr__(self, "_in", _grouped(verts, arrs, attrgetter("target")))
         admissible_sink_ordering(self)
 
     def __setattr__(self, *args):
@@ -113,13 +118,14 @@ class CoxeterQuiver:
         return tuple(sorted({a.label for a in self.arrows}))
 
     def out_arrows(self, v: str) -> tuple[Arrow, ...]:
-        return tuple(self._out[str(v)])
+        return self._out[str(v)]
 
     def in_arrows(self, v: str) -> tuple[Arrow, ...]:
-        return tuple(self._in[str(v)])
+        return self._in[str(v)]
 
     def incident_arrows(self, v: str) -> tuple[Arrow, ...]:
-        return tuple(self._in[str(v)]) + tuple(self._out[str(v)])
+        """The arrows into v, then the arrows out of v."""
+        return self._in[str(v)] + self._out[str(v)]
 
     def is_sink(self, v: str) -> bool:
         self._require(v)
@@ -356,10 +362,10 @@ def _classify_component(vertices, adj) -> DynkinType:
 def classify_graph(Q: CoxeterQuiver) -> list[tuple[tuple[str, ...], DynkinType]]:
     """Coxeter-Dynkin type of each connected component of the underlying
     labelled graph (orientation forgotten, labels and multi-edges kept)."""
-    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in Q.vertices}
-    for a in Q.arrows:
-        adj[a.source].append((a.target, a.label))
-        adj[a.target].append((a.source, a.label))
+    adj = {
+        v: [(a.source if a.target == v else a.target, a.label) for a in Q.incident_arrows(v)]
+        for v in Q.vertices
+    }
     # one search labels every vertex with the first vertex of its component;
     # grouping in vertex order keeps both orders sorted by vertex_key
     root: dict[str, str] = {}

@@ -224,9 +224,9 @@ def _reflection_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep, at_sink: bool)
     transpose dual of the kernel functor)."""
     uq = V.quiver
     dims = dict(V.dims)
-    over_i = set(uq.vertices_over(i))
-    maps = {a.id: V.maps[a.id] for a in uq.arrows if a.source not in over_i and a.target not in over_i}
-    for u in sorted(over_i):
+    maps = dict(V.maps)
+    for u in uq.vertices_over(i):
+        # every arrow at u points into u at a sink and out of u at a source
         arrows = uq.in_arrows(u) if at_sink else uq.out_arrows(u)
         den = lcm(*(V.maps[a.id].den for a in arrows))
         blocks = [V.maps[a.id].num_over(den) for a in arrows]
@@ -239,6 +239,7 @@ def _reflection_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep, at_sink: bool)
         dims[u] = K.cols
         offset = 0
         for a, w in zip(arrows, widths):
+            del maps[a.id]
             piece = K.num[offset : offset + w]
             offset += w
             if at_sink:

@@ -12,7 +12,9 @@ x[(B, v)] [B], only for the vectors returned.  The simple reflection at i is
 the product of the commuting classical reflections at the unfolded vertices
 over i (Etingof-Khovanov), and folding is a bijection, so the integer orbit
 is the image of the fusion-valued one.  `reflect` keeps the fusion-valued
-rule as an independent route.
+rule as an independent route.  Both are local: `reflect` at i reads the
+arrows Q stores at i, one label class each, and the integer reflection reads
+the arrows the unfolding stores at each vertex over i.
 """
 
 from __future__ import annotations
@@ -151,51 +153,40 @@ def is_positive_vec(v: RootVector) -> bool:
     return bool(v.entries) and all(is_positive_elem(e) for e in v.entries.values())
 
 
-def _edge_classes(Q: CoxeterQuiver) -> dict[str, list[tuple[str, FusionElem]]]:
-    # per vertex: (neighbour, label class) with one item per incident edge
-    labels = Q.label_set
-    out: dict[str, list[tuple[str, FusionElem]]] = {v: [] for v in Q.vertices}
-    for a in Q.arrows:
-        gen = arrow_label_class(labels, a.label)
-        out[a.source].append((a.target, gen))
-        out[a.target].append((a.source, gen))
-    return out
+def _check_vector(Q: CoxeterQuiver, w: RootVector):
+    if w.labels != Q.label_set:
+        raise MismatchedQuiver("root vector over a different label set")
+    for x in w.entries:
+        Q._require(x)
 
 
 def bilinear_form(Q: CoxeterQuiver, u: RootVector, v: RootVector) -> FusionElem:
     """Fusion-ring valued symmetric form: 2 on the diagonal, minus the sum of
     label classes over the edges between two distinct vertices."""
+    _check_vector(Q, u)
+    _check_vector(Q, v)
     labels = Q.label_set
-    for w in (u, v):
-        if w.labels != labels:
-            raise MismatchedQuiver("root vector over a different label set")
-        for x in w.entries:
-            Q._require(x)
     total = FusionElem.zero(labels)
     for x, ux in u.entries.items():
         vx = v.entries.get(x)
         if vx is not None:
             total = total + ux * vx * 2
-    edge_classes = _edge_classes(Q)
-    for x, ux in u.entries.items():
-        for y, gen in edge_classes[x]:
-            vy = v.entries.get(y)
-            if vy is not None:
-                total = total - gen * ux * vy
+    for a in Q.arrows:
+        cross = u.entry(a.source) * v.entry(a.target) + u.entry(a.target) * v.entry(a.source)
+        total = total - arrow_label_class(labels, a.label) * cross
     return total
 
 
 def reflect(Q: CoxeterQuiver, i: str, v: RootVector) -> RootVector:
-    """Simple reflection at i: subtract B(e_i, v) from the i-th entry."""
+    """Simple reflection at i: subtract B(e_i, v) from the i-th entry, a sum
+    over the arrows at i only."""
     i = str(i)
     Q._require(i)
-    if v.labels != Q.label_set:
-        raise MismatchedQuiver("root vector over a different label set")
+    _check_vector(Q, v)
     new_i = -v.entry(i)
-    for j, gen in _edge_classes(Q)[i]:
-        vj = v.entries.get(j)
-        if vj is not None:
-            new_i = new_i + gen * vj
+    for a in Q.incident_arrows(i):
+        j = a.source if a.target == i else a.target
+        new_i = new_i + arrow_label_class(v.labels, a.label) * v.entry(j)
     out = dict(v.entries)
     if new_i:
         out[i] = new_i
@@ -223,14 +214,11 @@ def _int_reflections(uq) -> dict[str, tuple[tuple[int, tuple[int, ...]], ...]]:
     orientation: for each unfolded u over i, the position of u and the
     positions of its neighbours, one per arrow at u in either direction."""
     index = {u: k for k, u in enumerate(uq.vertices)}
-    nbrs: dict[str, list[int]] = {u: [] for u in uq.vertices}
-    for a in uq.arrows:
-        nbrs[a.source].append(index[a.target])
-        nbrs[a.target].append(index[a.source])
-    return {
-        i: tuple((index[u], tuple(nbrs[u])) for u in uq.vertices_over(i))
-        for i in uq.source.vertices
-    }
+
+    def nbrs(u):
+        return [index[a.source] for a in uq.in_arrows(u)] + [index[a.target] for a in uq.out_arrows(u)]
+
+    return {i: tuple((index[u], tuple(nbrs(u))) for u in uq.vertices_over(i)) for i in uq.source.vertices}
 
 
 def _int_reflect(x: tuple[int, ...], reflection) -> tuple[int, ...]:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import attrgetter
 
 from .fusion import SimpleObject, _simple_mul, arrow_label_class, irr_enumerate, tlj_simples
-from .quiver import Arrow, CoxeterQuiver, UnknownVertex
+from .quiver import Arrow, CoxeterQuiver, UnknownVertex, _grouped
 from .rootsys import RootVector, _fold
 
 
@@ -37,7 +38,7 @@ def unfolded_arrow_id(provenance: str, source: str, target: str) -> str:
 class UnfoldedQuiver:
     """The classical quiver underlying a Coxeter quiver, with provenance."""
 
-    __slots__ = ("source", "irr", "vertices", "parts", "arrows", "_in", "_out")
+    __slots__ = ("source", "irr", "vertices", "parts", "arrows", "_in", "_out", "_over")
 
     def __init__(self, source: CoxeterQuiver, irr, vertices, parts, arrows):
         object.__setattr__(self, "source", source)
@@ -45,30 +46,26 @@ class UnfoldedQuiver:
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "parts", dict(parts))
         object.__setattr__(self, "arrows", tuple(arrows))
-        incoming = {v: [] for v in self.vertices}
-        outgoing = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            incoming[a.target].append(a)
-            outgoing[a.source].append(a)
-        object.__setattr__(self, "_in", incoming)
-        object.__setattr__(self, "_out", outgoing)
+        object.__setattr__(self, "_in", _grouped(self.vertices, self.arrows, attrgetter("target")))
+        object.__setattr__(self, "_out", _grouped(self.vertices, self.arrows, attrgetter("source")))
+        object.__setattr__(self, "_over", _grouped(source.vertices, self.vertices, lambda u: self.parts[u][1]))
 
     def __setattr__(self, *args):
         raise AttributeError("UnfoldedQuiver is immutable")
 
     def in_arrows(self, name: str) -> tuple[UnfoldedArrow, ...]:
-        return tuple(self._in[name])
+        return self._in[name]
 
     def out_arrows(self, name: str) -> tuple[UnfoldedArrow, ...]:
-        return tuple(self._out[name])
+        return self._out[name]
 
     def arrow_set(self) -> frozenset[tuple[str, str, str]]:
         """Arrows as (provenance, source, target) triples."""
         return frozenset((a.provenance, a.source, a.target) for a in self.arrows)
 
     def vertices_over(self, v: str) -> tuple[str, ...]:
-        v = str(v)
-        return tuple(name for name in self.vertices if self.parts[name][1] == v)
+        """The unfolded vertices over v, in the order of `vertices`."""
+        return self._over.get(str(v), ())
 
     def __eq__(self, other):
         return (

@@ -36,6 +36,18 @@ def test_classify_h3(capsys, qfile):
     assert "finite type" in out
 
 
+def test_main_builds_no_parser(capsys, qfile, monkeypatch):
+    import coxrep.cli
+
+    def rebuilt():
+        raise RuntimeError("main built a parser")
+
+    monkeypatch.setattr(coxrep.cli, "build_parser", rebuilt)
+    code, out, _ = run(capsys, "classify", qfile(H3_TEXT))
+    assert code == 0
+    assert "H3" in out
+
+
 @pytest.mark.parametrize("vid", ["\u00b2", "--1"])
 def test_classify_ids_that_int_rejects(capsys, tmp_path, vid):
     # "\u00b2" passes str.isdigit and "--1" passed lstrip("-"); the sort key

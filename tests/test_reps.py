@@ -17,6 +17,7 @@ from coxrep import (
     NotFiniteType,
     RootVector,
     SimpleObject,
+    SplittingFailed,
     apply_reflection_word,
     decompose,
     dim_vector,
@@ -577,6 +578,22 @@ def test_decompose_scrambled_sum_of_all(name):
         total = direct_sum(total, W)
     leaves = assert_splits_into(scrambled(total, random.Random(f"sum:{name}")), reps)
     assert leaves_sha256(leaves) == LEAVES_SHA256["sum", name]
+
+
+def test_decompose_zero_rep():
+    assert decompose(zero_rep(A2)) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SplittingFailed,
+    reason="known fault: no sampled endomorphism splits this W^2 (ROADMAP item 2)",
+)
+def test_decompose_e8_highest_root_squared():
+    reps = enumerate_indecomposables(family_quiver("E8"))
+    W = max(reps, key=lambda V: min(V.dims.values()))
+    assert W.total_dim() == 29
+    assert_splits_into(scrambled(direct_sum(W, W), random.Random("E8:2:2")), [W, W])
 
 
 def test_decompose_does_not_import_sympy():

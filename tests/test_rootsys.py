@@ -24,7 +24,7 @@ from coxrep import (
     root_orbit,
     unfold,
 )
-from coxrep.fusion import invertible_simples
+from coxrep.fusion import arrow_label_class, invertible_simples
 from ade_oracle import count_positive_roots_of_components
 from families import expected_root_count, family_quiver
 
@@ -263,6 +263,35 @@ def test_bilinear_rejects_mismatched_labels():
 
     with pytest.raises(MismatchedQuiver):
         bilinear_form(A2, e(I25, "1"), e(I25, "2"))
+
+
+def test_reflect_rejects_entries_off_the_quiver():
+    from coxrep import UnknownVertex
+
+    v = RootVector(A2.label_set, {"1": unit(A2), "zz": unit(A2)})
+    for call in (
+        lambda: reflect(A2, "1", v),
+        lambda: coxeter_apply(A2, ("1", "2"), v),
+        lambda: bilinear_form(A2, v, v),
+    ):
+        with pytest.raises(UnknownVertex):
+            call()
+
+
+def test_reflection_builds_one_class_per_arrow_at_the_vertex(monkeypatch):
+    import coxrep.rootsys
+
+    calls = []
+
+    def counted(labels, n):
+        calls.append(n)
+        return arrow_label_class(labels, n)
+
+    monkeypatch.setattr(coxrep.rootsys, "arrow_label_class", counted)
+    Q = family_quiver("E8")
+    coxeter_apply(Q, Q.vertices, e(Q, Q.vertices[0]))
+    # the arrows at each vertex once, so every arrow twice
+    assert len(calls) == 2 * len(Q.arrows) == 14
 
 
 def test_coxeter_apply_rejects_bad_ordering():

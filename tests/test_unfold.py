@@ -157,6 +157,19 @@ def test_source_lifts():
         assert not uq.in_arrows(v)
 
 
+def test_stored_incidence_matches_a_scan():
+    Q = parse_quiver("vertex 1\nvertex 2\nvertex 3\nvertex 4\narrow 1 2 5\narrow 3 2 4\narrow 3 4\n")
+    uq = unfold(Q)
+    for quiver in (Q, uq):
+        for v in quiver.vertices:
+            assert quiver.in_arrows(v) == tuple(a for a in quiver.arrows if a.target == v)
+            assert quiver.out_arrows(v) == tuple(a for a in quiver.arrows if a.source == v)
+    for v in Q.vertices:
+        assert Q.incident_arrows(v) == Q.in_arrows(v) + Q.out_arrows(v)
+        assert uq.vertices_over(v) == tuple(u for u in uq.vertices if uq.parts[u][1] == v)
+    assert uq.vertices_over("zz") == ()
+
+
 def test_parallel_labelled_arrows_unfold_infinite():
     # two-vertex quivers with parallel arrows never unfold to a disjoint
     # union of finite-type diagrams
