@@ -4,8 +4,9 @@ Deterministic given input and flags: every listing is canonically ordered and
 repeated runs are byte identical.  A --json document is printed with sorted
 keys, a 2-space indent, "," and ": " separators and ASCII escapes: the bytes
 json.dumps gives with sort_keys=True, separators (",", ": ") and indent 2.
-Exit codes: 0 success, 1 unreadable input (a file, quiver, representation or
-fusion element that does not parse or validate), 2 precondition violation (a
+Exit codes: 0 success, 1 unreadable input (a malformed command line, or a
+file, quiver, representation or fusion element that does not parse or
+validate; argparse's usage message goes to stderr), 2 precondition violation (a
 named condition of the command, such as a sink, a source or finite type), 3
 budget or cap exceeded, 4 internal fault (a failed internal cross-check, such
 as the knitted dimension vectors against the extended roots, or any
@@ -276,8 +277,24 @@ def _cmd_fusion(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a malformed command line exiting 1, not 2: 2 is a
+    precondition violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(PARSE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    """A --budget value: a decimal integer >= 0 (0 is legal)."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxrep", description="exact computations with Coxeter quivers"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -296,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="positive roots over the fusion ring")
     p.add_argument("quiver")
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("indecs", help="all indecomposable representations")
     p.add_argument("quiver")
     p.add_argument("--full", action="store_true", help="include matrices")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_indecs)
 

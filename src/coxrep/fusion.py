@@ -5,6 +5,9 @@ The ring attached to a label set ``L`` is the tensor product over all
 category (its even part when ``n`` is odd).  A basis is given by tuples of
 simple objects, one per label; the empty label set gives the integers with a
 single unit simple.  All values are immutable and all operations are pure.
+Each simple object exists once per process, so `is` and `==` agree; the
+simple objects and the products of two simples are process-wide caches,
+filled with `dict.setdefault` and `lru_cache`, which are safe under the GIL.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ def tlj_simples(n: int) -> list[int]:
     return list(range(n - 1))
 
 
-@lru_cache(maxsize=None)
 def tlj_tensor(n: int, a: int, b: int) -> tuple[int, ...]:
     """Summand indices of the product of the a-th and b-th simples at label n.
 
@@ -80,16 +82,26 @@ def tlj_tensor(n: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1, 2))
 
 
+_SIMPLES: dict[tuple[tuple[int, int], ...], "SimpleObject"] = {}
+
+
 class SimpleObject:
     """A basis element: one simple index per label, labels ascending.
 
     For odd labels only even indices are allowed (even-part convention).
+    One object per components tuple: the first construction validates and
+    stores it in `_SIMPLES`, later ones return it; `==` and `hash` are `is`.
     """
 
     __slots__ = ("components", "_key")
 
-    def __init__(self, components):
-        comps = tuple(sorted((int(n), int(a)) for n, a in components))
+    def __new__(cls, components):
+        comps = tuple(sorted((n, a) for n, a in components))
+        if not all(type(n) is int and type(a) is int for n, a in comps):
+            raise TypeError(f"labels and indices must be integers, got {comps!r}")
+        obj = _SIMPLES.get(comps)
+        if obj is not None:
+            return obj
         labels = [n for n, _ in comps]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate label in simple object")
@@ -99,8 +111,13 @@ class SimpleObject:
                 raise ValueError(f"index {a} out of range for label {n}")
             if n % 2 and a % 2:
                 raise ValueError(f"odd label {n} only carries even indices, got {a}")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_key", "|".join(f"{n}:{a}" for n, a in comps))
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "components", comps)
+        object.__setattr__(obj, "_key", "|".join(f"{n}:{a}" for n, a in comps))
+        return _SIMPLES.setdefault(comps, obj)
+
+    def __reduce__(self):
+        return SimpleObject, (self.components,)
 
     def __setattr__(self, *args):
         raise AttributeError("SimpleObject is immutable")
@@ -147,12 +164,6 @@ class SimpleObject:
                 f"key {key!r} does not match label set {tuple(sorted(labels))}"
             )
         return obj
-
-    def __eq__(self, other):
-        return isinstance(other, SimpleObject) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __lt__(self, other):
         return self.components < other.components
@@ -208,7 +219,8 @@ class FusionElem:
                 raise MismatchedLabelSets(
                     f"simple {simple.key!r} not over label set {self.labels}"
                 )
-            c = int(c)
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be integers, got {c!r}")
             if c:
                 clean[simple] = clean.get(simple, 0) + c
                 if not clean[simple]:

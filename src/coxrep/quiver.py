@@ -91,7 +91,9 @@ class CoxeterQuiver:
         for a in arrows:
             if not isinstance(a, Arrow):
                 a = Arrow(*a)
-            a = Arrow(str(a.id), str(a.source), str(a.target), int(a.label))
+            if type(a.label) is not int:
+                raise TypeError(f"arrow {a.id}: label {a.label!r} is not an integer")
+            a = Arrow(str(a.id), str(a.source), str(a.target), a.label)
             if a.source not in vset:
                 raise UnknownVertex(f"arrow {a.id}: unknown source {a.source!r}")
             if a.target not in vset:

@@ -78,7 +78,9 @@ class UnfoldedRep:
         maps = dict(maps or {})
         full_dims = {}
         for name in quiver.vertices:
-            d = int(dims.pop(name, 0))
+            d = dims.pop(name, 0)
+            if type(d) is not int:
+                raise TypeError(f"dimensions must be integers, got {d!r}")
             if d < 0:
                 raise ValueError("dimensions must be non-negative")
             full_dims[name] = d

@@ -116,11 +116,10 @@ def unfold(Q: CoxeterQuiver) -> UnfoldedQuiver:
     arrows = []
     for alpha in Q.arrows:
         (X,) = arrow_label_class(labels, alpha.label).coeffs
-        # uncached: the cache would keep all |Irr| products per label alive
         block = sorted(
             (vertex_name(B, alpha.source), vertex_name(C, alpha.target))
             for B in irr
-            for C in _simple_mul.__wrapped__(X, B)
+            for C in _simple_mul(X, B)
         )
         arrows += [UnfoldedArrow(unfolded_arrow_id(alpha.id, s, t), s, t, alpha.id) for s, t in block]
     return UnfoldedQuiver(Q, irr, list(parts), parts, arrows)
@@ -147,7 +146,8 @@ def fold_dim(uq: UnfoldedQuiver, dims: dict[str, int]) -> RootVector:
     for name, d in dims.items():
         if name not in uq.parts:
             raise UnknownVertex(f"unknown unfolded vertex {name!r}")
-        d = int(d)
+        if type(d) is not int:
+            raise TypeError(f"dimensions must be integers, got {d!r}")
         if d < 0:
             raise ValueError("dimensions must be non-negative")
         coords.append((name, d))

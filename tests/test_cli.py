@@ -253,6 +253,29 @@ def test_indecs_infinite_type_exit_code(capsys, qfile):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["roots", "{q}", "--budget", "x"], ["roots", "{q}", "--budget", "-1"], ["roots"]],
+)
+def test_malformed_command_line_exits_1(capsys, qfile, argv):
+    # exit 2 is a precondition violation, so argparse's own 2 is not used
+    q = qfile(I25_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(q=q) for a in argv])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (1, "")
+    assert out.err.startswith("usage: coxrep")
+
+
+def test_budget_zero_and_help_are_legal(capsys, qfile):
+    # a budget of 0 is read, and the orbit exceeds it
+    assert run(capsys, "roots", qfile(I25_TEXT), "--budget", "0")[:2] == (3, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coxrep roots")
+
+
 def test_budget_exit_code(capsys, qfile):
     code, _, err = run(capsys, "roots", qfile(DOUBLE_TEXT), "--budget", "30")
     assert code == 3

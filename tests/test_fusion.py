@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from coxrep import (
     tlj_simples,
     tlj_tensor,
 )
+from coxrep.fusion import _simple_mul, arrow_label_class
 
 
 def elem(labels, *pairs):
@@ -242,3 +245,40 @@ def test_arithmetic_drops_zero_coefficients():
     one = FusionElem.unit((5,))
     assert (t - one) * (t + one) == t
     assert set(((t - one) * (t + one)).coeffs) == {SimpleObject.from_key("5:2")}
+
+
+def test_one_object_per_simple():
+    labels = (4, 5)
+    s = SimpleObject([(5, 2), (4, 1)])
+    assert SimpleObject(((4, 1), (5, 2))) is s
+    assert SimpleObject.from_key("4:1|5:2") is s
+    assert SimpleObject.unit(labels).replace(4, 1).replace(5, 2) is s
+    irr = irr_enumerate(labels)
+    assert all(t is u for t, u in zip(irr, irr_enumerate(labels)))
+    assert [u for u in irr if u is s] == [s]
+    by_key = {u.key: u for u in irr}
+    for x in irr:
+        for y in irr:
+            assert all(z is by_key[z.key] for z in _simple_mul(x, y))
+    (x,) = arrow_label_class(labels, 5).coeffs
+    assert x is SimpleObject.from_key("4:0|5:2")
+    # pickle and deepcopy hand back the stored object, not a copy
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(s, proto)) is s
+        assert all(t is u for t, u in zip(pickle.loads(pickle.dumps(irr, proto)), irr))
+    assert copy.deepcopy(s) is s
+    assert copy.copy(s) is s
+    assert all(t is u for t, u in zip(copy.deepcopy(irr), irr))
+    # equality and hashing are by identity: nothing overrides them
+    assert "__eq__" not in vars(SimpleObject) and "__hash__" not in vars(SimpleObject)
+
+
+def test_warm_arrow_label_class_stores_no_simple():
+    from coxrep.fusion import _SIMPLES
+
+    labels = (3, 4, 7)
+    first = arrow_label_class(labels, 7)
+    stored = len(_SIMPLES)
+    second = arrow_label_class(labels, 7)
+    assert len(_SIMPLES) == stored
+    assert second == first and list(second.coeffs)[0] is list(first.coeffs)[0]

@@ -20,8 +20,9 @@ from coxrep import (
     unfolded_arrow_count,
 )
 from coxrep import reps as reps_mod
-from coxrep.fusion import irr_enumerate
+from coxrep.fusion import SimpleObject, _simple_mul, irr_enumerate
 from coxrep.quiver import vertex_key
+from coxrep.reps import UnfoldedRep
 from coxrep.unfold import UnfoldedArrow, UnfoldedQuiver, fold_dim, vertex_name
 from families import all_orientations, family_quiver, path_quiver
 
@@ -285,3 +286,60 @@ def test_one_unfolding_per_orientation(name, monkeypatch):
     del calls[:]
     indecomposable_for(Q, reps_mod.dim_vector(reps[-1]))
     assert len(calls) == len(Q.vertices)
+
+
+def test_unfold_shares_the_stored_simples():
+    Q = parse_quiver("vertex 1\nvertex 2\nvertex 3\narrow 1 2 4\narrow 2 3 5\n")
+    uq = unfold(Q)
+    assert all(t is u for t, u in zip(uq.irr, irr_enumerate(Q.label_set)))
+    for name, (simple, _) in uq.parts.items():
+        assert simple is SimpleObject.from_key(name.split("@")[0])
+
+
+def test_unfold_reads_products_from_the_cache():
+    # I2(5): the class 5:2 of the arrow times each of the two simples
+    Q = parse_quiver("vertex 1\nvertex 2\narrow 1 2 5\n")
+    _simple_mul.cache_clear()
+    unfold(Q)
+    assert _simple_mul.cache_info()[:2] == (0, 2)
+    unfold(Q)
+    assert _simple_mul.cache_info()[:2] == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda uq: SimpleObject([(4.9, 1)]),
+        lambda uq: SimpleObject([(4, True)]),
+        # stored already: 4.0 == 4 and True == 1 would find 4:1 in the store
+        lambda uq: SimpleObject([(4.0, 1)]),
+        lambda uq: SimpleObject([(4, 0)]).replace(4, True),
+        lambda uq: CoxeterQuiver([1, 2], [("a", 1, 2, 4.9)]),
+        lambda uq: CoxeterQuiver([1, 2], [("a", 1, 2, "4")]),
+        lambda uq: FusionElem((5,), {"5:0": 1.5}),
+        lambda uq: FusionElem((5,), {"5:0": True}),
+        lambda uq: UnfoldedRep(uq, {"3:0@1": 1.7}),
+        lambda uq: UnfoldedRep(uq, {"3:0@1": "2"}),
+        lambda uq: fold_dim(uq, {"3:0@1": 2.9}),
+        lambda uq: fold_dim(uq, {"3:0@1": True}),
+    ],
+    ids=[
+        "simple-float-label",
+        "simple-bool-index",
+        "simple-stored-float-label",
+        "simple-replace-bool",
+        "quiver-float-label",
+        "quiver-str-label",
+        "fusion-float-coeff",
+        "fusion-bool-coeff",
+        "rep-float-dim",
+        "rep-str-dim",
+        "fold-float-dim",
+        "fold-bool-dim",
+    ],
+)
+def test_integers_only_in_public_constructors(build):
+    SimpleObject([(4, 1)])
+    uq = unfold(parse_quiver("vertex 1\nvertex 2\narrow 1 2\n"))
+    with pytest.raises(TypeError):
+        build(uq)
