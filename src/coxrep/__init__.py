@@ -2,7 +2,8 @@
 
 Fusion-ring arithmetic, unfolding to classical quivers, Coxeter-Dynkin
 classification, root systems over fusion rings, reflection functors and the
-enumeration of indecomposable representations.
+enumeration of indecomposable representations.  Every value is immutable
+and pickles, copies and deep-copies, so it can be sent to worker processes.
 """
 
 from .fusion import (

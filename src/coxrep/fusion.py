@@ -4,10 +4,11 @@ The ring attached to a label set ``L`` is the tensor product over all
 ``n in L`` of the Grothendieck ring of the rank-``(n-1)`` Temperley-Lieb-Jones
 category (its even part when ``n`` is odd).  A basis is given by tuples of
 simple objects, one per label; the empty label set gives the integers with a
-single unit simple.  All values are immutable and all operations are pure.
-Each simple object exists once per process, so `is` and `==` agree; the
-simple objects and the products of two simples are process-wide caches,
-filled with `dict.setdefault` and `lru_cache`, which are safe under the GIL.
+single unit simple.  All values are immutable, pickle, copy and deep-copy,
+and all operations are pure.  Each simple object exists once per process
+(unpickling looks it up), so `is` and `==` agree; the simple objects and the
+products of two simples are process-wide caches, filled with
+`dict.setdefault` and `lru_cache`, which are safe under the GIL.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
+
+from ._values import Frozen, Value
 
 
 class MismatchedLabelSets(Exception):
@@ -85,7 +88,7 @@ def tlj_tensor(n: int, a: int, b: int) -> tuple[int, ...]:
 _SIMPLES: dict[tuple[tuple[int, int], ...], "SimpleObject"] = {}
 
 
-class SimpleObject:
+class SimpleObject(Frozen):
     """A basis element: one simple index per label, labels ascending.
 
     For odd labels only even indices are allowed (even-part convention).
@@ -119,9 +122,6 @@ class SimpleObject:
     def __reduce__(self):
         return SimpleObject, (self.components,)
 
-    def __setattr__(self, *args):
-        raise AttributeError("SimpleObject is immutable")
-
     @property
     def key(self) -> str:
         return self._key
@@ -137,6 +137,7 @@ class SimpleObject:
         raise KeyError(n)
 
     def replace(self, n: int, a: int) -> "SimpleObject":
+        self.index(n)  # KeyError for a label it does not carry
         return SimpleObject(tuple((m, a if m == n else x) for m, x in self.components))
 
     def is_unit(self) -> bool:
@@ -204,7 +205,7 @@ def _simple_mul(x: SimpleObject, y: SimpleObject) -> tuple[SimpleObject, ...]:
     return tuple(SimpleObject(combo) for combo in product(*per_label))
 
 
-class FusionElem:
+class FusionElem(Value):
     """Integer combination of simple objects over a fixed label set."""
 
     __slots__ = ("labels", "coeffs", "_key")
@@ -237,9 +238,6 @@ class FusionElem:
         object.__setattr__(x, "coeffs", coeffs)
         object.__setattr__(x, "_key", None)
         return x
-
-    def __setattr__(self, *args):
-        raise AttributeError("FusionElem is immutable")
 
     @classmethod
     def zero(cls, labels) -> "FusionElem":
@@ -293,15 +291,8 @@ class FusionElem:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FusionElem)
-            and self.labels == other.labels
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.key()))
+    def _state(self):
+        return self.labels, self.key()
 
     def key(self) -> tuple:
         """Canonical sortable form."""

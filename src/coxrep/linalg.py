@@ -28,12 +28,14 @@ from itertools import chain, count
 from math import gcd, lcm
 from operator import mul
 
+from ._values import Frozen, Value
+
 
 class NoSolution(Exception):
     """The linear system A X = B is inconsistent."""
 
 
-class Mat:
+class Mat(Value):
     """Immutable dense rational matrix, stored as integer numerators over one
     shared denominator.
 
@@ -80,9 +82,6 @@ class Mat:
         _set_den(self, den)
         _set_data(self, None)
 
-    def __setattr__(self, *args):
-        raise AttributeError("Mat is immutable")
-
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as rows of Fractions."""
@@ -114,17 +113,8 @@ class Mat:
     def identity(cls, n: int) -> "Mat":
         return cls._trusted(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.num, self.den))
+    def _state(self):
+        return self.rows, self.cols, self.num, self.den
 
     def __getitem__(self, rc):
         r, c = rc
@@ -345,7 +335,7 @@ def cokernel_projection(M: Mat) -> Mat:
     return kernel_basis(M.transpose()).transpose()
 
 
-class Solution:
+class Solution(Frozen):
     """Affine description of all solutions of A X = B.
 
     Every solution is ``particular + homogeneous * C`` for an arbitrary
@@ -357,9 +347,6 @@ class Solution:
     def __init__(self, particular: Mat, homogeneous: Mat):
         object.__setattr__(self, "particular", particular)
         object.__setattr__(self, "homogeneous", homogeneous)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Solution is immutable")
 
     @property
     def is_unique(self) -> bool:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 
+from ._values import Value
+
 
 class QuiverError(Exception):
     """Base class for structural quiver errors."""
@@ -76,7 +78,7 @@ class Arrow:
     label: int = 3
 
 
-class CoxeterQuiver:
+class CoxeterQuiver(Value):
     """Immutable validated Coxeter quiver."""
 
     __slots__ = ("vertices", "arrows", "_out", "_in")
@@ -112,9 +114,6 @@ class CoxeterQuiver:
         object.__setattr__(self, "_in", _grouped(verts, arrs, attrgetter("target")))
         admissible_sink_ordering(self)
 
-    def __setattr__(self, *args):
-        raise AttributeError("CoxeterQuiver is immutable")
-
     @property
     def label_set(self) -> tuple[int, ...]:
         return tuple(sorted({a.label for a in self.arrows}))
@@ -147,15 +146,8 @@ class CoxeterQuiver:
         if str(v) not in self._out:
             raise UnknownVertex(f"unknown vertex {v!r}")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoxeterQuiver)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.arrows))
+    def _state(self):
+        return self.vertices, self.arrows
 
     def to_json(self) -> dict:
         return {

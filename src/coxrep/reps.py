@@ -35,6 +35,7 @@ from itertools import chain, islice
 from math import lcm
 from operator import mul
 
+from ._values import Value
 from .fusion import SimpleObject
 from .linalg import Mat, charpoly, int_kernel, integer_roots, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
@@ -67,11 +68,15 @@ class SplittingFailed(Exception):
         super().__init__(f"no splitting endomorphism found (seed={seed})")
         self.seed = seed
 
+    def __reduce__(self):
+        return type(self), (self.seed,)
 
-class UnfoldedRep:
+
+class UnfoldedRep(Value):
     """Dimensions and matrices over the unfolded quiver of a Coxeter quiver."""
 
     __slots__ = ("quiver", "dims", "maps")
+    __hash__ = None  # the state holds dicts
 
     def __init__(self, quiver: UnfoldedQuiver, dims=None, maps=None):
         dims = dict(dims or {})
@@ -104,22 +109,14 @@ class UnfoldedRep:
         object.__setattr__(self, "dims", full_dims)
         object.__setattr__(self, "maps", full_maps)
 
-    def __setattr__(self, *args):
-        raise AttributeError("UnfoldedRep is immutable")
-
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
     def is_zero(self) -> bool:
         return self.total_dim() == 0
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnfoldedRep)
-            and self.quiver == other.quiver
-            and self.dims == other.dims
-            and self.maps == other.maps
-        )
+    def _state(self):
+        return self.quiver, self.dims, self.maps
 
     def to_json(self) -> dict:
         return {

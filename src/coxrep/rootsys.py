@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ._values import Value
 from .fusion import (
     FusionElem,
     SimpleObject,
@@ -52,8 +53,11 @@ class OrbitBudgetExceeded(Exception):
         super().__init__(message)
         self.partial = partial
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.partial)
 
-class RootVector:
+
+class RootVector(Value):
     """One fusion-ring class per vertex; zero entries are not stored."""
 
     __slots__ = ("labels", "entries", "_key")
@@ -71,9 +75,6 @@ class RootVector:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "_key", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RootVector is immutable")
 
     @classmethod
     def zero(cls, labels) -> "RootVector":
@@ -109,15 +110,8 @@ class RootVector:
     def __bool__(self):
         return bool(self.entries)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootVector)
-            and self.labels == other.labels
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.key()))
+    def _state(self):
+        return self.labels, self.key()
 
     def key(self) -> tuple:
         if self._key is None:

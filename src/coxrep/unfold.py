@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import prod
 from operator import attrgetter
 
+from ._values import Value
 from .fusion import SimpleObject, _simple_mul, arrow_label_class, irr_enumerate, tlj_simples
 from .quiver import Arrow, CoxeterQuiver, UnknownVertex, _grouped
 from .rootsys import RootVector, _fold
@@ -35,7 +36,7 @@ def unfolded_arrow_id(provenance: str, source: str, target: str) -> str:
     return f"{provenance}:{source}>{target}"
 
 
-class UnfoldedQuiver:
+class UnfoldedQuiver(Value):
     """The classical quiver underlying a Coxeter quiver, with provenance."""
 
     __slots__ = ("source", "irr", "vertices", "parts", "arrows", "_in", "_out", "_over")
@@ -49,9 +50,6 @@ class UnfoldedQuiver:
         object.__setattr__(self, "_in", _grouped(self.vertices, self.arrows, attrgetter("target")))
         object.__setattr__(self, "_out", _grouped(self.vertices, self.arrows, attrgetter("source")))
         object.__setattr__(self, "_over", _grouped(source.vertices, self.vertices, lambda u: self.parts[u][1]))
-
-    def __setattr__(self, *args):
-        raise AttributeError("UnfoldedQuiver is immutable")
 
     def in_arrows(self, name: str) -> tuple[UnfoldedArrow, ...]:
         return self._in[name]
@@ -67,15 +65,8 @@ class UnfoldedQuiver:
         """The unfolded vertices over v, in the order of `vertices`."""
         return self._over.get(str(v), ())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnfoldedQuiver)
-            and self.vertices == other.vertices
-            and self.arrow_set() == other.arrow_set()
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.arrow_set()))
+    def _state(self):
+        return self.vertices, self.arrow_set()
 
     def to_coxeter(self) -> CoxeterQuiver:
         """Forget provenance: the same quiver with every arrow classical."""

@@ -282,3 +282,16 @@ def test_warm_arrow_label_class_stores_no_simple():
     second = arrow_label_class(labels, 7)
     assert len(_SIMPLES) == stored
     assert second == first and list(second.coeffs)[0] is list(first.coeffs)[0]
+
+
+def test_replace_refuses_a_label_it_does_not_carry():
+    s = SimpleObject.from_key("4:1|5:2")
+    assert s.replace(5, 0) is SimpleObject.from_key("4:1|5:0")
+    for n in (3, 6):
+        with pytest.raises(KeyError) as info:
+            s.replace(n, 0)
+        assert info.value.args == (n,)
+    with pytest.raises(KeyError):
+        arrow_label_class((4,), 5)
+    with pytest.raises(KeyError):
+        SimpleObject.unit(()).replace(3, 0)
