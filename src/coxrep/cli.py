@@ -37,10 +37,11 @@ from .rootsys import (
     InvalidOrdering,
     MismatchedQuiver,
     OrbitBudgetExceeded,
-    extend_by_simples,
-    positive_roots,
+    _extend,
+    _Layout,
+    _positive,
 )
-from .unfold import unfold
+from .unfold import _classify_unfolded, unfold
 
 PARSE_ERROR = 1
 PRECONDITION_ERROR = 2
@@ -146,7 +147,7 @@ def _cmd_classify(args) -> int:
 def _cmd_unfold(args) -> int:
     Q = _load_quiver(args.quiver)
     uq = unfold(Q)
-    comps = classify_graph(uq.to_coxeter()) if args.components else None
+    comps = _classify_unfolded(uq) if args.components else None
 
     def doc():
         out = uq.to_json()
@@ -168,23 +169,28 @@ def _cmd_unfold(args) -> int:
 
 def _cmd_roots(args) -> int:
     Q = _load_quiver(args.quiver)
-    base = positive_roots(Q, args.budget)
-    ext = extend_by_simples(Q, base) if args.extended else None
+    uq = unfold(Q)
+    base = _positive(uq, args.budget)
+    ext = _extend(uq, base) if args.extended else None
+    layout = _Layout(uq)
+
+    def listing(roots):
+        # the serialized root is both the sort key and the printed line
+        return sorted((layout.serialize(x), x) for x in roots)
 
     def doc():
-        out = {"count": len(base), "positive_roots": [r.to_json() for r in base.sorted()]}
+        out = {"count": len(base), "positive_roots": [layout.to_json(x) for _, x in listing(base)]}
         if ext is not None:
             out["extended_count"] = len(ext)
-            out["extended_positive_roots"] = [r.to_json() for r in ext.sorted()]
+            out["extended_positive_roots"] = [layout.to_json(x) for _, x in listing(ext)]
         return out
 
     def lines():
-        # the serialized root is both the printed line and the sort key
         yield f"positive roots ({len(base)}):"
-        yield from sorted(f"  {r.serialize()}" for r in base.roots)
+        yield from (f"  {s}" for s, _ in listing(base))
         if ext is not None:
             yield f"extended positive roots ({len(ext)}):"
-            yield from sorted(f"  {r.serialize()}" for r in ext.roots)
+            yield from (f"  {s}" for s, _ in listing(ext))
 
     _emit(args.json, doc, lines)
     return 0
@@ -192,12 +198,12 @@ def _cmd_roots(args) -> int:
 
 def _cmd_indecs(args) -> int:
     Q = _load_quiver(args.quiver)
-    found = reps_mod._indecomposables_with_dims(Q, args.budget)
+    layout, found = reps_mod._indecomposables_with_dims(Q, args.budget)
 
     def doc():
         entries = []
-        for _, dv, W in found:
-            entry = {"dim_vector": dv.to_json()}
+        for _, x, W in found:
+            entry = {"dim_vector": layout.to_json(x)}
             if args.full:
                 entry["rep"] = W.to_json()
             entries.append(entry)

@@ -360,10 +360,17 @@ def classify_graph(Q: CoxeterQuiver) -> list[tuple[tuple[str, ...], DynkinType]]
         v: [(a.source if a.target == v else a.target, a.label) for a in Q.incident_arrows(v)]
         for v in Q.vertices
     }
+    return _classify_components(Q.vertices, adj)
+
+
+def _classify_components(vertices, adj) -> list[tuple[tuple[str, ...], DynkinType]]:
+    """`classify_graph` of the graph with the given vertices, in vertex_key
+    order, and adjacency: adj maps each vertex to its (neighbour, label)
+    pairs, one per incident arrow."""
     # one search labels every vertex with the first vertex of its component;
     # grouping in vertex order keeps both orders sorted by vertex_key
     root: dict[str, str] = {}
-    for v in Q.vertices:
+    for v in vertices:
         if v not in root:
             root[v] = v
             stack = [v]
@@ -373,7 +380,7 @@ def classify_graph(Q: CoxeterQuiver) -> list[tuple[tuple[str, ...], DynkinType]]
                         root[w] = v
                         stack.append(w)
     comps: dict[str, list[str]] = {}
-    for v in Q.vertices:
+    for v in vertices:
         comps.setdefault(root[v], []).append(v)
     return [(tuple(comp), _classify_component(comp, adj)) for comp in comps.values()]
 

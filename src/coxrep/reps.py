@@ -39,8 +39,8 @@ from ._values import Value
 from .fusion import SimpleObject
 from .linalg import Mat, charpoly, int_kernel, integer_roots, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
-from .rootsys import DEFAULT_BUDGET, CapExceeded, RootVector, extend_by_simples
-from .rootsys import _int_reflect, _int_reflections, _positive_roots
+from .rootsys import DEFAULT_BUDGET, CapExceeded, MismatchedQuiver, RootVector
+from .rootsys import _coordinates, _extend, _int_reflect, _int_reflections, _Layout, _positive
 from .unfold import UnfoldedQuiver, fold_dim, unfold, unfolded_arrow_id, vertex_name
 
 DEFAULT_SEED = 7
@@ -392,40 +392,54 @@ def _last_landing(names, reflections, ordering, k: int, start: str, max_steps: i
     raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
 
 
+def _dims(uq: UnfoldedQuiver, W: UnfoldedRep) -> tuple[int, ...]:
+    """W's dimensions as an integer tuple in the order of uq.vertices."""
+    return tuple(map(W.dims.__getitem__, uq.vertices))
+
+
 def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = DEFAULT_BUDGET) -> UnfoldedRep:
     """The indecomposable representation whose dimension vector is the given
     extended positive root, taken from the forward knitting of the simples."""
     if not is_finite_type(Q):
         raise NotFiniteType("indecomposables are only enumerated in finite type")
     uq = unfold(Q)
-    roots = extend_by_simples(Q, _positive_roots(uq, budget)).roots
-    if v not in roots:
+    roots = _extend(uq, _positive(uq, budget))
+    try:
+        x = _coordinates(uq, v)
+    except (MismatchedQuiver, UnknownVertex):
+        x = None
+    if x not in roots:
         raise NotAnExtendedRoot(f"{v!r} is not an extended positive root")
     for W in _knit(uq, len(roots)):
-        if dim_vector(W) == v:
+        if _dims(uq, W) == x:
             return W
     raise AssertionError("knitting did not reach an extended positive root")
 
 
-def _indecomposables_with_dims(Q: CoxeterQuiver, budget: int) -> list[tuple[str, RootVector, UnfoldedRep]]:
-    """The triples (serialized dimension vector, dimension vector,
-    indecomposable) behind `enumerate_indecomposables`, in its order; the
-    serialized form is both the sort key and the printed text line."""
+def _indecomposables_with_dims(
+    Q: CoxeterQuiver, budget: int
+) -> tuple[_Layout, list[tuple[str, tuple[int, ...], UnfoldedRep]]]:
+    """The triples (serialized dimension vector, unfolded dimensions,
+    indecomposable) behind `enumerate_indecomposables`, in its order, and
+    the layout that serializes the dimensions; the serialized form is both
+    the sort key and the printed text line.  The knitted dimensions are
+    checked against the extended positive roots, as integer tuples."""
     if not is_finite_type(Q):
         raise NotFiniteType("enumeration requires a finite-type quiver")
     uq = unfold(Q)
-    roots = extend_by_simples(Q, _positive_roots(uq, budget)).roots
-    dims = [(dim_vector(W), W) for W in _knit(uq, len(roots))]
-    if len(dims) != len(roots) or {v for v, _ in dims} != roots:
+    roots = _extend(uq, _positive(uq, budget))
+    found = [(_dims(uq, W), W) for W in _knit(uq, len(roots))]
+    if len(found) != len(roots) or {x for x, _ in found} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
-    return sorted(((v.serialize(), v, W) for v, W in dims), key=lambda triple: triple[0])
+    layout = _Layout(uq)
+    return layout, sorted(((layout.serialize(x), x, W) for x, W in found), key=lambda triple: triple[0])
 
 
 def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> list[UnfoldedRep]:
     """One representative per extended positive root, sorted by the serialized
     dimension vector, knitted forward from the simples.  The knitted dimension
-    vectors are checked against `extended_positive_roots`."""
-    return [W for _, _, W in _indecomposables_with_dims(Q, budget)]
+    vectors are checked against the extended positive roots."""
+    return [W for _, _, W in _indecomposables_with_dims(Q, budget)[1]]
 
 
 def _restrict(V: UnfoldedRep, bases: dict[str, Mat]) -> UnfoldedRep:

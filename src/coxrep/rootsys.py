@@ -6,21 +6,34 @@ minus the sum of the label classes on an edge pair.  Roots are the orbit of
 the standard basis under all simple reflections; positive roots are the orbit
 members with non-negative classes at every vertex.
 
-The orbit is closed in integer coordinates over the vertices (B, v) of the
-unfolded quiver and folded back to one fusion class per vertex, sum of
-x[(B, v)] [B], only for the vectors returned.  The simple reflection at i is
-the product of the commuting classical reflections at the unfolded vertices
-over i (Etingof-Khovanov), and folding is a bijection, so the integer orbit
-is the image of the fusion-valued one.  `reflect` keeps the fusion-valued
-rule as an independent route.  Both are local: `reflect` at i reads the
-arrows Q stores at i, one label class each, and the integer reflection reads
-the arrows the unfolding stores at each vertex over i.
+Roots are integer tuples over the vertices (B, v) of the unfolded quiver,
+in the order of `unfold(Q).vertices`, from the orbit to the printed bytes.
+The simple reflection at i is the product of the commuting classical
+reflections at the unfolded vertices over i (Etingof-Khovanov), and folding,
+the class sum of x[(B, v)] [B] at each v, is a bijection, so the integer
+orbit (`_int_orbit`) is the image of the fusion-valued one.  A simple X acts
+by `_act`: e_{B@v} goes to the sum of e_{C@v} over the simples C in X ⊗ B.
+The canonical twist of a positive root is the serialization-minimal member
+of {x} ∪ {u·x} over the invertible simples u (`_positive`), and `_extend`
+multiplies by every simple.  `_Layout` writes a tuple as `RootVector`
+writes its fold: `serialize`, which is both the sort key and the text line,
+through the shared `_write`, and `to_json`.
+
+Tuples are folded to `RootVector`s (`_fold`) only where the public API
+returns them; `extend_by_simples` unfolds its argument (`_coordinates`).
+The CLI and the `indecs` cross-check work on the tuples.  `reflect` keeps
+the fusion-valued rule as an independent route.  Both reflections are
+local: `reflect` at i reads the arrows Q stores at i, one label class each,
+and the integer reflection reads the arrows the unfolding stores at each
+vertex over i.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import product
+from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 
 from ._values import Value
 from .fusion import (
@@ -28,8 +41,8 @@ from .fusion import (
     SimpleObject,
     arrow_label_class,
     invertible_simples,
-    irr_enumerate,
     is_positive_elem,
+    tlj_tensor,
 )
 from .quiver import CoxeterQuiver
 
@@ -123,7 +136,8 @@ class RootVector(Value):
         return self._key
 
     def serialize(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        """Compact JSON with sorted keys: the sort key of `RootSet.sorted`."""
+        return _write([(v, _class_text(e)) for v, e in self.key()])
 
     def to_json(self) -> dict:
         return {v: e.to_json() for v, e in self.entries.items()}
@@ -307,6 +321,131 @@ def root_orbit(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> frozenset[Root
     return frozenset(_fold(uq, zip(uq.vertices, x)) for x in _int_orbit(uq, budget))
 
 
+def _product_tables(uq, simples) -> list[list[tuple[int, ...]]]:
+    """For each simple X of `simples`, the table of multiplication by X in
+    the coordinates of `_int_orbit`: at the position of B@v, the positions of
+    C@v for the simples C in X ⊗ B, by the per-label rule `tlj_tensor`."""
+    position = {part: k for k, part in enumerate(map(uq.parts.__getitem__, uq.vertices))}
+    # the positions over each vertex of uq.source, by the simple's components
+    over = {B.components: [position[B, v] for v in uq.source.vertices] for B in uq.irr}
+    tables = []
+    for X in simples:
+        table = [()] * len(uq.vertices)
+        for comps, here in over.items():
+            per_label = [[(n, c) for c in tlj_tensor(n, a, b)] for (n, a), (_, b) in zip(X.components, comps)]
+            there = [over[C] for C in product(*per_label)]
+            for k, targets in zip(here, zip(*there)):
+                table[k] = targets
+        tables.append(table)
+    return tables
+
+
+def _act(table, x: tuple[int, ...]) -> tuple[int, ...]:
+    """X · x for the `_product_tables` table of a simple X."""
+    y = [0] * len(x)
+    for k, c in enumerate(x):
+        if c:
+            for t in table[k]:
+                y[t] += c
+    return tuple(y)
+
+
+def _positive(uq, budget: int) -> set[tuple[int, ...]]:
+    """The positive roots of uq.source as integer tuples, one per class under
+    the invertible simples: the serialization-minimal member of each class."""
+    positive = [x for x in _int_orbit(uq, budget) if min(x) >= 0]
+    units = [s for s in invertible_simples(uq.source.label_set) if not s.is_unit()]
+    if not units:
+        return set(positive)
+    tables = _product_tables(uq, units)
+    serialize = _Layout(uq).serialize
+    chosen, seen = set(), set()
+    for x in positive:
+        if x not in seen:
+            twists = [x] + [_act(t, x) for t in tables]
+            seen.update(twists)
+            chosen.add(min(twists, key=serialize))
+    return chosen
+
+
+def _extend(uq, roots) -> set[tuple[int, ...]]:
+    """All X · x for X a simple and x one of `roots`, deduplicated."""
+    out = set(roots)
+    tables = _product_tables(uq, [s for s in uq.irr if not s.is_unit()])
+    for x in list(out):
+        out.update([_act(t, x) for t in tables])
+    return out
+
+
+def _coordinates(uq, r: RootVector) -> tuple[int, ...]:
+    """The integer tuple that `_fold` takes to r."""
+    _check_vector(uq.source, r)
+    position = {part: k for k, part in enumerate(map(uq.parts.__getitem__, uq.vertices))}
+    x = [0] * len(uq.vertices)
+    for v, e in r.entries.items():
+        for B, c in e.coeffs.items():
+            x[position[B, v]] = c
+    return tuple(x)
+
+
+def _class_text(pairs) -> str:
+    """The serialized class at one vertex, without its braces: the (simple
+    key, coefficient) pairs in key order, the zero coefficients left out."""
+    return ",".join([f"{_escape(k)}:{c}" for k, c in pairs if c])
+
+
+def _write(blocks) -> str:
+    """The serialized form of a root, compact JSON with sorted keys, from
+    its (vertex, `_class_text`) blocks in vertex order; the empty ones are
+    left out."""
+    return "{" + ",".join([f"{_escape(v)}:{{{text}}}" for v, text in blocks if text]) + "}"
+
+
+class _Layout:
+    """The serialized form and the JSON of the integer tuples over an
+    unfolding, as `RootVector.serialize` and `to_json` give them for the
+    folded root: the vertices of its source sorted by id, each with the
+    positions of the simples over it sorted by key.  The class at a vertex
+    is written once per distinct slice of coordinates and then looked up."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, uq):
+        over: dict[str, list] = {}
+        for k, (B, v) in enumerate(map(uq.parts.__getitem__, uq.vertices)):
+            over.setdefault(v, []).append((B.key, k))
+        self.blocks = []
+        for v, cells in sorted(over.items()):
+            cells.sort()
+            keys = tuple(key for key, _ in cells)
+            self.blocks.append((v, keys, itemgetter(*(k for _, k in cells)), {}))
+
+    @staticmethod
+    def _class(block, x) -> tuple[str, dict]:
+        _, keys, get, memo = block
+        values = get(x)
+        found = memo.get(values)
+        if found is None:
+            entry = {k: c for k, c in zip(keys, values if len(keys) > 1 else (values,)) if c}
+            found = memo[values] = (_class_text(entry.items()), entry)
+        return found
+
+    def serialize(self, x: tuple[int, ...]) -> str:
+        return _write([(block[0], self._class(block, x)[0]) for block in self.blocks])
+
+    def to_json(self, x: tuple[int, ...]) -> dict:
+        out = {}
+        for block in self.blocks:
+            entry = self._class(block, x)[1]
+            if entry:
+                out[block[0]] = dict(entry)
+        return out
+
+
+def _folded(uq, roots, closed: bool = True) -> RootSet:
+    return RootSet(frozenset(_fold(uq, zip(uq.vertices, x)) for x in roots), closed)
+
+
 def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
     """Positive members of the reflection orbit of the simple roots, one per
     class under scaling by invertible simple classes.
@@ -319,38 +458,24 @@ def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
     """
     from .unfold import unfold
 
-    return _positive_roots(unfold(Q), budget)
-
-
-def _positive_roots(uq, budget: int) -> RootSet:
-    """`positive_roots` of uq.source, given its unfolding uq."""
-    labels = uq.source.label_set
-    units = [FusionElem.simple(labels, s) for s in invertible_simples(labels) if not s.is_unit()]
-    chosen: set[RootVector] = set()
-    for x in _int_orbit(uq, budget):
-        if min(x) < 0:
-            continue
-        r = _fold(uq, zip(uq.vertices, x))
-        if units:
-            r = min([r] + [r.scale(u) for u in units], key=lambda w: w.serialize())
-        chosen.add(r)
-    return RootSet(frozenset(chosen), True)
+    uq = unfold(Q)
+    return _folded(uq, _positive(uq, budget))
 
 
 def extended_positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
     """All products (simple class) * (positive root), deduplicated."""
-    return extend_by_simples(Q, positive_roots(Q, budget))
+    from .unfold import unfold
+
+    uq = unfold(Q)
+    return _folded(uq, _extend(uq, _positive(uq, budget)))
 
 
 def extend_by_simples(Q: CoxeterQuiver, base: RootSet) -> RootSet:
     """All products (simple class) * r for r in the positive roots `base`."""
-    labels = Q.label_set
-    out: set[RootVector] = set()
-    for simple in irr_enumerate(labels):
-        x = FusionElem.simple(labels, simple)
-        for r in base.roots:
-            out.add(r.scale(x))
-    return RootSet(frozenset(out), base.closed)
+    from .unfold import unfold
+
+    uq = unfold(Q)
+    return _folded(uq, _extend(uq, [_coordinates(uq, r) for r in base.roots]), base.closed)
 
 
 def depositivize_exponent(

@@ -15,7 +15,8 @@ from operator import attrgetter
 
 from ._values import Value
 from .fusion import SimpleObject, _simple_mul, arrow_label_class, irr_enumerate, tlj_simples
-from .quiver import Arrow, CoxeterQuiver, UnknownVertex, _grouped
+from .quiver import Arrow, CoxeterQuiver, DynkinType, UnknownVertex, vertex_key
+from .quiver import _classify_components, _grouped
 from .rootsys import RootVector, _fold
 
 
@@ -114,6 +115,17 @@ def unfold(Q: CoxeterQuiver) -> UnfoldedQuiver:
         )
         arrows += [UnfoldedArrow(unfolded_arrow_id(alpha.id, s, t), s, t, alpha.id) for s, t in block]
     return UnfoldedQuiver(Q, irr, list(parts), parts, arrows)
+
+
+def _classify_unfolded(uq: UnfoldedQuiver) -> list[tuple[tuple[str, ...], DynkinType]]:
+    """`classify_graph(uq.to_coxeter())`, read off the arrows uq stores at
+    each vertex, every one labelled 3.  Its acyclicity check is not repeated:
+    the unfolding of an acyclic quiver is acyclic."""
+    adj = {
+        u: [(a.source, 3) for a in uq.in_arrows(u)] + [(a.target, 3) for a in uq.out_arrows(u)]
+        for u in uq.vertices
+    }
+    return _classify_components(sorted(uq.vertices, key=vertex_key), adj)
 
 
 def unfolded_arrow_count(Q: CoxeterQuiver, arrow_id: str) -> int:

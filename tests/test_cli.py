@@ -297,6 +297,34 @@ def test_internal_fault_exit_code(capsys, qfile, monkeypatch):
     assert err.startswith("error: internal: knitted")
 
 
+@pytest.mark.parametrize("fault", ["drop", "repeat", "replace"])
+def test_cross_check_catches_a_corrupted_chain(capsys, qfile, monkeypatch, fault):
+    # the real comparison of the knitted dimensions with the extended roots:
+    # one member dropped or repeated changes the count, one member replaced
+    # by another keeps the count and changes the set
+    from coxrep import enumerate_indecomposables, parse_quiver, reps
+
+    knit = reps._knit
+
+    def corrupted(uq, n_roots):
+        members = list(knit(uq, n_roots))
+        if fault == "drop":
+            del members[3]
+        elif fault == "repeat":
+            members.insert(3, members[3])
+        else:
+            members[3] = members[4]
+        return iter(members)
+
+    monkeypatch.setattr(reps, "_knit", corrupted)
+    with pytest.raises(AssertionError, match="^knitted dimension vectors differ"):
+        enumerate_indecomposables(parse_quiver(H3_TEXT))
+    code, out, err = run(capsys, "indecs", qfile(H3_TEXT))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal: knitted dimension vectors differ")
+
+
 def test_escaped_value_error_is_an_internal_fault(capsys, qfile, monkeypatch):
     from coxrep import reps
 
@@ -387,7 +415,7 @@ def test_malformed_representation_is_unreadable_input(capsys, qfile, doc):
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
-    from coxrep import RootVector, enumerate_indecomposables, parse_quiver
+    from coxrep import enumerate_indecomposables, parse_quiver, rootsys
     from coxrep.linalg import Mat
 
     n_maps = sum(
@@ -396,17 +424,19 @@ def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
         for m in W.maps.values()
     )
     calls = {"serialize": 0, "to_json": 0}
-    serialize, to_json = RootVector.serialize, Mat.to_json
+    # every serialized root, of an integer tuple or of a RootVector, is
+    # written by rootsys._write
+    serialize, to_json = rootsys._write, Mat.to_json
 
-    def counted_serialize(self):
+    def counted_serialize(blocks):
         calls["serialize"] += 1
-        return serialize(self)
+        return serialize(blocks)
 
     def counted_to_json(self):
         calls["to_json"] += 1
         return to_json(self)
 
-    monkeypatch.setattr(RootVector, "serialize", counted_serialize)
+    monkeypatch.setattr(rootsys, "_write", counted_serialize)
     monkeypatch.setattr(Mat, "to_json", counted_to_json)
     p = qfile(I25_TEXT)
     flags = ["--json"] if as_json else []
@@ -419,6 +449,49 @@ def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
     # printed line; one Mat.to_json per non-zero map, in either form
     assert run(capsys, "indecs", p, "--full", *flags)[0] == 0
     assert calls == {"serialize": 10, "to_json": n_maps}
+
+
+@pytest.mark.parametrize("name", ["B2+I2(5)", "B2+I2(5) renamed", "B2+G2", "I2(8)", "G2"])
+def test_roots_print_what_the_fusion_route_gives(capsys, qfile, name):
+    # the integer tuples are canonicalized, extended, sorted and written
+    # without fusion arithmetic; the reference closes the orbit with the
+    # fusion-valued reflect, twists and extends with RootVector.scale and
+    # serializes with json.dumps.  B2+I2(5) has six simples over two labels,
+    # G2 and I2(8) an even label, so a twist to choose, and B2+G2 two even
+    # labels, so three twists.  Renamed, the ids of each component sort one
+    # way as vertices (by value) and the other way in the serialized form
+    # (as text).
+    from coxrep import Arrow, CoxeterQuiver
+    from coxrep.cli import _dumps
+    from test_rootsys import B2_I25, reference_extended_positive_roots, reference_positive_roots
+
+    def key(r):
+        return json.dumps(r.to_json(), sort_keys=True, separators=(",", ":"))
+
+    B2_G2 = CoxeterQuiver(["1", "2", "3", "4"], [Arrow("a", "1", "2", 4), Arrow("b", "4", "3", 6)])
+    renamed = CoxeterQuiver(["-2", "-1", "9", "10"], [Arrow("a", "9", "10", 4), Arrow("b", "-1", "-2", 5)])
+    Q = {"B2+I2(5)": B2_I25, "B2+I2(5) renamed": renamed, "B2+G2": B2_G2}.get(name) or family_quiver(name)
+    base = sorted(reference_positive_roots(Q).roots, key=key)
+    ext = sorted(reference_extended_positive_roots(Q), key=key)
+    assert all(r.serialize() == key(r) for r in ext)
+    p = qfile(json.dumps(Q.to_json()))
+    code, out, _ = run(capsys, "roots", p, "--extended")
+    assert code == 0
+    assert out.splitlines() == (
+        [f"positive roots ({len(base)}):"]
+        + [f"  {key(r)}" for r in base]
+        + [f"extended positive roots ({len(ext)}):"]
+        + [f"  {key(r)}" for r in ext]
+    )
+    code, out, _ = run(capsys, "roots", p, "--extended", "--json")
+    assert code == 0
+    doc = {
+        "count": len(base),
+        "positive_roots": [r.to_json() for r in base],
+        "extended_count": len(ext),
+        "extended_positive_roots": [r.to_json() for r in ext],
+    }
+    assert out == _dumps(doc) + "\n"
 
 
 JSON_TEXT_POOL = 'aZ0 "\\/\n\t\x00\x1f\x7f\u00e9\u4e2d\u2028\u2029\U0001f600'

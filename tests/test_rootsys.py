@@ -430,3 +430,19 @@ def test_fold_dim_matches_fusion_sum():
         assert fold_dim(uq, dims) == expect
     with pytest.raises(ValueError):
         fold_dim(uq, {uq.vertices[0]: -1})
+
+
+def test_extend_by_simples_matches_scaling():
+    # any root set, signs mixed: every simple class times every vector
+    from coxrep.rootsys import extend_by_simples
+
+    Q = B2_I25
+    simples = irr_enumerate(Q.label_set)
+    rng = random.Random(11)
+    vectors = set()
+    for _ in range(6):
+        entries = {v: FusionElem(Q.label_set, {s: rng.randint(-2, 2) for s in simples}) for v in Q.vertices}
+        vectors.add(RootVector(Q.label_set, entries))
+    got = extend_by_simples(Q, RootSet(frozenset(vectors), False))
+    assert not got.closed
+    assert got.roots == frozenset(r.scale(FusionElem.simple(Q.label_set, s)) for s in simples for r in vectors)

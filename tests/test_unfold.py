@@ -183,6 +183,27 @@ def test_parallel_labelled_arrows_unfold_infinite():
             assert any(not t.is_dynkin for _, t in comps), (m, n)
 
 
+@pytest.mark.parametrize(
+    "Q",
+    [
+        family_quiver("H4"),
+        family_quiver("F4"),
+        family_quiver("I2(8)"),
+        # eleven vertices: unfold lists "@2" before "@10", vertex_key after
+        path_quiver([10, 11, 12, 3, 3, 3, 3, 3, 3, 3], [True, False] * 5),
+        path_quiver([5, 6, 7]),
+        CoxeterQuiver(["1", "2"], [Arrow("a", "1", "2", 4), Arrow("b", "1", "2", 5)]),
+        parse_quiver("vertex 1\nvertex 2\nvertex 3\narrow 1 2 4\narrow 3 2 4\n"),
+    ],
+    ids=["H4", "F4", "I2(8)", "path-10-11-12", "path-5-6-7", "parallel-4-5", "star-4-4"],
+)
+def test_classify_unfolded_matches_the_coxeter_route(Q):
+    from coxrep.unfold import _classify_unfolded
+
+    uq = unfold(Q)
+    assert _classify_unfolded(uq) == classify_graph(uq.to_coxeter())
+
+
 def test_fold_dim_golden():
     Q = parse_quiver("vertex 1\nvertex 2\narrow 1 2 5\n")
     uq = unfold(Q)
