@@ -7,12 +7,19 @@ lying over it, and matches the simple reflection on dimension vectors.
 Reflection at a source is its transpose dual, F-_i = D F+_i D with D the
 transpose of every matrix (Bernstein-Gelfand-Ponomarev): the cokernel of the
 map out of V_u is the transposed kernel of the transposed map.  Both are one
-step (`_reflection_step`) that solves one integer system per vertex over i.
+step (`_reflection_step`) that works on the support: at each vertex over i it
+stacks only the blocks of the arrows whose other end is non-zero, solves one
+integer system if the vertex itself is non-zero, takes the identity if it is
+zero, and skips it if it and all its neighbours are zero.
 Indecomposables of finite-type quivers are knitted forward from the simples:
 the source step carries each one-dimensional representation around the cycle
 of orientations of an admissible ordering until it vanishes, and every
 representation met on the original orientation is indecomposable, one per
-extended positive root.
+extended positive root.  A chain is carried as a private state (`_Chain`)
+that holds only its non-zero dimensions and the maps between them; it is
+materialized as an `UnfoldedRep`, through the unchecked constructor
+`UnfoldedRep._trusted`, only for the members yielded over the original
+orientation.
 
 Hom and End spaces are the kernels of one integer linear system per pair of
 representations (`_hom_rows`).  Krull-Schmidt splitting uses Fitting's lemma
@@ -35,7 +42,7 @@ from itertools import chain, islice
 from math import lcm
 from operator import mul
 
-from ._values import Value
+from ._values import Frozen, Value
 from .fusion import SimpleObject
 from .linalg import Mat, charpoly, int_kernel, integer_roots, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
@@ -79,32 +86,47 @@ class UnfoldedRep(Value):
     __hash__ = None  # the state holds dicts
 
     def __init__(self, quiver: UnfoldedQuiver, dims=None, maps=None):
-        dims = dict(dims or {})
-        maps = dict(maps or {})
-        full_dims = {}
+        dims = dims or {}
+        maps = maps or {}
+        rest = dict(dims)
         for name in quiver.vertices:
-            d = dims.pop(name, 0)
+            d = rest.pop(name, 0)
             if type(d) is not int:
                 raise TypeError(f"dimensions must be integers, got {d!r}")
             if d < 0:
                 raise ValueError("dimensions must be non-negative")
-            full_dims[name] = d
-        if dims:
-            raise UnknownVertex(f"unknown unfolded vertices {sorted(dims)}")
-        full_maps = {}
+        if rest:
+            raise UnknownVertex(f"unknown unfolded vertices {sorted(rest)}")
+        rest = dict(maps)
         for a in quiver.arrows:
-            rows = full_dims[a.target]
-            cols = full_dims[a.source]
-            m = maps.pop(a.id, None)
-            if m is None:
-                m = Mat.zeros(rows, cols)
-            if (m.rows, m.cols) != (rows, cols):
+            rows = dims.get(a.target, 0)
+            cols = dims.get(a.source, 0)
+            m = rest.pop(a.id, None)
+            if m is not None and (m.rows, m.cols) != (rows, cols):
                 raise ValueError(
                     f"arrow {a.id}: matrix is {m.rows}x{m.cols}, expected {rows}x{cols}"
                 )
+        if rest:
+            raise UnknownVertex(f"unknown unfolded arrows {sorted(rest)}")
+        self._fill(quiver, dims, maps)
+
+    @classmethod
+    def _trusted(cls, quiver: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, Mat]) -> "UnfoldedRep":
+        """The representation with the given dimensions and maps, unchecked."""
+        V = object.__new__(cls)
+        V._fill(quiver, dims, maps)
+        return V
+
+    def _fill(self, quiver: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, Mat]) -> None:
+        # every vertex not given has dimension 0 and every arrow not given
+        # the zero matrix of its shape
+        full_dims = {u: dims.get(u, 0) for u in quiver.vertices}
+        full_maps = {}
+        for a in quiver.arrows:
+            m = maps.get(a.id)
+            if m is None:
+                m = Mat.zeros(full_dims[a.target], full_dims[a.source])
             full_maps[a.id] = m
-        if maps:
-            raise UnknownVertex(f"unknown unfolded arrows {sorted(maps)}")
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "dims", full_dims)
         object.__setattr__(self, "maps", full_maps)
@@ -210,35 +232,75 @@ def reflect_minus(Q: CoxeterQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
     return _reflect(Q, i, V, at_sink=False)
 
 
-def _reflection_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep, at_sink: bool) -> UnfoldedRep:
-    """The reflection functor at the sink (at_sink) or source i of V's quiver;
-    uq2 is the unfolding of that quiver reversed at i.
+class _Chain(Frozen):
+    """A member of a knitting chain, kept on its support: the quiver, the
+    non-zero dimensions, and the maps of the arrows whose two ends both have
+    a non-zero dimension.  Every other vertex has dimension 0 and every other
+    arrow the zero map; `UnfoldedRep._trusted` fills them in."""
 
-    At each unfolded vertex u over i, the blocks B_a of the arrows a into u
-    (at a sink) or out of u (at a source) give one integer row per basis
-    vector r of V_u: row r of every block at a sink, column r of every block
-    at a source.  The kernel matrix K of those rows is the new space at u,
-    and the new map of the reversed arrow a is the slice of K at the rows of
-    a's other end, transposed at a source (the cokernel functor is the
-    transpose dual of the kernel functor)."""
+    __slots__ = ("quiver", "dims", "maps")
+
+    def __init__(self, quiver: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, Mat]):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "maps", maps)
+
+    def is_zero(self) -> bool:
+        return not self.dims
+
+
+def _reflection_step(
+    uq2: UnfoldedQuiver, i: str, V: UnfoldedRep | _Chain, at_sink: bool
+) -> UnfoldedRep | _Chain:
+    """The reflection functor at the sink (at_sink) or source i of V's quiver;
+    uq2 is the unfolding of that quiver reversed at i.  V is an
+    `UnfoldedRep` or a `_Chain`, and the result is of the same kind.
+
+    The step works on V's support.  At each unfolded vertex u over i, the
+    live arrows are those into u (at a sink) or out of u (at a source) whose
+    other end has a non-zero dimension; an arrow of width 0 would add no
+    column, so it is left out.  If u has no live arrow, its new dimension is
+    0: a u that is 0 with all its neighbours 0 is skipped.  Otherwise the
+    blocks B_a of the live arrows give one integer row per basis vector r of
+    V_u, row r of every block at a sink and column r of every block at a
+    source, and the kernel matrix K of those rows is the new space at u; if
+    V_u = 0 there are no rows and K is the identity.  The new map of the
+    reversed arrow a is the slice of K at the rows of a's other end,
+    transposed at a source (the cokernel functor is the transpose dual of
+    the kernel functor)."""
     uq = V.quiver
-    dims = dict(V.dims)
-    maps = dict(V.maps)
+    on_support = type(V) is _Chain
+    if on_support:
+        dims, maps = dict(V.dims), dict(V.maps)
+    else:
+        dims = {u: d for u, d in V.dims.items() if d}
+        maps = {a.id: V.maps[a.id] for a in uq.arrows if a.source in dims and a.target in dims}
     for u in uq.vertices_over(i):
         # every arrow at u points into u at a sink and out of u at a source
-        arrows = uq.in_arrows(u) if at_sink else uq.out_arrows(u)
-        den = lcm(*(V.maps[a.id].den for a in arrows))
-        blocks = [V.maps[a.id].num_over(den) for a in arrows]
         if at_sink:
-            rows = [[x for b in blocks for x in b[r]] for r in range(V.dims[u])]
+            live = [(a, dims[a.source]) for a in uq.in_arrows(u) if a.source in dims]
         else:
-            rows = [[row[r] for b in blocks for row in b] for r in range(V.dims[u])]
-        widths = [V.dims[a.source if at_sink else a.target] for a in arrows]
-        K = int_kernel(rows, sum(widths))
+            live = [(a, dims[a.target]) for a in uq.out_arrows(u) if a.target in dims]
+        d = dims.pop(u, 0)
+        if not live:
+            continue
+        width = sum(w for _, w in live)
+        if d:
+            old = [maps.pop(a.id) for a, _ in live]
+            den = lcm(*(m.den for m in old))
+            blocks = [m.num_over(den) for m in old]
+            if at_sink:
+                rows = [[x for b in blocks for x in b[r]] for r in range(d)]
+            else:
+                rows = [[row[r] for b in blocks for row in b] for r in range(d)]
+            K = int_kernel(rows, width)
+        else:
+            K = Mat.identity(width)
+        if not K.cols:
+            continue
         dims[u] = K.cols
         offset = 0
-        for a, w in zip(arrows, widths):
-            del maps[a.id]
+        for a, w in live:
             piece = K.num[offset : offset + w]
             offset += w
             if at_sink:
@@ -246,7 +308,9 @@ def _reflection_step(uq2: UnfoldedQuiver, i: str, V: UnfoldedRep, at_sink: bool)
             else:
                 m = Mat._trusted(K.cols, w, [[row[c] for row in piece] for c in range(K.cols)], K.den)
             maps[unfolded_arrow_id(a.provenance, a.target, a.source)] = m
-    return UnfoldedRep(uq2, dims, maps)
+    if on_support:
+        return _Chain(uq2, dims, maps)
+    return UnfoldedRep._trusted(uq2, dims, maps)
 
 
 def apply_reflection_word(Q: CoxeterQuiver, V: UnfoldedRep, word) -> UnfoldedRep:
@@ -345,6 +409,10 @@ def _knit(uq: UnfoldedQuiver, n_roots: int):
     comes from the chain of unfolded dimension vectors, run ahead of it by
     `_last_landing`; a chain longer than n * n_roots steps raises
     CapExceeded.
+
+    The chain is carried as a `_Chain`, on its support, through the module
+    global `_reflection_step`; only a member over Q is materialized, by
+    `UnfoldedRep._trusted`, which is once per extended positive root.
     """
     ordering = admissible_sink_ordering(uq.source)
     n = len(ordering)
@@ -357,14 +425,14 @@ def _knit(uq: UnfoldedQuiver, n_roots: int):
         for A in unfolded[k].irr:
             start = vertex_name(A, vk)
             steps = _last_landing(uq.vertices, reflections, ordering, k, start, n * n_roots)
-            W = UnfoldedRep(unfolded[k], {start: 1})
+            W = _Chain(unfolded[k], {start: 1}, {})
             p = k
             for _ in range(steps):
                 if p == 0:
-                    yield W
+                    yield UnfoldedRep._trusted(uq, W.dims, W.maps)
                 p = (p - 1) % n
                 W = _reflection_step(unfolded[p], ordering[p], W, at_sink=False)
-            yield W
+            yield UnfoldedRep._trusted(uq, W.dims, W.maps)
 
 
 def _last_landing(names, reflections, ordering, k: int, start: str, max_steps: int) -> int:

@@ -42,7 +42,7 @@ from coxrep import (
 from coxrep.linalg import Mat, cokernel_projection, kernel_basis
 from coxrep import reps as reps_mod
 from coxrep.quiver import admissible_sink_ordering
-from coxrep.reps import UnfoldedRep, _knit, _reflection_step, _try_split
+from coxrep.reps import UnfoldedRep, _Chain, _knit, _reflection_step, _try_split
 from coxrep.unfold import vertex_name
 from families import all_orientations, family_quiver
 
@@ -179,10 +179,12 @@ def reference_reflect_minus(Q, i, V):
 
 
 def assert_functors_match_reference(Q, V):
+    # by full equality: every dimension, and every map with its shape, also
+    # the zero maps that `to_json` leaves out
     for i in Q.sinks():
-        assert reflect_plus(Q, i, V).to_json() == reference_reflect_plus(Q, i, V).to_json()
+        assert reflect_plus(Q, i, V) == reference_reflect_plus(Q, i, V)
     for i in Q.sources():
-        assert reflect_minus(Q, i, V).to_json() == reference_reflect_minus(Q, i, V).to_json()
+        assert reflect_minus(Q, i, V) == reference_reflect_minus(Q, i, V)
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3", "I2(5)", "G2"])
@@ -193,6 +195,86 @@ def test_reflection_functors_match_reference(name):
         reps = enumerate_indecomposables(Q)
         for V in reps + [direct_sum(reps[0], reps[-1])]:
             assert_functors_match_reference(Q, V)
+
+
+def support_state(V):
+    """V as the knitting's chain state: its non-zero dimensions and the maps
+    between them."""
+    dims = {u: d for u, d in V.dims.items() if d}
+    maps = {a.id: V.maps[a.id] for a in V.quiver.arrows if a.source in dims and a.target in dims}
+    return _Chain(V.quiver, dims, maps)
+
+
+def materialized(W):
+    """The chain state W as an `UnfoldedRep`, checked by its validating
+    constructor."""
+    ends = {a.id: (a.source, a.target) for a in W.quiver.arrows}
+    assert all(W.dims.values())
+    assert all(s in W.dims and t in W.dims for s, t in map(ends.__getitem__, W.maps))
+    V = UnfoldedRep._trusted(W.quiver, W.dims, W.maps)
+    assert UnfoldedRep(W.quiver, W.dims, W.maps) == V
+    return V
+
+
+def assert_step_forms_agree(Q, V, at_sink, i):
+    uq2 = unfold(reverse_at(Q, i))
+    full = _reflection_step(uq2, i, V, at_sink)
+    state = _reflection_step(uq2, i, support_state(V), at_sink)
+    assert type(full) is UnfoldedRep and type(state) is _Chain
+    assert UnfoldedRep(full.quiver, full.dims, full.maps) == full
+    assert materialized(state) == full
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3", "I2(5)", "G2"])
+def test_reflection_step_forms_agree(name):
+    # the step on a full representation and on its support give the same
+    # representation, at every sink and source; then a run of source steps,
+    # as in the knitting, carries each chain state through empty vertices
+    empty = 0
+    for Q in all_orientations(family_quiver(name)):
+        reps = enumerate_indecomposables(Q)
+        for V in reps + [direct_sum(reps[0], reps[-1])]:
+            for i in Q.sinks():
+                assert_step_forms_agree(Q, V, True, i)
+            for i in Q.sources():
+                assert_step_forms_agree(Q, V, False, i)
+            cur, full, state = Q, V, support_state(V)
+            for _ in range(2 * len(Q.vertices)):
+                i = sorted(cur.sources())[0]
+                uq2 = unfold(reverse_at(cur, i))
+                empty += len(state.dims) < len(uq2.vertices)
+                full = _reflection_step(uq2, i, full, at_sink=False)
+                state = _reflection_step(uq2, i, state, at_sink=False)
+                assert materialized(state) == full
+                cur = uq2.source
+    assert empty
+
+
+@pytest.mark.parametrize("name", ["D4", "H3"])
+def test_knit_steps_on_the_support(name, monkeypatch):
+    # no kernel of an empty vertex with empty neighbours, and an
+    # `UnfoldedRep` built, unchecked, only for each member yielded
+    Q = family_quiver(name)
+    calls, inits = [], []
+    int_kernel = reps_mod.int_kernel
+    init = UnfoldedRep.__init__
+
+    def recorded(rows, ncols):
+        calls.append((len(rows), ncols))
+        return int_kernel(rows, ncols)
+
+    def counted(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    uq = unfold(Q)
+    n_roots = len(extended_positive_roots(Q))
+    monkeypatch.setattr(reps_mod, "int_kernel", recorded)
+    monkeypatch.setattr(UnfoldedRep, "__init__", counted)
+    members = list(_knit(uq, n_roots))
+    assert calls and (0, 0) not in calls
+    assert len(members) == n_roots
+    assert inits == []
 
 
 def test_reflect_plus_at_zero_sink():
