@@ -5,17 +5,20 @@ Dense matrices over arbitrary-precision rationals, held as integers: a `Mat`
 is a tuple of integer rows `num` over one positive denominator `den`, in
 lowest terms, and its sums, products, scalings and transposes are computed on
 those integers.  Zero-dimensional matrices are legal and required (empty
-kernels, zero representations).  Every solve runs on integer rows: the
-numerators are reduced to echelon form by cross-multiplication with gcd
-stripping, and the entries above each pivot are then cleared the same way.
-In that reduced form each pivot column is zero outside its pivot row, so the
-kernel vector of free column f (x_f = 1, other free coordinates 0) and the
-particular solution (free coordinates 0) are read off directly,
-x_pc = -row[f] / row[pc] and rhs / row[pc], as integer matrices over the lcm
-of the pivots.  `int_kernel` solves integer rows directly; `rank`,
-`kernel_basis`, `solve_all` and the reflection functors all enter through the
-numerators, and a Fraction is built only when `Mat.data`, an entry or a
-column is read.
+kernels, zero representations).  Every solve runs on integer rows in two
+steps.  `_echelon` brings the numerators to echelon form by
+cross-multiplication, stripping the content of a row only after a non-unit
+pivot; the rank and the nullity are read off its pivots.  `_back_substitute`
+then solves the pivot rows bottom up for any chosen non-pivot columns: the
+kernel vector of free column f has x_f = 1 and every other free coordinate
+0, and each pivot coordinate x_pc = -(sum of row[j] x_j, j > pc) / row[pc]
+is kept as an integer over a running denominator.  That vector is unique, so
+a column is the same whether it is computed alone or with the others, and a
+right-hand side b is the column of the augmented system whose vector is
+minus the particular solution (free coordinates 0).  `int_kernel` solves
+integer rows directly; `rank`, `kernel_basis`, `solve_all` and the
+reflection functors all enter through the numerators, and a Fraction is
+built only when `Mat.data`, an entry or a column is read.
 
 `charpoly` (Berkowitz, division free) and `integer_roots` (square-free part
 and Hensel lifting) work on integer matrices and polynomials only.
@@ -219,11 +222,17 @@ def _parse_entry(x) -> int | Fraction:
 
 
 def _eliminate(row: list[int], prow: list[int], pc: int, nonzero: list[int]) -> list[int]:
-    """Fraction-free row operation: (p/g) row - (m/g) prow with p = prow[pc],
-    m = row[pc] and g = gcd(p, m), which zeroes column pc; then the row is
-    divided by the gcd of its entries.  nonzero lists the columns where prow
-    is non-zero."""
+    """Fraction-free row operation that zeroes column pc of row, with
+    p = prow[pc] and m = row[pc].  A unit pivot (p = +-1) subtracts m p prow
+    and stops; otherwise the row becomes (p/g) row - (m/g) prow with
+    g = gcd(p, m) and is divided by the gcd of its entries.  nonzero lists
+    the columns where prow is non-zero."""
     p, m = prow[pc], row[pc]
+    if p == 1 or p == -1:
+        m *= p
+        for j in nonzero:
+            row[j] -= prow[j] * m
+        return row
     g = gcd(p, m)
     a, b = p // g, m // g
     if a != 1:
@@ -236,9 +245,12 @@ def _eliminate(row: list[int], prow: list[int], pc: int, nonzero: list[int]) -> 
     return row
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free row echelon; returns (rows, pivot columns)."""
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """In-place fraction-free row echelon; returns (rows, pivot columns,
+    supports).  Pivot row r is rows[r], and supports[r] lists its non-zero
+    columns from its pivot on; no later step changes a pivot row."""
     pivots: list[int] = []
+    supports: list[list[int]] = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
@@ -261,65 +273,81 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
             if rows[i][c]:
                 rows[i] = _eliminate(rows[i], prow, c, nonzero)
         pivots.append(c)
+        supports.append(nonzero)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return rows, pivots, supports
 
 
 def rank(M: Mat) -> int:
     """Exact rank."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    _, pivots = _echelon([list(r) for r in M.num], M.cols)
-    return len(pivots)
+    return len(_echelon([list(r) for r in M.num], M.cols)[1])
 
 
-def _reduce(rows: list[list[int]], pivots: list[int], ncols: int) -> None:
-    """Clear the entries above every pivot of an echelon form, fraction free.
-
-    Afterwards each pivot column is zero outside its pivot row, so every
-    kernel or particular solution can be read off row by row."""
-    for r in range(len(pivots) - 1, 0, -1):
-        pc = pivots[r]
-        prow = rows[r]
-        nonzero = [j for j in range(pc, ncols) if prow[j]]
-        for i in range(r):
-            if rows[i][pc]:
-                rows[i] = _eliminate(rows[i], prow, pc, nonzero)
-
-
-def _pivot_den(rows: list[list[int]], pivots: list[int]) -> int:
-    """A common denominator of every quotient row[j] / row[pc] of reduced
-    rows: the lcm of the pivots, each divided by the content of its row."""
-    return lcm(*(row[pc] // gcd(*row) for row, pc in zip(rows, pivots)))
-
-
-def _read_kernel(rows: list[list[int]], pivots: list[int], ncols: int) -> Mat:
-    """Kernel basis from reduced rows: column k belongs to the k-th free column
-    f, with x_f = 1 and x_pc = -row[f] / row[pc] at each pivot, all over one
-    denominator."""
+def _free(pivots: list[int], ncols: int) -> list[int]:
+    """The non-pivot columns, in increasing order."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    den = _pivot_den(rows, pivots)
-    num = [[0] * len(free) for _ in range(ncols)]
-    for k, f in enumerate(free):
-        num[f][k] = den
-        for row, pc in zip(rows, pivots):
-            if row[f]:
-                num[pc][k] = -row[f] * den // row[pc]
-    return Mat._trusted(ncols, len(free), num, den)
+    return [c for c in range(ncols) if c not in pivot_set]
+
+
+def _back_substitute(
+    rows: list[list[int]], pivots: list[int], supports: list[list[int]], ncols: int, cols
+) -> tuple[list[list[int]], int]:
+    """The solutions x of an echelon form (`_echelon`) with x_c = 1 at a
+    non-pivot column c and x = 0 at every other non-pivot column, one for
+    each c in cols; returns them as integer vectors over one denominator.
+
+    Pivot rows are taken bottom up, and x_pc = -(sum of row[j] x_j over
+    j > pc) / row[pc].  Each vector is kept as integers over a running
+    denominator, multiplied up only when a pivot does not divide its sum;
+    the vectors are brought to the lcm of their denominators at the end."""
+    order = range(len(pivots) - 1, -1, -1)
+    vecs, dens = [], []
+    for c in cols:
+        x = [0] * ncols
+        x[c] = 1
+        d = 1
+        for r in order:
+            row = rows[r]
+            s = 0
+            for j in supports[r]:
+                v = x[j]
+                if v:
+                    s += row[j] * v
+            if s:
+                p = row[pivots[r]]
+                if s % p:
+                    k = abs(p) // gcd(s, p)
+                    x = [v * k for v in x]
+                    d *= k
+                    s *= k
+                x[pivots[r]] = -(s // p)
+        vecs.append(x)
+        dens.append(d)
+    den = lcm(*dens)
+    if den != 1:
+        vecs = [x if d == den else [v * (den // d) for v in x] for x, d in zip(vecs, dens)]
+    return vecs, den
+
+
+def _columns(nrows: int, vecs: list[list[int]], den: int) -> Mat:
+    """The matrix with the given integer columns over den."""
+    return Mat._trusted(nrows, len(vecs), zip(*vecs) if vecs else [()] * nrows, den)
 
 
 def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
     """Matrix whose columns form a basis of the null space of the integer
     matrix with the given rows (which are consumed).
 
-    One column per free column f of the echelon form: x_f = 1, every other
-    free coordinate 0, the pivot coordinates read off the reduced rows."""
-    rows, pivots = _echelon(rows, ncols)
-    _reduce(rows, pivots, ncols)
-    return _read_kernel(rows, pivots, ncols)
+    One column per free column f of the echelon form, in increasing order:
+    x_f = 1, every other free coordinate 0, and the pivot coordinates
+    back-substituted (`_back_substitute`)."""
+    rows, pivots, supports = _echelon(rows, ncols)
+    vecs, den = _back_substitute(rows, pivots, supports, ncols, _free(pivots, ncols))
+    return _columns(ncols, vecs, den)
 
 
 def kernel_basis(M: Mat) -> Mat:
@@ -354,23 +382,26 @@ class Solution(Frozen):
 
 
 def solve_all(A: Mat, B: Mat) -> Solution:
-    """Full solution space of A X = B; raises NoSolution if inconsistent."""
+    """Full solution space of A X = B; raises NoSolution if inconsistent.
+
+    One echelon form of the augmented rows [A | B], then one
+    back-substitution for the columns of B (the particular solution, with
+    every free coordinate 0) and the free columns of A (the homogeneous
+    part, as in `int_kernel`)."""
     if A.rows != B.rows:
         raise ValueError("incompatible shapes")
     n, p = A.cols, B.cols
     den = lcm(A.den, B.den)
     rows = [a + b for a, b in zip(A.num_over(den), B.num_over(den))]
-    rows, pivots = _echelon(rows, n + p)
+    rows, pivots, supports = _echelon(rows, n + p)
     if any(pc >= n for pc in pivots):
         raise NoSolution("system is inconsistent")
-    _reduce(rows, pivots, n + p)
-    den = _pivot_den(rows, pivots)
-    particular = [[0] * p for _ in range(n)]
-    for row, pc in zip(rows, pivots):
-        for k in range(p):
-            if row[n + k]:
-                particular[pc][k] = row[n + k] * den // row[pc]
-    return Solution(Mat._trusted(n, p, particular, den), _read_kernel(rows, pivots, n))
+    # the right-hand side k is column n + k of the augmented system, so the
+    # vector with x_{n+k} = 1 there is minus a particular solution
+    free = _free(pivots, n)
+    vecs, den = _back_substitute(rows, pivots, supports, n + p, chain(range(n, n + p), free))
+    particular = _columns(n, [[-v for v in x[:n]] for x in vecs[:p]], den)
+    return Solution(particular, _columns(n, [x[:n] for x in vecs[p:]], den))
 
 
 def charpoly(M: list[list[int]]) -> list[int]:

@@ -22,7 +22,9 @@ materialized as an `UnfoldedRep`, through the unchecked constructor
 orientation.
 
 Hom and End spaces are the kernels of one integer linear system per pair of
-representations (`_hom_rows`).  Krull-Schmidt splitting uses Fitting's lemma
+representations (`_hom_rows`); their dimensions are read off its echelon
+form, and the splitter back-substitutes an element of End(V) only when it
+tries it (`_EndBasis`).  Krull-Schmidt splitting uses Fitting's lemma
 in integers only: an endomorphism scaled to integer matrices splits the
 representation into its generalized eigenspaces for the integer roots of the
 blockwise characteristic polynomials, plus one part for all other
@@ -44,7 +46,7 @@ from operator import mul
 
 from ._values import Frozen, Value
 from .fusion import SimpleObject
-from .linalg import Mat, charpoly, int_kernel, integer_roots, solve_all
+from .linalg import Mat, _back_substitute, _echelon, _free, charpoly, int_kernel, integer_roots, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
 from .rootsys import DEFAULT_BUDGET, CapExceeded, MismatchedQuiver, RootVector
 from .rootsys import _coordinates, _extend, _int_reflect, _int_reflections, _Layout, _positive
@@ -371,11 +373,13 @@ def _hom_rows(V: UnfoldedRep, W: UnfoldedRep) -> tuple[list[list[int]], dict[str
 
 
 def hom_dim(V: UnfoldedRep, W: UnfoldedRep) -> int:
-    """Dimension of the space of morphisms V -> W over the rationals."""
+    """Dimension of the space of morphisms V -> W over the rationals: the
+    nullity of the echelon form of the Hom system, with no kernel vector
+    computed."""
     if V.quiver != W.quiver:
         raise ValueError("representations live over different quivers")
     rows, _, n_unknowns = _hom_rows(V, W)
-    return int_kernel(rows, n_unknowns).cols
+    return n_unknowns - len(_echelon(rows, n_unknowns)[1])
 
 
 def end_dim(V: UnfoldedRep) -> int:
@@ -383,18 +387,58 @@ def end_dim(V: UnfoldedRep) -> int:
     return hom_dim(V, V)
 
 
+class _EndBasis:
+    """The basis of End(V) that `endomorphism_basis` lists, drawn lazily.
+
+    The End system (`_hom_rows`) is put in echelon form once; its length is
+    the nullity.  Element t is the kernel vector of the t-th free column,
+    back-substituted and cut into one block per vertex the first time it is
+    read, and kept.  Each kernel vector is the same whether it is computed
+    alone or with the others, so the elements equal those of
+    `endomorphism_basis` in the same order."""
+
+    __slots__ = ("V", "base", "system", "free", "drawn")
+
+    def __init__(self, V: UnfoldedRep):
+        rows, self.base, n_unknowns = _hom_rows(V, V)
+        rows, pivots, supports = _echelon(rows, n_unknowns)
+        self.V = V
+        self.system = (rows, pivots, supports, n_unknowns)
+        self.free = _free(pivots, n_unknowns)
+        self.drawn: dict[int, dict[str, Mat]] = {}
+
+    def __len__(self) -> int:
+        return len(self.free)
+
+    def __getitem__(self, t: int) -> dict[str, Mat]:
+        elem = self.drawn.get(t)
+        if elem is None:
+            elem = self.drawn[t] = self.draw([self.free[t]])[0]
+        return elem
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.free)))
+
+    def draw(self, cols) -> list[dict[str, Mat]]:
+        """The endomorphisms of the given free columns, from one
+        back-substitution; they are not kept."""
+        vecs, den = _back_substitute(*self.system, cols)
+        dims, base = self.V.dims, self.base
+        return [
+            {
+                u: Mat._trusted(d, d, [x[base[u] + r * d : base[u] + r * d + d] for r in range(d)], den)
+                for u, d in dims.items()
+            }
+            for x in vecs
+        ]
+
+
 def endomorphism_basis(V: UnfoldedRep) -> list[dict[str, Mat]]:
-    """A basis of End(V) as tuples of matrices, one per unfolded vertex."""
-    rows, base, n_unknowns = _hom_rows(V, V)
-    hom = int_kernel(rows, n_unknowns)
-    basis = []
-    for col in zip(*hom.num):
-        elem = {}
-        for u in V.quiver.vertices:
-            d, b = V.dims[u], base[u]
-            elem[u] = Mat._trusted(d, d, [col[b + r * d : b + r * d + d] for r in range(d)], hom.den)
-        basis.append(elem)
-    return basis
+    """A basis of End(V) as tuples of matrices, one per unfolded vertex: the
+    kernel vectors of the End system, one per free column of its echelon
+    form, all back-substituted at once."""
+    basis = _EndBasis(V)
+    return basis.draw(basis.free)
 
 
 def _knit(uq: UnfoldedQuiver, n_roots: int):
@@ -588,9 +632,9 @@ def _combination(basis, coeffs):
     elem = {}
     for u in basis[0]:
         acc = basis[0][u].scale(coeffs[0])
-        for c, b in zip(coeffs[1:], basis[1:]):
-            if c:
-                acc = acc + b[u].scale(c)
+        for t in range(1, len(coeffs)):
+            if coeffs[t]:
+                acc = acc + basis[t][u].scale(coeffs[t])
         elem[u] = acc
     return elem
 
@@ -616,8 +660,11 @@ def _annihilator_candidates(V, basis, rng):
 def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
     """Indecomposable summands of V by repeated Fitting splitting.
 
-    Endomorphisms f are sampled deterministically from the computed basis of
-    End(V), then from seeded random combinations of it.  Each f is scaled by
+    The End system of V is put in echelon form once, and its nullity is
+    dim End(V).  Endomorphisms f are then tried deterministically: the basis
+    elements of End(V), their products, and seeded random combinations of
+    them; basis element t is back-substituted from the echelon form only
+    when a candidate first reads it (`_EndBasis`).  Each f is scaled by
     the common denominator D of its entries to integer blocks g_u = D f_u.
     The characteristic polynomial of every block is computed by Berkowitz's
     division-free algorithm, and its integer roots mu (the eigenvalues
@@ -626,13 +673,14 @@ def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
     eigenvalue is not rational, the kernel of the cofactor of those roots; f
     is used when that gives at least two parts.  Each part is split again
     until its endomorphism algebra is one-dimensional, which certifies the
-    leaf as indecomposable.  Leaves are sorted by dimension vector.
+    leaf as indecomposable; a leaf reads that off the pivots and computes no
+    endomorphism.  Leaves are sorted by dimension vector.
     """
     if seed is None:
         seed = DEFAULT_SEED
     if V.is_zero():
         return []
-    basis = endomorphism_basis(V)
+    basis = _EndBasis(V)
     if len(basis) == 1:
         return [V]
     rng = random.Random(seed)

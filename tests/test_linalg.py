@@ -4,8 +4,20 @@ from math import gcd
 
 import pytest
 
-from coxrep import Mat, NoSolution, cokernel_projection, kernel_basis, rank, solve_all
+from coxrep import (
+    Mat,
+    NoSolution,
+    cokernel_projection,
+    direct_sum,
+    enumerate_indecomposables,
+    kernel_basis,
+    rank,
+    solve_all,
+)
 from coxrep.linalg import charpoly, int_kernel, integer_roots
+from coxrep.reps import _hom_rows
+from families import family_quiver
+from test_reps import scrambled
 
 
 def random_mat(rng, rows, cols, density=0.7):
@@ -161,10 +173,44 @@ def rank_deficient_mat(rng, rows, cols):
     return Mat(rows, cols, data)
 
 
+def long_chain_mat(rng):
+    """A sparse integer matrix of 20-40 rows whose kernel vectors run
+    through every pivot: a band with x_i tied to x_{i+1}, pivots drawn from
+    units and non-units (so the denominators grow as an lcm), a few entries
+    further right, one dependent row, and the rows shuffled."""
+    rows = rng.randint(20, 40)
+    cols = rows + rng.randint(1, 4)
+    data = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        data[i][i] = rng.choice([1, -1, 2, -3, 5])
+        data[i][i + 1] = rng.choice([-2, 1, 3, 7])
+        for _ in range(rng.randint(0, 2)):
+            data[i][rng.randrange(i + 1, cols)] = rng.randint(-4, 4)
+    data[-1] = [2 * a - b for a, b in zip(data[0], data[1])]
+    rng.shuffle(data)
+    return Mat(rows, cols, data)
+
+
+def scrambled_d4_end_rows():
+    """The End system of a scrambled sum of the four largest D4
+    indecomposables: 50 rows and 59 unknowns."""
+    reps = sorted(enumerate_indecomposables(family_quiver("D4")), key=lambda W: -W.total_dim())
+    V = reps[0]
+    for W in reps[1:4]:
+        V = direct_sum(V, W)
+    V = scrambled(V, random.Random("end:D4"))
+    rows, _, n_unknowns = _hom_rows(V, V)
+    return Mat(len(rows), n_unknowns, rows)
+
+
+def long_inputs(rng):
+    return [long_chain_mat(rng) for _ in range(6)] + [scrambled_d4_end_rows()]
+
+
 def test_kernel_basis_matches_gauss_jordan_reference():
     rng = random.Random(11)
-    for _ in range(60):
-        M = rank_deficient_mat(rng, rng.randint(0, 6), rng.randint(0, 7))
+    mats = [rank_deficient_mat(rng, rng.randint(0, 6), rng.randint(0, 7)) for _ in range(60)]
+    for M in mats + long_inputs(rng):
         K = kernel_basis(M)
         assert K.columns() == [tuple(v) for v in reference_kernel(M.data, M.cols)]
         pivots = reference_rref(M.data, M.cols)[1]
@@ -184,10 +230,13 @@ def test_int_kernel_agrees_with_kernel_basis():
 
 def test_solve_all_matches_gauss_jordan_reference():
     rng = random.Random(13)
+    systems = []
     for _ in range(60):
         A = rank_deficient_mat(rng, rng.randint(1, 6), rng.randint(1, 6))
-        p = rng.randint(1, 3)
-        B = A * random_mat(rng, A.cols, p)
+        systems.append((A, A * random_mat(rng, A.cols, rng.randint(1, 3))))
+    systems += [(A, A * random_mat(rng, A.cols, rng.randint(1, 3))) for A in long_inputs(rng)]
+    for A, B in systems:
+        p = B.cols
         sol = solve_all(A, B)
         assert A * sol.particular == B
         rows, pivots = reference_rref([a + b for a, b in zip(A.data, B.data)], A.cols + p)

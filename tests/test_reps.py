@@ -662,6 +662,56 @@ def test_decompose_scrambled_sum_of_all(name):
     assert leaves_sha256(leaves) == LEAVES_SHA256["sum", name]
 
 
+def scrambled_pair(name):
+    """A scrambled sum of the largest indecomposable of a family and another."""
+    rng = random.Random(f"lazy:{name}")
+    reps = enumerate_indecomposables(family_quiver(name))
+    V = direct_sum(max(reps, key=lambda W: W.total_dim()), rng.choice(reps))
+    return scrambled(V, rng), rng
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "I2(5)", "H3"])
+def test_lazy_end_basis_equals_endomorphism_basis(name):
+    V, rng = scrambled_pair(name)
+    expected = endomorphism_basis(V)
+    basis = reps_mod._EndBasis(V)
+    assert len(basis) == len(expected) == end_dim(V) > 1
+    # drawn one at a time in a shuffled order, each element is the same
+    # (num, den) at every vertex as in the basis computed all at once
+    order = list(range(len(basis)))
+    rng.shuffle(order)
+    drawn = {t: basis[t] for t in order}
+    for t, elem in enumerate(expected):
+        assert list(drawn[t]) == list(elem) == list(V.quiver.vertices)
+        assert [(m.num, m.den) for m in drawn[t].values()] == [(m.num, m.den) for m in elem.values()]
+        assert basis[t] is drawn[t]
+    assert list(basis) == expected
+
+
+def test_decompose_back_substitutes_only_the_elements_it_tries(monkeypatch):
+    drawn = []
+    back_substitute = reps_mod._back_substitute
+
+    def counted(rows, pivots, supports, ncols, cols):
+        cols = list(cols)
+        drawn.extend(cols)
+        return back_substitute(rows, pivots, supports, ncols, cols)
+
+    S1 = simple_rep(A2, "1", unit_simple(A2))
+    S2 = simple_rep(A2, "2", unit_simple(A2))
+    V = direct_sum(S1, S2)
+    assert _try_split(V, endomorphism_basis(V)[0]) is not None
+    leaf = decompose(scrambled_pair("D4")[0])[0]
+    monkeypatch.setattr(reps_mod, "_back_substitute", counted)
+    # a leaf reads its End dimension off the echelon form
+    assert decompose(leaf) == [leaf] and drawn == []
+    # so does hom_dim
+    assert hom_dim(V, V) == 2 and hom_dim(leaf, leaf) == 1 and drawn == []
+    # V splits at the first candidate, basis element 0, into two leaves
+    assert [support(W) for W in decompose(V)] == [support(S1), support(S2)]
+    assert len(drawn) == 1
+
+
 def test_decompose_zero_rep():
     assert decompose(zero_rep(A2)) == []
 
