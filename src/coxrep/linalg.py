@@ -15,10 +15,11 @@ kernel vector of free column f has x_f = 1 and every other free coordinate
 is kept as an integer over a running denominator.  That vector is unique, so
 a column is the same whether it is computed alone or with the others, and a
 right-hand side b is the column of the augmented system whose vector is
-minus the particular solution (free coordinates 0).  `int_kernel` solves
-integer rows directly; `rank`, `kernel_basis`, `solve_all` and the
-reflection functors all enter through the numerators, and a Fraction is
-built only when `Mat.data`, an entry or a column is read.
+minus the particular solution (free coordinates 0).  `_kernel_vectors`
+solves integer rows directly, for the reflection functors, and `int_kernel`
+puts its vectors in a `Mat`; `rank`, `kernel_basis` and `solve_all` enter
+through the numerators, and a Fraction is built only when `Mat.data`, an
+entry or a column is read.
 
 `charpoly` (Berkowitz, division free) and `integer_roots` (square-free part
 and Hensel lifting) work on integer matrices and polynomials only.
@@ -338,16 +339,22 @@ def _columns(nrows: int, vecs: list[list[int]], den: int) -> Mat:
     return Mat._trusted(nrows, len(vecs), zip(*vecs) if vecs else [()] * nrows, den)
 
 
-def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
-    """Matrix whose columns form a basis of the null space of the integer
-    matrix with the given rows (which are consumed).
+def _kernel_vectors(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
+    """A basis of the null space of the integer matrix with the given rows
+    (which are consumed), as integer vectors over one denominator.
 
-    One column per free column f of the echelon form, in increasing order:
+    One vector per free column f of the echelon form, in increasing order:
     x_f = 1, every other free coordinate 0, and the pivot coordinates
     back-substituted (`_back_substitute`)."""
     rows, pivots, supports = _echelon(rows, ncols)
-    vecs, den = _back_substitute(rows, pivots, supports, ncols, _free(pivots, ncols))
-    return _columns(ncols, vecs, den)
+    return _back_substitute(rows, pivots, supports, ncols, _free(pivots, ncols))
+
+
+def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
+    """Matrix whose columns form a basis of the null space of the integer
+    matrix with the given rows (which are consumed): the vectors of
+    `_kernel_vectors` as columns."""
+    return _columns(ncols, *_kernel_vectors(rows, ncols))
 
 
 def kernel_basis(M: Mat) -> Mat:

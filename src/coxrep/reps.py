@@ -7,19 +7,22 @@ lying over it, and matches the simple reflection on dimension vectors.
 Reflection at a source is its transpose dual, F-_i = D F+_i D with D the
 transpose of every matrix (Bernstein-Gelfand-Ponomarev): the cokernel of the
 map out of V_u is the transposed kernel of the transposed map.  Both are one
-step (`_reflection_step`) that works on the support: at each vertex over i it
+step (`_reflection_step`) on a representation held on its support: its
+non-zero dimensions, and the maps between them as integer rows over a
+denominator.  A plan (`_plan`) lists, once per orientation, vertex and sign,
+the vertices over i with their arrows.  At each vertex over i the step
 stacks only the blocks of the arrows whose other end is non-zero, solves one
 integer system if the vertex itself is non-zero, takes the identity if it is
-zero, and skips it if it and all its neighbours are zero.
+zero, and skips it if it and all its neighbours are zero; it slices the
+kernel vectors straight into the new maps, with no `Mat` in between.
 Indecomposables of finite-type quivers are knitted forward from the simples:
 the source step carries each one-dimensional representation around the cycle
 of orientations of an admissible ordering until it vanishes, and every
 representation met on the original orientation is indecomposable, one per
-extended positive root.  A chain is carried as a private state (`_Chain`)
-that holds only its non-zero dimensions and the maps between them; it is
-materialized as an `UnfoldedRep`, through the unchecked constructor
-`UnfoldedRep._trusted`, only for the members yielded over the original
-orientation.
+extended positive root.  A `Mat` per map and an `UnfoldedRep` are built
+(`_materialize`, through the unchecked constructors `Mat._trusted` and
+`UnfoldedRep._trusted`) only for the members yielded over the original
+orientation, and for the result of a public reflection functor.
 
 Hom and End spaces are the kernels of one integer linear system per pair of
 representations (`_hom_rows`); their dimensions are read off its echelon
@@ -44,9 +47,10 @@ from itertools import chain, islice
 from math import lcm
 from operator import mul
 
-from ._values import Frozen, Value
+from ._values import Value
 from .fusion import SimpleObject
-from .linalg import Mat, _back_substitute, _echelon, _free, charpoly, int_kernel, integer_roots, solve_all
+from .linalg import Mat, _back_substitute, _echelon, _free, _kernel_vectors, charpoly, int_kernel, integer_roots
+from .linalg import solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
 from .rootsys import DEFAULT_BUDGET, CapExceeded, MismatchedQuiver, RootVector
 from .rootsys import _coordinates, _extend, _int_reflect, _int_reflections, _Layout, _positive
@@ -221,7 +225,14 @@ def _reflect(Q: CoxeterQuiver, i: str, V: UnfoldedRep, at_sink: bool) -> Unfolde
         raise NotASink(f"vertex {i!r} is not a sink")
     if not at_sink and not Q.is_source(i):
         raise NotASource(f"vertex {i!r} is not a source")
-    return _reflection_step(unfold(reverse_at(Q, i)), i, V, at_sink)
+    dims = {u: d for u, d in V.dims.items() if d}
+    maps = {}
+    for a in V.quiver.arrows:
+        if a.source in dims and a.target in dims:
+            m = V.maps[a.id]
+            maps[a.id] = (m.num, m.den)
+    _reflection_step(_plan(V.quiver, i, at_sink), at_sink, dims, maps)
+    return _materialize(unfold(reverse_at(Q, i)), dims, maps)
 
 
 def reflect_plus(Q: CoxeterQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
@@ -234,85 +245,85 @@ def reflect_minus(Q: CoxeterQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
     return _reflect(Q, i, V, at_sink=False)
 
 
-class _Chain(Frozen):
-    """A member of a knitting chain, kept on its support: the quiver, the
-    non-zero dimensions, and the maps of the arrows whose two ends both have
-    a non-zero dimension.  Every other vertex has dimension 0 and every other
-    arrow the zero map; `UnfoldedRep._trusted` fills them in."""
+def _plan(uq: UnfoldedQuiver, i: str, at_sink: bool) -> tuple:
+    """The reflection at the sink (at_sink) or source i of uq.source, laid
+    out for `_reflection_step`: for each unfolded vertex u over i, in the
+    order of `vertices_over`, the arrows into u (at a sink) or out of u (at
+    a source), each as (its other end, its id, the id of its reversal)."""
+    return tuple(
+        (
+            u,
+            tuple(
+                (a.source if at_sink else a.target, a.id, unfolded_arrow_id(a.provenance, a.target, a.source))
+                for a in (uq.in_arrows(u) if at_sink else uq.out_arrows(u))
+            ),
+        )
+        for u in uq.vertices_over(i)
+    )
 
-    __slots__ = ("quiver", "dims", "maps")
 
-    def __init__(self, quiver: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, Mat]):
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "maps", maps)
+def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dict[str, tuple]) -> None:
+    """Apply, in place, the reflection functor that `plan` lays out
+    (`_plan`): the kernel functor at a sink (at_sink), the cokernel functor
+    at a source.
 
-    def is_zero(self) -> bool:
-        return not self.dims
-
-
-def _reflection_step(
-    uq2: UnfoldedQuiver, i: str, V: UnfoldedRep | _Chain, at_sink: bool
-) -> UnfoldedRep | _Chain:
-    """The reflection functor at the sink (at_sink) or source i of V's quiver;
-    uq2 is the unfolding of that quiver reversed at i.  V is an
-    `UnfoldedRep` or a `_Chain`, and the result is of the same kind.
-
-    The step works on V's support.  At each unfolded vertex u over i, the
-    live arrows are those into u (at a sink) or out of u (at a source) whose
-    other end has a non-zero dimension; an arrow of width 0 would add no
-    column, so it is left out.  If u has no live arrow, its new dimension is
-    0: a u that is 0 with all its neighbours 0 is skipped.  Otherwise the
-    blocks B_a of the live arrows give one integer row per basis vector r of
-    V_u, row r of every block at a sink and column r of every block at a
-    source, and the kernel matrix K of those rows is the new space at u; if
-    V_u = 0 there are no rows and K is the identity.  The new map of the
-    reversed arrow a is the slice of K at the rows of a's other end,
-    transposed at a source (the cokernel functor is the transpose dual of
-    the kernel functor)."""
-    uq = V.quiver
-    on_support = type(V) is _Chain
-    if on_support:
-        dims, maps = dict(V.dims), dict(V.maps)
-    else:
-        dims = {u: d for u, d in V.dims.items() if d}
-        maps = {a.id: V.maps[a.id] for a in uq.arrows if a.source in dims and a.target in dims}
-    for u in uq.vertices_over(i):
-        # every arrow at u points into u at a sink and out of u at a source
-        if at_sink:
-            live = [(a, dims[a.source]) for a in uq.in_arrows(u) if a.source in dims]
-        else:
-            live = [(a, dims[a.target]) for a in uq.out_arrows(u) if a.target in dims]
+    (dims, maps) is a representation on its support: the non-zero
+    dimensions, and (integer rows, den) for each arrow whose two ends are
+    both non-zero; every other vertex and arrow is zero, and the step keeps
+    it so.  At each u of the plan the live arrows are those whose other end
+    is non-zero (an arrow of width 0 would add no column).  With no live
+    arrow u becomes 0, so a u that is 0 with all its neighbours 0 is
+    skipped.  Otherwise the live blocks, over a common denominator, give one
+    integer row per basis vector r of V_u (row r of every block at a sink,
+    column r at a source), and their kernel vectors (`_kernel_vectors`; the
+    unit vectors if V_u = 0) span the new space at u.  The new map of a
+    reversed arrow holds the slices of the kernel vectors at its other
+    end's coordinates: one row per vector at a source, transposed at a sink
+    (the cokernel functor is the transpose dual of the kernel functor).
+    Rows are not brought to lowest terms; `Mat._trusted` does that when a
+    member is materialized."""
+    for u, arrows in plan:
+        live = []
+        width = 0
+        for other, a, new in arrows:
+            w = dims.get(other)
+            if w:
+                live.append((new, a, w))
+                width += w
         d = dims.pop(u, 0)
         if not live:
             continue
-        width = sum(w for _, w in live)
         if d:
-            old = [maps.pop(a.id) for a, _ in live]
-            den = lcm(*(m.den for m in old))
-            blocks = [m.num_over(den) for m in old]
+            old = [maps.pop(a) for _, a, _ in live]
+            den = lcm(*(k for _, k in old))
+            blocks = [b if k == den else [[x * (den // k) for x in r] for r in b] for b, k in old]
             if at_sink:
                 rows = [[x for b in blocks for x in b[r]] for r in range(d)]
             else:
                 rows = [[row[r] for b in blocks for row in b] for r in range(d)]
-            K = int_kernel(rows, width)
+            vecs, den = _kernel_vectors(rows, width)
         else:
-            K = Mat.identity(width)
-        if not K.cols:
+            vecs, den = [[int(r == c) for r in range(width)] for c in range(width)], 1
+        if not vecs:
             continue
-        dims[u] = K.cols
+        dims[u] = len(vecs)
+        if at_sink:
+            K = list(zip(*vecs))  # the kernel vectors as columns
         offset = 0
-        for a, w in live:
-            piece = K.num[offset : offset + w]
-            offset += w
+        for new, _, w in live:
             if at_sink:
-                m = Mat._trusted(w, K.cols, piece, K.den)
+                maps[new] = (K[offset : offset + w], den)
             else:
-                m = Mat._trusted(K.cols, w, [[row[c] for row in piece] for c in range(K.cols)], K.den)
-            maps[unfolded_arrow_id(a.provenance, a.target, a.source)] = m
-    if on_support:
-        return _Chain(uq2, dims, maps)
-    return UnfoldedRep._trusted(uq2, dims, maps)
+                maps[new] = ([x[offset : offset + w] for x in vecs], den)
+            offset += w
+
+
+def _materialize(uq: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, tuple]) -> UnfoldedRep:
+    """The representation over uq held on its support as (dims, maps) (see
+    `_reflection_step`), built unchecked: one `Mat` per map, in lowest
+    terms, and the zero maps filled in by `UnfoldedRep._trusted`."""
+    mats = {a: Mat._trusted(len(rows), len(rows[0]), rows, den) for a, (rows, den) in maps.items()}
+    return UnfoldedRep._trusted(uq, dims, mats)
 
 
 def apply_reflection_word(Q: CoxeterQuiver, V: UnfoldedRep, word) -> UnfoldedRep:
@@ -454,29 +465,33 @@ def _knit(uq: UnfoldedQuiver, n_roots: int):
     `_last_landing`; a chain longer than n * n_roots steps raises
     CapExceeded.
 
-    The chain is carried as a `_Chain`, on its support, through the module
-    global `_reflection_step`; only a member over Q is materialized, by
-    `UnfoldedRep._trusted`, which is once per extended positive root.
+    The n plans of the cokernel steps are built once per call.  A chain is
+    carried on its support, as integer rows, through the module global
+    `_reflection_step`; only a member over Q is materialized
+    (`_materialize`), which is once per extended positive root.
     """
     ordering = admissible_sink_ordering(uq.source)
     n = len(ordering)
     unfolded = [uq]
     for j in ordering[:-1]:
         unfolded.append(unfold(reverse_at(unfolded[-1].source, j)))
-    # the unfolded vertices have the same names in every orientation
+    # the step to Q_p is the cokernel functor at v_p, a source of Q_{p+1},
+    # with Q_n = Q_0; the unfolded vertices have the same names in every
+    # orientation
+    plans = [_plan(unfolded[(p + 1) % n], vp, at_sink=False) for p, vp in enumerate(ordering)]
     reflections = _int_reflections(uq)
     for k, vk in enumerate(ordering):
-        for A in unfolded[k].irr:
+        for A in uq.irr:
             start = vertex_name(A, vk)
             steps = _last_landing(uq.vertices, reflections, ordering, k, start, n * n_roots)
-            W = _Chain(unfolded[k], {start: 1}, {})
+            dims, maps = {start: 1}, {}
             p = k
             for _ in range(steps):
                 if p == 0:
-                    yield UnfoldedRep._trusted(uq, W.dims, W.maps)
+                    yield _materialize(uq, dims, maps)
                 p = (p - 1) % n
-                W = _reflection_step(unfolded[p], ordering[p], W, at_sink=False)
-            yield UnfoldedRep._trusted(uq, W.dims, W.maps)
+                _reflection_step(plans[p], False, dims, maps)
+            yield _materialize(uq, dims, maps)
 
 
 def _last_landing(names, reflections, ordering, k: int, start: str, max_steps: int) -> int:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -535,6 +538,25 @@ def test_json_writer_matches_stdlib_indent_encoder():
     for bad in (1.5, {"a": [0.0]}, {1: 2}, {"a": {b"b": 1}}, [object()]):
         with pytest.raises(TypeError):
             _dumps(bad)
+
+
+@pytest.mark.parametrize("argv", [["indecs", "--full", "--json"], ["roots", "--extended", "--json"]])
+def test_output_does_not_depend_on_the_hash_seed(capsys, qfile, argv):
+    # H4 has several unfolded vertices over each vertex; a result that
+    # followed set or dict iteration order would differ between hash seeds
+    p = qfile(H4_TEXT)
+    code, out, _ = run(capsys, argv[0], p, *argv[1:])
+    assert code == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "coxrep.cli", argv[0], p, *argv[1:]],
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == out.encode()
 
 
 def test_runs_are_byte_identical(capsys, qfile):

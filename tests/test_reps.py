@@ -42,7 +42,7 @@ from coxrep import (
 from coxrep.linalg import Mat, cokernel_projection, kernel_basis
 from coxrep import reps as reps_mod
 from coxrep.quiver import admissible_sink_ordering
-from coxrep.reps import UnfoldedRep, _Chain, _knit, _reflection_step, _try_split
+from coxrep.reps import UnfoldedRep, _knit, _materialize, _plan, _reflection_step, _try_split
 from coxrep.unfold import vertex_name
 from families import all_orientations, family_quiver
 
@@ -197,84 +197,103 @@ def test_reflection_functors_match_reference(name):
             assert_functors_match_reference(Q, V)
 
 
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3"])
+def test_reflection_functors_match_reference_over_mixed_denominators(name):
+    # every map scaled by its own rational: the blocks at a vertex have
+    # different denominators, which the step brings to their lcm
+    rng = random.Random(f"dens:{name}")
+    mixed = 0
+    for Q in all_orientations(family_quiver(name)):
+        reps = enumerate_indecomposables(Q)
+        for V in (max(reps, key=UnfoldedRep.total_dim), direct_sum(reps[0], reps[-1])):
+            maps = {a: m.scale(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 3, 5]))) for a, m in V.maps.items()}
+            W = UnfoldedRep(V.quiver, V.dims, maps)
+            mixed += len({m.den for m in W.maps.values() if not m.is_zero()}) > 1
+            assert_functors_match_reference(Q, W)
+    assert mixed
+
+
 def support_state(V):
-    """V as the knitting's chain state: its non-zero dimensions and the maps
-    between them."""
+    """V as the state of `_reflection_step`: its non-zero dimensions, and the
+    maps between them as (integer rows, denominator)."""
     dims = {u: d for u, d in V.dims.items() if d}
-    maps = {a.id: V.maps[a.id] for a in V.quiver.arrows if a.source in dims and a.target in dims}
-    return _Chain(V.quiver, dims, maps)
+    maps = {}
+    for a in V.quiver.arrows:
+        if a.source in dims and a.target in dims:
+            maps[a.id] = (V.maps[a.id].num, V.maps[a.id].den)
+    return dims, maps
 
 
-def materialized(W):
-    """The chain state W as an `UnfoldedRep`, checked by its validating
-    constructor."""
-    ends = {a.id: (a.source, a.target) for a in W.quiver.arrows}
-    assert all(W.dims.values())
-    assert all(s in W.dims and t in W.dims for s, t in map(ends.__getitem__, W.maps))
-    V = UnfoldedRep._trusted(W.quiver, W.dims, W.maps)
-    assert UnfoldedRep(W.quiver, W.dims, W.maps) == V
+def materialized(uq, dims, maps):
+    """The state (dims, maps) over uq as an `UnfoldedRep`, checked against
+    the validating constructor on `Fraction` entries."""
+    ends = {a.id: (a.source, a.target) for a in uq.arrows}
+    assert all(dims.values())
+    exact = {}
+    for a, (rows, den) in maps.items():
+        s, t = ends[a]
+        assert s in dims and t in dims
+        exact[a] = Mat(dims[t], dims[s], [[Fraction(x, den) for x in r] for r in rows])
+    V = _materialize(uq, dims, maps)
+    assert UnfoldedRep(uq, dims, exact) == V
     return V
-
-
-def assert_step_forms_agree(Q, V, at_sink, i):
-    uq2 = unfold(reverse_at(Q, i))
-    full = _reflection_step(uq2, i, V, at_sink)
-    state = _reflection_step(uq2, i, support_state(V), at_sink)
-    assert type(full) is UnfoldedRep and type(state) is _Chain
-    assert UnfoldedRep(full.quiver, full.dims, full.maps) == full
-    assert materialized(state) == full
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3", "I2(5)", "G2"])
 def test_reflection_step_forms_agree(name):
-    # the step on a full representation and on its support give the same
-    # representation, at every sink and source; then a run of source steps,
-    # as in the knitting, carries each chain state through empty vertices
+    # a run of source steps, as in the knitting, carries the support state of
+    # each representation through empty vertices; after every step it is a
+    # valid support state and equals the reference cokernel functor
     empty = 0
     for Q in all_orientations(family_quiver(name)):
         reps = enumerate_indecomposables(Q)
         for V in reps + [direct_sum(reps[0], reps[-1])]:
-            for i in Q.sinks():
-                assert_step_forms_agree(Q, V, True, i)
-            for i in Q.sources():
-                assert_step_forms_agree(Q, V, False, i)
-            cur, full, state = Q, V, support_state(V)
+            cur, full = Q, V
+            dims, maps = support_state(V)
             for _ in range(2 * len(Q.vertices)):
                 i = sorted(cur.sources())[0]
                 uq2 = unfold(reverse_at(cur, i))
-                empty += len(state.dims) < len(uq2.vertices)
-                full = _reflection_step(uq2, i, full, at_sink=False)
-                state = _reflection_step(uq2, i, state, at_sink=False)
-                assert materialized(state) == full
+                empty += len(dims) < len(uq2.vertices)
+                _reflection_step(_plan(full.quiver, i, at_sink=False), False, dims, maps)
+                full = reference_reflect_minus(cur, i, full)
+                assert materialized(uq2, dims, maps) == full
                 cur = uq2.source
     assert empty
 
 
 @pytest.mark.parametrize("name", ["D4", "H3"])
 def test_knit_steps_on_the_support(name, monkeypatch):
-    # no kernel of an empty vertex with empty neighbours, and an
+    # no kernel of an empty vertex with empty neighbours; one `Mat` per map
+    # of each member yielded, so none between the members; and an
     # `UnfoldedRep` built, unchecked, only for each member yielded
     Q = family_quiver(name)
-    calls, inits = [], []
-    int_kernel = reps_mod.int_kernel
+    calls, inits, mats = [], [], []
+    kernel_vectors = reps_mod._kernel_vectors
     init = UnfoldedRep.__init__
+    mat_init = Mat._init
 
     def recorded(rows, ncols):
         calls.append((len(rows), ncols))
-        return int_kernel(rows, ncols)
+        return kernel_vectors(rows, ncols)
 
     def counted(self, *args, **kwargs):
         inits.append(args)
         init(self, *args, **kwargs)
 
+    def built(self, *args):
+        mats.append(args)
+        mat_init(self, *args)
+
     uq = unfold(Q)
     n_roots = len(extended_positive_roots(Q))
-    monkeypatch.setattr(reps_mod, "int_kernel", recorded)
+    monkeypatch.setattr(reps_mod, "_kernel_vectors", recorded)
     monkeypatch.setattr(UnfoldedRep, "__init__", counted)
+    monkeypatch.setattr(Mat, "_init", built)
     members = list(_knit(uq, n_roots))
     assert calls and (0, 0) not in calls
     assert len(members) == n_roots
     assert inits == []
+    assert len(mats) == sum(len(W.maps) for W in members)
 
 
 def test_reflect_plus_at_zero_sink():
@@ -402,25 +421,30 @@ def test_enumerate_a2():
         list(_knit(unfold(A2), 1))
 
 
-def reference_knit(Q, n_roots):
+def reference_knit(Q, n_roots, steps=None):
     """The knitting as it was before the dimension vectors ran ahead of the
-    chain: every chain runs on until its representation vanishes."""
+    chain, on full representations through `reference_reflect_minus`: every
+    chain runs on until its representation vanishes.  Each step appends to
+    `steps` whether it vanished."""
     ordering = admissible_sink_ordering(Q)
     n = len(ordering)
     quivers = [Q]
     for j in ordering[:-1]:
         quivers.append(reverse_at(quivers[-1], j))
-    unfolded = [unfold(q) for q in quivers]
     max_steps = n * n_roots
     for k, vk in enumerate(ordering):
-        for A in unfolded[k].irr:
-            W = UnfoldedRep(unfolded[k], {vertex_name(A, vk): 1})
+        uq = unfold(quivers[k])
+        for A in uq.irr:
+            W = UnfoldedRep(uq, {vertex_name(A, vk): 1})
             p = k
             for _ in range(max_steps):
                 if p == 0:
                     yield W
                 p = (p - 1) % n
-                W = reps_mod._reflection_step(unfolded[p], ordering[p], W, at_sink=False)
+                # v_p is a source of Q_{p+1}, and Q_n = Q_0
+                W = reference_reflect_minus(quivers[(p + 1) % n], ordering[p], W)
+                if steps is not None:
+                    steps.append(W.is_zero())
                 if W.is_zero():
                     break
             else:
@@ -431,20 +455,19 @@ def reference_knit(Q, n_roots):
 def test_knit_matches_reference_and_stops_at_last_landing(name, monkeypatch):
     steps = []
 
-    def counted(uq2, i, V, at_sink):
-        W = _reflection_step(uq2, i, V, at_sink)
-        steps.append(W.is_zero())
-        return W
+    def counted(plan, at_sink, dims, maps):
+        _reflection_step(plan, at_sink, dims, maps)
+        steps.append(not dims)
 
     monkeypatch.setattr(reps_mod, "_reflection_step", counted)
     for Q in all_orientations(family_quiver(name)):
         n_roots = len(extended_positive_roots(Q))
-        expect = list(reference_knit(Q, n_roots))
-        reference_steps = steps[:]
-        del steps[:]
+        reference_steps = []
+        expect = list(reference_knit(Q, n_roots, reference_steps))
         assert list(_knit(unfold(Q), n_roots)) == expect
         # every chain of the reference ends in a step that vanishes; the
         # knitting stops before it and takes no step that vanishes
+        assert reference_steps.count(True) == len(Q.vertices) * len(unfold(Q).irr)
         assert steps and not any(steps)
         assert len(steps) < len(reference_steps)
         del steps[:]

@@ -26,7 +26,6 @@ from coxrep import (
     hom_dim,
     parse_quiver,
     positive_roots,
-    reverse_at,
     solve_all,
     unfold,
     zero_rep,
@@ -34,7 +33,6 @@ from coxrep import (
 from coxrep._values import Frozen, Value
 from coxrep.linalg import Solution
 from coxrep.quiver import QuiverError
-from coxrep.reps import _Chain, _reflection_step
 
 H2 = parse_quiver("vertex 1\nvertex 2\narrow 1 2 5\n")
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 1 2\n")
@@ -62,10 +60,6 @@ def _samples() -> list:
     half.data  # fills the cached Fractions
     elem = FusionElem((4, 5), {"4:1|5:2": 2, "4:0|5:0": -1})
     elem.key()  # fills the cached key
-    # a knitting chain member with a map: the simple at 2 pushed through the
-    # cokernel step at the source 1
-    simple = _Chain(uq, {uq.vertices_over("2")[0]: 1}, {})
-    chain = _reflection_step(unfold(reverse_at(H2, "1")), "1", simple, at_sink=False)
     return [
         SimpleObject.from_key("4:1|5:2"),
         elem,
@@ -77,7 +71,6 @@ def _samples() -> list:
         H2,
         uq,
         big,
-        chain,
     ]
 
 
@@ -87,7 +80,7 @@ def test_every_value_type_is_sampled():
         for cls in todo.pop().__subclasses__():
             kinds.add(cls)
             todo.append(cls)
-    assert {type(x) for x in _samples()} == kinds - {Value} and len(kinds) == 10
+    assert {type(x) for x in _samples()} == kinds - {Value} and len(kinds) == 9
 
 
 def test_values_pickle_copy_and_deepcopy():
@@ -99,7 +92,7 @@ def test_values_pickle_copy_and_deepcopy():
             y = copier(x)
             assert type(y) is type(x)
             assert _slots(y) == _slots(x), type(x).__name__
-            if isinstance(x, (Solution, _Chain)):  # compares by identity
+            if isinstance(x, Solution):  # compares by identity
                 continue
             assert y == x and not y != x
             if type(x).__hash__ is not None:
