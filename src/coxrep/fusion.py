@@ -189,11 +189,9 @@ def invertible_simples(labels) -> list[SimpleObject]:
     These form a group: the top simple of each even label is an involution,
     odd labels contribute none.
     """
-    return [
-        s
-        for s in irr_enumerate(labels)
-        if all(tlj_tensor(n, a, a) == (0,) for n, a in s.components)
-    ]
+    labels = tuple(sorted(set(labels)))
+    unit = (SimpleObject.unit(labels),)
+    return [s for s in irr_enumerate(labels) if _simple_mul(s, s) == unit]
 
 
 @lru_cache(maxsize=None)

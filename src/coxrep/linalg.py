@@ -111,7 +111,8 @@ class Mat(Value):
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols)
+        # one row tuple shared by every row; a fresh Mat each call
+        return cls._trusted(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -194,7 +195,10 @@ class Mat(Value):
     def from_json(cls, obj, rows: int, cols: int) -> "Mat":
         """The matrix of rows of entries, each an int or a string that
         Fraction parses ("-3", "2/5"); floats are refused, since their binary
-        value is seldom the decimal that was meant."""
+        value is seldom the decimal that was meant.  A matrix or row that is
+        not a list (a string, an object) is refused, not iterated."""
+        if type(obj) is not list or not all(type(row) is list for row in obj):
+            raise TypeError("a matrix is an array of rows, each an array of entries")
         return cls(rows, cols, [[_parse_entry(x) for x in row] for row in obj])
 
     def __repr__(self):

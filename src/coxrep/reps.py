@@ -9,8 +9,10 @@ transpose of every matrix (Bernstein-Gelfand-Ponomarev): the cokernel of the
 map out of V_u is the transposed kernel of the transposed map.  Both are one
 step (`_reflection_step`) on a representation held on its support: its
 non-zero dimensions, and the maps between them as integer rows over a
-denominator.  A plan (`_plan`) lists, once per orientation, vertex and sign,
-the vertices over i with their arrows.  At each vertex over i the step
+denominator.  A plan (`_plan`) lists the vertices over i with their arrows.
+Only the direction of the arrows at i differs between orientations, so the
+knitting plans each of its orientations once, off the one unfolding of the
+original orientation.  At each vertex over i the step
 stacks only the blocks of the arrows whose other end is non-zero, solves one
 integer system if the vertex itself is non-zero, takes the identity if it is
 zero, and skips it if it and all its neighbours are zero; it slices the
@@ -51,7 +53,7 @@ from ._values import Value
 from .fusion import SimpleObject
 from .linalg import Mat, _back_substitute, _echelon, _free, _kernel_vectors, charpoly, int_kernel, integer_roots
 from .linalg import solve_all
-from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at
+from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at, vertex_key
 from .rootsys import DEFAULT_BUDGET, CapExceeded, MismatchedQuiver, RootVector
 from .rootsys import _coordinates, _extend, _int_reflect, _int_reflections, _Layout, _positive
 from .unfold import UnfoldedQuiver, fold_dim, unfold, unfolded_arrow_id, vertex_name
@@ -246,20 +248,22 @@ def reflect_minus(Q: CoxeterQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
 
 
 def _plan(uq: UnfoldedQuiver, i: str, at_sink: bool) -> tuple:
-    """The reflection at the sink (at_sink) or source i of uq.source, laid
-    out for `_reflection_step`: for each unfolded vertex u over i, in the
-    order of `vertices_over`, the arrows into u (at a sink) or out of u (at
-    a source), each as (its other end, its id, the id of its reversal)."""
-    return tuple(
-        (
-            u,
-            tuple(
-                (a.source if at_sink else a.target, a.id, unfolded_arrow_id(a.provenance, a.target, a.source))
-                for a in (uq.in_arrows(u) if at_sink else uq.out_arrows(u))
-            ),
-        )
-        for u in uq.vertices_over(i)
-    )
+    """The reflection at the sink (at_sink) or source i, laid out for
+    `_reflection_step`: for each unfolded vertex u over i, in the order of
+    `vertices_over`, every arrow of uq at u as (its other end, its id into u
+    at a sink or out of u at a source, the id of its reversal).  Only the
+    arrows at i change direction between orientations, so uq may unfold any
+    of them: one block per arrow of the quiver in turn, each sorted by its
+    other end, is the order of the arrows at u where i is a sink or source."""
+    plan = []
+    for u in uq.vertices_over(i):
+        arrows = []
+        for a in sorted(uq.in_arrows(u) + uq.out_arrows(u), key=lambda a: vertex_key(a.provenance)):
+            other = a.source if a.target == u else a.target
+            into, out_of = unfolded_arrow_id(a.provenance, other, u), unfolded_arrow_id(a.provenance, u, other)
+            arrows.append((other, into, out_of) if at_sink else (other, out_of, into))
+        plan.append((u, tuple(arrows)))
+    return tuple(plan)
 
 
 def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dict[str, tuple]) -> None:
@@ -465,20 +469,15 @@ def _knit(uq: UnfoldedQuiver, n_roots: int):
     `_last_landing`; a chain longer than n * n_roots steps raises
     CapExceeded.
 
-    The n plans of the cokernel steps are built once per call.  A chain is
-    carried on its support, as integer rows, through the module global
-    `_reflection_step`; only a member over Q is materialized
+    The step to Q_p is the cokernel functor at v_p, a source of Q_{p+1}
+    (Q_n = Q_0); its plan is read off uq, once per orientation and call.  A
+    chain is carried on its support, as integer rows, through the module
+    global `_reflection_step`; only a member over Q is materialized
     (`_materialize`), which is once per extended positive root.
     """
     ordering = admissible_sink_ordering(uq.source)
     n = len(ordering)
-    unfolded = [uq]
-    for j in ordering[:-1]:
-        unfolded.append(unfold(reverse_at(unfolded[-1].source, j)))
-    # the step to Q_p is the cokernel functor at v_p, a source of Q_{p+1},
-    # with Q_n = Q_0; the unfolded vertices have the same names in every
-    # orientation
-    plans = [_plan(unfolded[(p + 1) % n], vp, at_sink=False) for p, vp in enumerate(ordering)]
+    plans = [_plan(uq, vp, at_sink=False) for vp in ordering]
     reflections = _int_reflections(uq)
     for k, vk in enumerate(ordering):
         for A in uq.irr:

@@ -31,7 +31,6 @@ vertex over i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
@@ -39,10 +38,10 @@ from ._values import Value
 from .fusion import (
     FusionElem,
     SimpleObject,
+    _simple_mul,
     arrow_label_class,
     invertible_simples,
     is_positive_elem,
-    tlj_tensor,
 )
 from .quiver import CoxeterQuiver
 
@@ -324,20 +323,11 @@ def root_orbit(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> frozenset[Root
 def _product_tables(uq, simples) -> list[list[tuple[int, ...]]]:
     """For each simple X of `simples`, the table of multiplication by X in
     the coordinates of `_int_orbit`: at the position of B@v, the positions of
-    C@v for the simples C in X ⊗ B, by the per-label rule `tlj_tensor`."""
-    position = {part: k for k, part in enumerate(map(uq.parts.__getitem__, uq.vertices))}
-    # the positions over each vertex of uq.source, by the simple's components
-    over = {B.components: [position[B, v] for v in uq.source.vertices] for B in uq.irr}
-    tables = []
-    for X in simples:
-        table = [()] * len(uq.vertices)
-        for comps, here in over.items():
-            per_label = [[(n, c) for c in tlj_tensor(n, a, b)] for (n, a), (_, b) in zip(X.components, comps)]
-            there = [over[C] for C in product(*per_label)]
-            for k, targets in zip(here, zip(*there)):
-                table[k] = targets
-        tables.append(table)
-    return tables
+    C@v for the simples C in X ⊗ B, read off the one product of simples,
+    `fusion._simple_mul`."""
+    parts = [uq.parts[u] for u in uq.vertices]
+    position = {part: k for k, part in enumerate(parts)}
+    return [[tuple(position[C, v] for C in _simple_mul(X, B)) for B, v in parts] for X in simples]
 
 
 def _act(table, x: tuple[int, ...]) -> tuple[int, ...]:

@@ -373,11 +373,15 @@ def _rep_doc():
     return indecomposable_for(Q, RootVector.basis(Q, "1") + RootVector.basis(Q, "2")).to_json()
 
 
-def _with_entry(entry):
+def _with_matrix(matrix):
     doc = _rep_doc()
     (arrow,) = doc["maps"]
-    doc["maps"][arrow] = [[entry]]
+    doc["maps"][arrow] = matrix
     return doc
+
+
+def _with_entry(entry):
+    return _with_matrix([[entry]])
 
 
 @pytest.mark.parametrize(
@@ -394,6 +398,10 @@ def _with_entry(entry):
         {**_rep_doc(), "dims": {"3:0@1": 1.7, "3:0@2": 1}},
         {**_rep_doc(), "dims": {"3:0@1": True, "3:0@2": 1}},
         {**_rep_doc(), "quiver": {"vertices": ["1", "2"], "arrows": [{"id": "a0", "source": "2", "target": "1", "label": 3.5}]}},
+        # each of these iterates to the entries of the 1x1 matrix [["1"]]
+        _with_matrix("1"),
+        _with_matrix(["1"]),
+        _with_matrix([{"1": 1}]),
     ],
     ids=[
         "maps-list",
@@ -407,6 +415,9 @@ def _with_entry(entry):
         "float-dim",
         "bool-dim",
         "float-label",
+        "matrix-string",
+        "rows-strings",
+        "row-object",
     ],
 )
 def test_malformed_representation_is_unreadable_input(capsys, qfile, doc):

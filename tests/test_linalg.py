@@ -430,6 +430,15 @@ def test_from_json_accepts_only_strings_and_integers(entry):
         Mat.from_json([[entry]], 1, 1)
 
 
+@pytest.mark.parametrize(
+    "obj", ["12", ["1", "2"], [{"1": 1}, ["2"]], {"0": ["1"], "1": ["2"]}, [("1",), ("2",)], [[1], "2"]]
+)
+def test_from_json_accepts_only_an_array_of_arrays(obj):
+    # each of these iterates to the entries of a 2x1 matrix
+    with pytest.raises(TypeError):
+        Mat.from_json(obj, 2, 1)
+
+
 def test_from_json_rejects_a_zero_denominator():
     with pytest.raises(ValueError):
         Mat.from_json([["1/0"]], 1, 1)

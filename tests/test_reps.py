@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from coxrep import (
+    Arrow,
     CapExceeded,
+    CoxeterQuiver,
     FusionElem,
     NotAnExtendedRoot,
     NotASink,
@@ -43,7 +45,7 @@ from coxrep.linalg import Mat, cokernel_projection, kernel_basis
 from coxrep import reps as reps_mod
 from coxrep.quiver import admissible_sink_ordering
 from coxrep.reps import UnfoldedRep, _knit, _materialize, _plan, _reflection_step, _try_split
-from coxrep.unfold import vertex_name
+from coxrep.unfold import unfolded_arrow_id, vertex_name
 from families import all_orientations, family_quiver
 
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 2 1\n")  # sink at 1
@@ -259,6 +261,49 @@ def test_reflection_step_forms_agree(name):
                 assert materialized(uq2, dims, maps) == full
                 cur = uq2.source
     assert empty
+
+
+def plan_off_the_orientation(uq, i, at_sink):
+    # the plan of a reflection at i read off the unfolding of the orientation
+    # in which i is a sink (at_sink) or a source: the arrows into or out of
+    # each u over i, as the unfolding stores them
+    return tuple(
+        (
+            u,
+            tuple(
+                (a.source if at_sink else a.target, a.id, unfolded_arrow_id(a.provenance, a.target, a.source))
+                for a in (uq.in_arrows(u) if at_sink else uq.out_arrows(u))
+            ),
+        )
+        for u in uq.vertices_over(i)
+    )
+
+
+def pointed(Q, i, out):
+    # Q with every arrow at i pointing out of i (out) or into i
+    return CoxeterQuiver(
+        Q.vertices,
+        [Arrow(a.id, a.target, a.source, a.label) if i == (a.target if out else a.source) else a for a in Q.arrows],
+    )
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4", "H3", "I2(5)"])
+def test_plan_does_not_depend_on_the_orientation(name):
+    # the knitting plans the step at every vertex i off one unfolding, where
+    # i may be neither a sink nor a source: the plan equals the one read off
+    # the orientation where i is a source (a sink), such as reverse_at(Q, i)
+    # at a sink (source) i of Q
+    mixed = 0
+    for Q in all_orientations(family_quiver(name)):
+        uq = unfold(Q)
+        for i in Q.vertices:
+            mixed += not (Q.is_sink(i) or Q.is_source(i))
+            for at_sink in (False, True):
+                expected = plan_off_the_orientation(unfold(pointed(Q, i, not at_sink)), i, at_sink)
+                assert _plan(uq, i, at_sink) == expected
+                if Q.is_source(i) if at_sink else Q.is_sink(i):
+                    assert expected == plan_off_the_orientation(unfold(reverse_at(Q, i)), i, at_sink)
+    assert mixed or len(Q.vertices) == 2
 
 
 @pytest.mark.parametrize("name", ["D4", "H3"])

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -22,11 +23,13 @@ from coxrep import (
     positive_roots,
     reflect,
     root_orbit,
+    tlj_tensor,
     unfold,
 )
 from coxrep.fusion import arrow_label_class, invertible_simples
+from coxrep.rootsys import _product_tables
 from ade_oracle import count_positive_roots_of_components
-from families import expected_root_count, family_quiver
+from families import expected_root_count, family_quiver, path_quiver
 
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 1 2\n")
 I25 = parse_quiver("vertex 1\nvertex 2\narrow 1 2 5\n")
@@ -446,3 +449,26 @@ def test_extend_by_simples_matches_scaling():
     got = extend_by_simples(Q, RootSet(frozenset(vectors), False))
     assert not got.closed
     assert got.roots == frozenset(r.scale(FusionElem.simple(Q.label_set, s)) for s in simples for r in vectors)
+
+
+def per_label_product(X, B):
+    # X ⊗ B component by component, by the label-n rule at each label n
+    return {
+        SimpleObject(combo)
+        for combo in product(*([(n, c) for c in tlj_tensor(n, a, B.index(n))] for n, a in X.components))
+    }
+
+
+@pytest.mark.parametrize("labels", [(4, 5), (6, 7), (3, 8)])
+def test_product_tables_and_invertible_simples_follow_the_per_label_rule(labels):
+    uq = unfold(path_quiver(list(labels)))
+    position = {uq.parts[u]: k for k, u in enumerate(uq.vertices)}
+    tables = _product_tables(uq, uq.irr)
+    for X, table in zip(uq.irr, tables):
+        for k, u in enumerate(uq.vertices):
+            B, v = uq.parts[u]
+            assert sorted(table[k]) == sorted(position[C, v] for C in per_label_product(X, B))
+    unit = SimpleObject.unit(labels)
+    expected = [s for s in irr_enumerate(labels) if per_label_product(s, s) == {unit}]
+    assert invertible_simples(labels) == invertible_simples(labels[::-1] + labels) == expected
+    assert len(expected) == 2 ** sum(n % 2 == 0 for n in labels)

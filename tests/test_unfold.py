@@ -291,22 +291,31 @@ def test_unfold_matches_reference_on_random_quivers():
 
 @pytest.mark.parametrize("name", ["D4", "B3"])
 def test_one_unfolding_per_orientation(name, monkeypatch):
+    # one unfolding per call, not one per orientation: the knitting plans
+    # every orientation off the unfolding of Q and reverses no arrow.
     # `coxrep.unfold` is the function, so the module comes from sys.modules;
     # rootsys imports `unfold` from it at call time, reps at import time
-    calls = []
+    calls, reversals = [], []
 
     def counted(Q):
         calls.append(Q)
         return unfold(Q)
 
+    def reversed_at(Q, i):
+        reversals.append(i)
+        return reverse_at(Q, i)
+
     monkeypatch.setattr(sys.modules["coxrep.unfold"], "unfold", counted)
     monkeypatch.setattr(reps_mod, "unfold", counted)
+    monkeypatch.setattr(sys.modules["coxrep.quiver"], "reverse_at", reversed_at)
+    monkeypatch.setattr(reps_mod, "reverse_at", reversed_at)
     Q = family_quiver(name)
     reps = enumerate_indecomposables(Q)
-    assert len(calls) == len(Q.vertices) == len(set(calls))
+    assert calls == [Q]
     del calls[:]
     indecomposable_for(Q, reps_mod.dim_vector(reps[-1]))
-    assert len(calls) == len(Q.vertices)
+    assert calls == [Q]
+    assert reversals == []
 
 
 def test_unfold_shares_the_stored_simples():
