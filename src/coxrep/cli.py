@@ -4,6 +4,10 @@ Deterministic given input and flags: every listing is canonically ordered and
 repeated runs are byte identical.  A --json document is printed with sorted
 keys, a 2-space indent, "," and ": " separators and ASCII escapes: the bytes
 json.dumps gives with sort_keys=True, separators (",", ": ") and indent 2.
+A sub-document that recurs in a document (the source quiver of every
+representation, the class at a vertex, a positive root among the extended
+ones) is built once as a `rootsys._Shared` and written once per indent per
+document, with those same bytes.
 Exit codes: 0 success, 1 unreadable input (a malformed command line, or a
 file, quiver, representation or fusion element that does not parse or
 validate; argparse's usage message goes to stderr), 2 precondition violation (a
@@ -40,6 +44,7 @@ from .rootsys import (
     _extend,
     _Layout,
     _positive,
+    _Shared,
 )
 from .unfold import _classify_unfolded, unfold
 
@@ -78,8 +83,11 @@ def _dumps(doc) -> str:
     dicts with str keys, lists, tuples, str, int, True, False and None; any
     other type raises TypeError.  The stdlib encodes an indented document in
     pure Python; here strings go through its C escaper and the fragments are
-    joined once."""
+    joined once.  A `_Shared` dict is written once per indent per call and its
+    text reused wherever it recurs; the document keeps each one alive for the
+    call, so its id is a sound key."""
     parts: list[str] = []
+    shared: dict[tuple[int, str], str] = {}
 
     def put(head: str, x, pad: str) -> None:
         # head (separator, indent, key) shares a fragment with x's first text
@@ -93,6 +101,15 @@ def _dumps(doc) -> str:
             if not x:
                 parts.append(head + "{}")
                 return
+            key = None
+            if type(x) is _Shared:
+                key = (id(x), pad)
+                text = shared.get(key)
+                if text is not None:
+                    parts.append(head + text)
+                    return
+                # written without the head, which differs between places
+                start, outer, head = len(parts), head, ""
             inner = pad + "  "
             sep = head + "{" + inner
             for k in sorted(x):
@@ -100,6 +117,9 @@ def _dumps(doc) -> str:
                 put(sep + _escape(k) + ": ", x[k], inner)
                 sep = "," + inner
             parts.append(pad + "}")
+            if key is not None:
+                text = shared[key] = "".join(parts[start:])
+                parts[start:] = [outer + text]
         elif isinstance(x, (list, tuple)):
             if not x:
                 parts.append(head + "[]")
@@ -179,10 +199,12 @@ def _cmd_roots(args) -> int:
         return sorted((layout.serialize(x), x) for x in roots)
 
     def doc():
-        out = {"count": len(base), "positive_roots": [layout.to_json(x) for _, x in listing(base)]}
+        # one document per root: a positive root recurs among the extended ones
+        roots = {x: _Shared(layout.to_json(x)) for x in (base if ext is None else ext)}
+        out = {"count": len(base), "positive_roots": [roots[x] for _, x in listing(base)]}
         if ext is not None:
             out["extended_count"] = len(ext)
-            out["extended_positive_roots"] = [layout.to_json(x) for _, x in listing(ext)]
+            out["extended_positive_roots"] = [roots[x] for _, x in listing(ext)]
         return out
 
     def lines():
@@ -201,11 +223,13 @@ def _cmd_indecs(args) -> int:
     layout, found = reps_mod._indecomposables_with_dims(Q, args.budget)
 
     def doc():
+        # every representation is over Q: one quiver document serves them all
+        quiver = _Shared(Q.to_json()) if args.full else None
         entries = []
         for _, x, W in found:
             entry = {"dim_vector": layout.to_json(x)}
             if args.full:
-                entry["rep"] = W.to_json()
+                entry["rep"] = W._json(quiver)
             entries.append(entry)
         return {"count": len(found), "indecomposables": entries}
 

@@ -189,9 +189,12 @@ def invertible_simples(labels) -> list[SimpleObject]:
     These form a group: the top simple of each even label is an involution,
     odd labels contribute none.
     """
-    labels = tuple(sorted(set(labels)))
-    unit = (SimpleObject.unit(labels),)
-    return [s for s in irr_enumerate(labels) if _simple_mul(s, s) == unit]
+    return [s for s in irr_enumerate(labels) if _is_invertible(s)]
+
+
+def _is_invertible(s: SimpleObject) -> bool:
+    """The self-product of s is the unit alone."""
+    return _simple_mul(s, s) == (SimpleObject.unit(s.labels),)
 
 
 @lru_cache(maxsize=None)

@@ -149,8 +149,13 @@ class UnfoldedRep(Value):
         return self.quiver, self.dims, self.maps
 
     def to_json(self) -> dict:
+        return self._json(self.quiver.source.to_json())
+
+    def _json(self, quiver_doc: dict) -> dict:
+        """The `to_json` document with quiver_doc as its source quiver, so
+        that one quiver document can serve many representations."""
         return {
-            "quiver": self.quiver.source.to_json(),
+            "quiver": quiver_doc,
             "dims": {k: v for k, v in self.dims.items() if v},
             "maps": {k: m.to_json() for k, m in self.maps.items() if not m.is_zero()},
         }

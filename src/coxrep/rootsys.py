@@ -38,9 +38,9 @@ from ._values import Value
 from .fusion import (
     FusionElem,
     SimpleObject,
+    _is_invertible,
     _simple_mul,
     arrow_label_class,
-    invertible_simples,
     is_positive_elem,
 )
 from .quiver import CoxeterQuiver
@@ -344,7 +344,7 @@ def _positive(uq, budget: int) -> set[tuple[int, ...]]:
     """The positive roots of uq.source as integer tuples, one per class under
     the invertible simples: the serialization-minimal member of each class."""
     positive = [x for x in _int_orbit(uq, budget) if min(x) >= 0]
-    units = [s for s in invertible_simples(uq.source.label_set) if not s.is_unit()]
+    units = [s for s in uq.irr if not s.is_unit() and _is_invertible(s)]
     if not units:
         return set(positive)
     tables = _product_tables(uq, units)
@@ -391,12 +391,21 @@ def _write(blocks) -> str:
     return "{" + ",".join([f"{_escape(v)}:{{{text}}}" for v, text in blocks if text]) + "}"
 
 
+class _Shared(dict):
+    """A sub-document that a --json document may hold in several places: the
+    CLI writer writes its text once per indent and then reuses it.  It is a
+    plain dict to every other reader, so it must not be changed once built."""
+
+    __slots__ = ()
+
+
 class _Layout:
     """The serialized form and the JSON of the integer tuples over an
     unfolding, as `RootVector.serialize` and `to_json` give them for the
     folded root: the vertices of its source sorted by id, each with the
     positions of the simples over it sorted by key.  The class at a vertex
-    is written once per distinct slice of coordinates and then looked up."""
+    is written once per distinct slice of coordinates and then looked up;
+    `to_json` holds that one `_Shared` entry wherever the class recurs."""
 
     __slots__ = ("blocks",)
 
@@ -416,7 +425,7 @@ class _Layout:
         values = get(x)
         found = memo.get(values)
         if found is None:
-            entry = {k: c for k, c in zip(keys, values if len(keys) > 1 else (values,)) if c}
+            entry = _Shared({k: c for k, c in zip(keys, values if len(keys) > 1 else (values,)) if c})
             found = memo[values] = (_class_text(entry.items()), entry)
         return found
 
@@ -428,7 +437,7 @@ class _Layout:
         for block in self.blocks:
             entry = self._class(block, x)[1]
             if entry:
-                out[block[0]] = dict(entry)
+                out[block[0]] = entry
         return out
 
 

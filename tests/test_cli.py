@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import random
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from coxrep.cli import main
+from coxrep.rootsys import _Shared
 from families import family_quiver
 
 H3_TEXT = "vertex 1\nvertex 2\nvertex 3\narrow 1 2 5\narrow 2 3\n"
@@ -465,6 +467,56 @@ def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
     assert calls == {"serialize": 10, "to_json": n_maps}
 
 
+@pytest.mark.parametrize("name", ["I2(5)", "D4"])
+def test_one_quiver_document_per_call(capsys, qfile, monkeypatch, name):
+    # every representation of `indecs --full --json` holds the one source
+    # quiver document, and the library still gives each caller its own
+    from coxrep import CoxeterQuiver, enumerate_indecomposables
+
+    Q = family_quiver(name)
+    p = qfile(json.dumps(Q.to_json()))
+    W1, W2 = enumerate_indecomposables(Q)[:2]
+    docs = [W1.to_json()["quiver"], W2.to_json()["quiver"], W1.to_json()["quiver"]]
+    assert all(type(d) is dict for d in docs) and len({id(d) for d in docs}) == 3
+    calls = []
+    to_json = CoxeterQuiver.to_json
+
+    def counted(self):
+        calls.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(CoxeterQuiver, "to_json", counted)
+    code, out, _ = run(capsys, "indecs", p, "--full", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] > 2 and len(calls) == 1
+    assert all(entry["rep"]["quiver"] == Q.to_json() for entry in doc["indecomposables"])
+
+
+@pytest.mark.parametrize("name", ["H4", "I2(8)"])
+def test_one_irr_enumeration_per_job(capsys, qfile, monkeypatch, name):
+    # the invertible simples of the twist are read off the unfolding's Irr;
+    # I2(8) has an even label, so a twist to choose
+    from coxrep import fusion
+
+    # the package exports the function `unfold` under the module's name
+    unfold_mod = importlib.import_module("coxrep.unfold")
+    p = qfile(json.dumps(family_quiver(name).to_json()))
+    calls = []
+    irr_enumerate = fusion.irr_enumerate
+
+    def counted(labels):
+        calls.append(labels)
+        return irr_enumerate(labels)
+
+    monkeypatch.setattr(fusion, "irr_enumerate", counted)
+    monkeypatch.setattr(unfold_mod, "irr_enumerate", counted)
+    for argv in (["roots", p, "--extended"], ["indecs", p], ["indecs", p, "--full", "--json"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+
+
 @pytest.mark.parametrize("name", ["B2+I2(5)", "B2+I2(5) renamed", "B2+G2", "I2(8)", "G2"])
 def test_roots_print_what_the_fusion_route_gives(capsys, qfile, name):
     # the integer tuples are canonicalized, extended, sorted and written
@@ -511,7 +563,12 @@ def test_roots_print_what_the_fusion_route_gives(capsys, qfile, name):
 JSON_TEXT_POOL = 'aZ0 "\\/\n\t\x00\x1f\x7f\u00e9\u4e2d\u2028\u2029\U0001f600'
 
 
-def random_json_doc(rng, depth=0):
+def random_json_doc(rng, depth=0, pool=None):
+    """A random document; with a pool, about half of its dicts are `_Shared`
+    and go into the pool, and some values are drawn again from the pool, so
+    one shared part recurs at one depth and at others, inside another."""
+    if pool and rng.random() < 0.15:
+        return rng.choice(pool)
     kind = rng.randrange(7 if depth < 4 else 4)
     if kind == 0:
         return rng.choice([True, False, None])
@@ -523,8 +580,12 @@ def random_json_doc(rng, depth=0):
         return "".join(rng.choice(JSON_TEXT_POOL) for _ in range(rng.randrange(6)))
     if kind == 4:
         keys = ("".join(rng.choice(JSON_TEXT_POOL) for _ in range(rng.randrange(4))) for _ in range(rng.randrange(5)))
-        return {k: random_json_doc(rng, depth + 1) for k in keys}
-    items = [random_json_doc(rng, depth + 1) for _ in range(rng.randrange(5))]
+        doc = {k: random_json_doc(rng, depth + 1, pool) for k in keys}
+        if pool is not None and rng.random() < 0.5:
+            doc = _Shared(doc)
+            pool.append(doc)
+        return doc
+    items = [random_json_doc(rng, depth + 1, pool) for _ in range(rng.randrange(5))]
     return items if kind == 5 else tuple(items)
 
 
@@ -545,6 +606,24 @@ def test_json_writer_matches_stdlib_indent_encoder():
     rng = random.Random(11)
     for _ in range(500):
         doc = random_json_doc(rng)
+        assert _dumps(doc) == stdlib(doc)
+    # a shared part is written once per indent and its text reused: the same
+    # object several times at one depth and at other depths, a shared part
+    # inside another, an empty one, and one that is the whole document
+    part = _Shared({"b": [1, {"c": None}], "a": "\u00e9"})
+    outer = _Shared({"part": part, "parts": [part, part]})
+    empty = _Shared()
+    fixed = {
+        "one": part,
+        "two": part,
+        "deep": [[part, {"k": part}], ("x", part)],
+        "outer": [outer, {"o": outer}, outer],
+        "empty": [empty, {"e": empty}, empty],
+    }
+    for doc in (fixed, part, outer, empty, [fixed, fixed]):
+        assert _dumps(doc) == stdlib(doc)
+    for _ in range(500):
+        doc = random_json_doc(rng, pool=[])
         assert _dumps(doc) == stdlib(doc)
     for bad in (1.5, {"a": [0.0]}, {1: 2}, {"a": {b"b": 1}}, [object()]):
         with pytest.raises(TypeError):
