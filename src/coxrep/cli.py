@@ -15,13 +15,15 @@ named condition of the command, such as a sink, a source or finite type), 3
 budget or cap exceeded, 4 internal fault (a failed internal cross-check, such
 as the knitted dimension vectors against the extended roots, or any
 ValueError that escapes a command, such as a matrix shape mismatch; reported
-as "error: internal: ..." with empty stdout).
+as "error: internal: ..." with empty stdout), 141 (128 + SIGPIPE) the reader
+of stdout closed it before the output was written, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -52,6 +54,7 @@ PARSE_ERROR = 1
 PRECONDITION_ERROR = 2
 BUDGET_ERROR = 3
 INTERNAL_ERROR = 4
+BROKEN_PIPE = 141
 
 _PRECONDITION_EXC = (
     QuiverError,
@@ -382,7 +385,16 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at the null device, so that the interpreter's final
+        # flush of what is still buffered writes nowhere and stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except QuiverParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

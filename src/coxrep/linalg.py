@@ -6,9 +6,13 @@ is a tuple of integer rows `num` over one positive denominator `den`, in
 lowest terms, and its sums, products, scalings and transposes are computed on
 those integers.  Zero-dimensional matrices are legal and required (empty
 kernels, zero representations).  Every solve runs on integer rows in two
-steps.  `_echelon` brings the numerators to echelon form by
-cross-multiplication, stripping the content of a row only after a non-unit
-pivot; the rank and the nullity are read off its pivots.  `_back_substitute`
+steps.  `_echelon_steps` brings the numerators to echelon form one column at
+a time by cross-multiplication, stripping the content of a row only after a
+non-unit pivot, and yields each non-pivot (free) column as it passes it.  A
+pivot row never changes once it is made, so the elimination is resumable: it
+may stop after any free column, with every pivot row before it final, and
+go on later.  `_echelon` runs it to the end; the rank and the nullity are
+read off its pivots and free columns.  `_back_substitute`
 then solves the pivot rows bottom up for any chosen non-pivot columns: the
 kernel vector of free column f has x_f = 1 and every other free coordinate
 0, and each pivot coordinate x_pc = -(sum of row[j] x_j, j > pc) / row[pc]
@@ -250,12 +254,14 @@ def _eliminate(row: list[int], prow: list[int], pc: int, nonzero: list[int]) -> 
     return row
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """In-place fraction-free row echelon; returns (rows, pivot columns,
-    supports).  Pivot row r is rows[r], and supports[r] lists its non-zero
-    columns from its pivot on; no later step changes a pivot row."""
-    pivots: list[int] = []
-    supports: list[list[int]] = []
+def _echelon_steps(rows: list[list[int]], ncols: int, pivots: list[int], supports: list[list[int]]):
+    """The fraction-free row echelon of rows, in place, one column at a
+    time; yields each non-pivot column as it passes it, in increasing order.
+
+    Each pivot is appended to pivots, and the columns where its row is
+    non-zero, from the pivot on, to supports; pivot row r is rows[r], and no
+    later step changes it.  So once a column has been yielded, every pivot
+    row before it is final, and the elimination may be resumed or left."""
     r = 0
     nrows = len(rows)
     for c in range(ncols):
@@ -270,6 +276,7 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
                     if mag == 1:
                         break
         if best < 0:
+            yield c
             continue
         rows[r], rows[best] = rows[best], rows[r]
         prow = rows[r]
@@ -281,8 +288,19 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
         supports.append(nonzero)
         r += 1
         if r == nrows:
-            break
-    return rows, pivots, supports
+            yield from range(c + 1, ncols)
+            return
+
+
+def _echelon(
+    rows: list[list[int]], ncols: int
+) -> tuple[list[list[int]], list[int], list[list[int]], list[int]]:
+    """`_echelon_steps` run to the end; returns (rows, pivot columns,
+    supports, non-pivot columns)."""
+    pivots: list[int] = []
+    supports: list[list[int]] = []
+    free = list(_echelon_steps(rows, ncols, pivots, supports))
+    return rows, pivots, supports, free
 
 
 def rank(M: Mat) -> int:
@@ -290,12 +308,6 @@ def rank(M: Mat) -> int:
     if M.rows == 0 or M.cols == 0:
         return 0
     return len(_echelon([list(r) for r in M.num], M.cols)[1])
-
-
-def _free(pivots: list[int], ncols: int) -> list[int]:
-    """The non-pivot columns, in increasing order."""
-    pivot_set = set(pivots)
-    return [c for c in range(ncols) if c not in pivot_set]
 
 
 def _back_substitute(
@@ -350,8 +362,8 @@ def _kernel_vectors(rows: list[list[int]], ncols: int) -> tuple[list[list[int]],
     One vector per free column f of the echelon form, in increasing order:
     x_f = 1, every other free coordinate 0, and the pivot coordinates
     back-substituted (`_back_substitute`)."""
-    rows, pivots, supports = _echelon(rows, ncols)
-    return _back_substitute(rows, pivots, supports, ncols, _free(pivots, ncols))
+    rows, pivots, supports, free = _echelon(rows, ncols)
+    return _back_substitute(rows, pivots, supports, ncols, free)
 
 
 def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
@@ -404,12 +416,12 @@ def solve_all(A: Mat, B: Mat) -> Solution:
     n, p = A.cols, B.cols
     den = lcm(A.den, B.den)
     rows = [a + b for a, b in zip(A.num_over(den), B.num_over(den))]
-    rows, pivots, supports = _echelon(rows, n + p)
-    if any(pc >= n for pc in pivots):
+    rows, pivots, supports, free = _echelon(rows, n + p)
+    if pivots and pivots[-1] >= n:
         raise NoSolution("system is inconsistent")
     # the right-hand side k is column n + k of the augmented system, so the
     # vector with x_{n+k} = 1 there is minus a particular solution
-    free = _free(pivots, n)
+    free = [c for c in free if c < n]
     vecs, den = _back_substitute(rows, pivots, supports, n + p, chain(range(n, n + p), free))
     particular = _columns(n, [[-v for v in x[:n]] for x in vecs[:p]], den)
     return Solution(particular, _columns(n, [x[:n] for x in vecs[p:]], den))

@@ -28,7 +28,8 @@ orientation, and for the result of a public reflection functor.
 
 Hom and End spaces are the kernels of one integer linear system per pair of
 representations (`_hom_rows`); their dimensions are read off its echelon
-form, and the splitter back-substitutes an element of End(V) only when it
+form.  The splitter eliminates the End system only up to the last free
+column it has drawn, and back-substitutes an element of End(V) only when it
 tries it (`_EndBasis`).  Krull-Schmidt splitting uses Fitting's lemma
 in integers only: an endomorphism scaled to integer matrices splits the
 representation into its generalized eigenspaces for the integer roots of the
@@ -45,14 +46,15 @@ representation and reading its entries.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import chain, islice
 from math import lcm
 from operator import mul
 
 from ._values import Value
 from .fusion import SimpleObject
-from .linalg import Mat, _back_substitute, _echelon, _free, _kernel_vectors, charpoly, int_kernel, integer_roots
-from .linalg import solve_all
+from .linalg import Mat, _back_substitute, _echelon, _echelon_steps, _kernel_vectors, charpoly, int_kernel
+from .linalg import integer_roots, solve_all
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at, vertex_key
 from .rootsys import DEFAULT_BUDGET, CapExceeded, MismatchedQuiver, RootVector
 from .rootsys import _coordinates, _extend, _int_reflect, _int_reflections, _Layout, _positive
@@ -399,7 +401,7 @@ def hom_dim(V: UnfoldedRep, W: UnfoldedRep) -> int:
     if V.quiver != W.quiver:
         raise ValueError("representations live over different quivers")
     rows, _, n_unknowns = _hom_rows(V, W)
-    return n_unknowns - len(_echelon(rows, n_unknowns)[1])
+    return len(_echelon(rows, n_unknowns)[3])
 
 
 def end_dim(V: UnfoldedRep) -> int:
@@ -410,39 +412,55 @@ def end_dim(V: UnfoldedRep) -> int:
 class _EndBasis:
     """The basis of End(V) that `endomorphism_basis` lists, drawn lazily.
 
-    The End system (`_hom_rows`) is put in echelon form once; its length is
-    the nullity.  Element t is the kernel vector of the t-th free column,
-    back-substituted and cut into one block per vertex the first time it is
-    read, and kept.  Each kernel vector is the same whether it is computed
-    alone or with the others, so the elements equal those of
-    `endomorphism_basis` in the same order."""
+    The End system (`_hom_rows`) is eliminated only as far as the columns
+    read so far (`_echelon_steps`, suspended in between): in the reduced
+    basis, the element of free column f has x_f = 1 and is supported on f
+    and the pivot columns before f, whose rows are final once the
+    elimination has passed f.  So element t needs the elimination only up
+    to the t-th free column; it is back-substituted through the pivot rows
+    before that column the first time it is read, cut into one block per
+    vertex and kept, and is the same as in `endomorphism_basis`.  Indexing
+    past the last element raises IndexError, so iteration is lazy too;
+    `reaches` asks whether there is an element t, and the length, the
+    nullity, runs the elimination to the end."""
 
-    __slots__ = ("V", "base", "system", "free", "drawn")
+    __slots__ = ("V", "base", "rows", "pivots", "supports", "n_unknowns", "free", "steps", "drawn")
 
     def __init__(self, V: UnfoldedRep):
-        rows, self.base, n_unknowns = _hom_rows(V, V)
-        rows, pivots, supports = _echelon(rows, n_unknowns)
+        self.rows, self.base, self.n_unknowns = _hom_rows(V, V)
         self.V = V
-        self.system = (rows, pivots, supports, n_unknowns)
-        self.free = _free(pivots, n_unknowns)
+        self.pivots: list[int] = []
+        self.supports: list[list[int]] = []
+        self.free: list[int] = []
+        self.steps = _echelon_steps(self.rows, self.n_unknowns, self.pivots, self.supports)
         self.drawn: dict[int, dict[str, Mat]] = {}
 
+    def reaches(self, t: int) -> bool:
+        """Whether End(V) has an element t: the elimination advances to the
+        t-th free column, or to its end."""
+        free = self.free
+        if len(free) <= t:
+            free.extend(islice(self.steps, t + 1 - len(free)))
+        return len(free) > t
+
     def __len__(self) -> int:
+        self.free.extend(self.steps)
         return len(self.free)
 
     def __getitem__(self, t: int) -> dict[str, Mat]:
         elem = self.drawn.get(t)
         if elem is None:
+            if not self.reaches(t):
+                raise IndexError(t)
             elem = self.drawn[t] = self.draw([self.free[t]])[0]
         return elem
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.free)))
-
-    def draw(self, cols) -> list[dict[str, Mat]]:
-        """The endomorphisms of the given free columns, from one
-        back-substitution; they are not kept."""
-        vecs, den = _back_substitute(*self.system, cols)
+    def draw(self, cols: list[int]) -> list[dict[str, Mat]]:
+        """The endomorphisms of the given free columns, which the elimination
+        has passed, from one back-substitution through the pivot rows before
+        the last of them; they are not kept."""
+        pivots = self.pivots[: bisect_left(self.pivots, max(cols, default=0))]
+        vecs, den = _back_substitute(self.rows, pivots, self.supports, self.n_unknowns, cols)
         dims, base = self.V.dims, self.base
         return [
             {
@@ -458,6 +476,7 @@ def endomorphism_basis(V: UnfoldedRep) -> list[dict[str, Mat]]:
     kernel vectors of the End system, one per free column of its echelon
     form, all back-substituted at once."""
     basis = _EndBasis(V)
+    len(basis)  # the elimination run to the end lists every free column
     return basis.draw(basis.free)
 
 
@@ -584,12 +603,16 @@ def _restrict(V: UnfoldedRep, bases: dict[str, Mat]) -> UnfoldedRep:
 
 
 def _int_poly_at(coeffs: list[int], g: list[list[int]]) -> list[list[int]]:
-    """Evaluate an integer polynomial (highest degree first) at a square
-    integer matrix by Horner's rule."""
+    """Evaluate an integer polynomial of positive degree (highest degree
+    first) at a square integer matrix by Horner's rule, from c_0 g + c_1 I:
+    a polynomial of degree k costs k - 1 products."""
     d = len(g)
     cols = list(zip(*g))
-    out = [[0] * d for _ in range(d)]
-    for c in coeffs:
+    c0 = coeffs[0]
+    out = [[c0 * x for x in row] for row in g]
+    for i in range(d):
+        out[i][i] += coeffs[1]
+    for c in coeffs[2:]:
         out = [[sum(map(mul, row, col)) for col in cols] for row in out]
         for i in range(d):
             out[i][i] += c
@@ -605,24 +628,31 @@ def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
     eigenvalues mu = D lambda are the integer roots of the characteristic
     polynomials of the blocks g_u.  The part for mu is ker (g_u - mu)^e at
     each vertex, e the multiplicity of mu in charpoly(g_u); the last part is
-    the kernel of the cofactor of those roots."""
+    the kernel of the cofactor of those roots.  The parts are counted off
+    the roots before any kernel is computed."""
     D = lcm(*(m.den for m in f.values()))
-    eigenspaces: dict[int, dict[str, Mat]] = {}
-    rest_space: dict[str, Mat] = {}
+    blocks = []
+    mus: set[int] = set()
+    other = False
     for u in V.quiver.vertices:
         d = V.dims[u]
-        if not d:
-            continue
-        g = f[u].num_over(D)
-        roots, rest = integer_roots(charpoly(g))
+        if d:
+            g = f[u].num_over(D)
+            roots, rest = integer_roots(charpoly(g))
+            blocks.append((u, d, g, roots, rest))
+            mus.update(mu for mu, _ in roots)
+            other = other or len(rest) > 1
+    if len(mus) + other < 2:
+        return None
+    eigenspaces: dict[int, dict[str, Mat]] = {}
+    rest_space: dict[str, Mat] = {}
+    for u, d, g, roots, rest in blocks:
         for mu, e in roots:
             shifted = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(g)]
             eigenspaces.setdefault(mu, {})[u] = int_kernel(_int_poly_at([1] + [0] * e, shifted), d)
         if len(rest) > 1:
             rest_space[u] = int_kernel(_int_poly_at(rest, g), d)
     spaces = [eigenspaces[mu] for mu in sorted(eigenspaces)] + ([rest_space] if rest_space else [])
-    if len(spaces) < 2:
-        return None
     parts = [
         _restrict(V, {u: space.get(u, Mat.zeros(V.dims[u], 0)) for u in V.quiver.vertices})
         for space in spaces
@@ -679,28 +709,29 @@ def _annihilator_candidates(V, basis, rng):
 def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
     """Indecomposable summands of V by repeated Fitting splitting.
 
-    The End system of V is put in echelon form once, and its nullity is
-    dim End(V).  Endomorphisms f are then tried deterministically: the basis
-    elements of End(V), their products, and seeded random combinations of
-    them; basis element t is back-substituted from the echelon form only
-    when a candidate first reads it (`_EndBasis`).  Each f is scaled by
-    the common denominator D of its entries to integer blocks g_u = D f_u.
-    The characteristic polynomial of every block is computed by Berkowitz's
-    division-free algorithm, and its integer roots mu (the eigenvalues
-    lambda = mu / D of f) come from its square-free part.  V splits into the
-    generalized eigenspaces ker (g_u - mu)^e, one per root, and, if some
-    eigenvalue is not rational, the kernel of the cofactor of those roots; f
-    is used when that gives at least two parts.  Each part is split again
+    The End system of V is eliminated once, and only as far as needed: V
+    is a leaf unless the elimination finds a second free column.
+    Endomorphisms f are then tried deterministically: the basis elements of
+    End(V), their products, and seeded random combinations of them; basis
+    element t is back-substituted, with the elimination advanced to its free
+    column, only when a candidate first reads it (`_EndBasis`).  Each f is
+    scaled by the common denominator D of its entries to integer blocks
+    g_u = D f_u.  The characteristic polynomial of every block is computed
+    by Berkowitz's division-free algorithm, and its integer roots mu (the
+    eigenvalues lambda = mu / D of f) come from its square-free part.  V
+    splits into the generalized eigenspaces ker (g_u - mu)^e, one per root,
+    and, if some eigenvalue is not rational, the kernel of the cofactor of
+    those roots; f is used when that gives at least two parts.  Each part is split again
     until its endomorphism algebra is one-dimensional, which certifies the
-    leaf as indecomposable; a leaf reads that off the pivots and computes no
-    endomorphism.  Leaves are sorted by dimension vector.
+    leaf as indecomposable; a leaf reads that off the whole echelon form and
+    computes no endomorphism.  Leaves are sorted by dimension vector.
     """
     if seed is None:
         seed = DEFAULT_SEED
     if V.is_zero():
         return []
     basis = _EndBasis(V)
-    if len(basis) == 1:
+    if not basis.reaches(1):
         return [V]
     rng = random.Random(seed)
     candidates = chain(

@@ -649,6 +649,27 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, qfile, argv):
         assert result.stdout == out.encode()
 
 
+def test_closed_output_pipe_exits_141_silently(capsys, qfile):
+    # the document is larger than a pipe buffer (64 KiB), so the command is
+    # still writing when the reader closes the pipe after one line
+    p = qfile("vertex 1\nvertex 2\narrow 1 2 24\n")
+    argv = ["roots", p, "--extended", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out) > 1 << 16
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "coxrep.cli", *argv],
+        env={"PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_runs_are_byte_identical(capsys, qfile):
     p = qfile(H3_TEXT)
     _, out1, _ = run(capsys, "roots", p, "--extended", "--json")

@@ -42,9 +42,10 @@ from coxrep import (
     zero_rep,
 )
 from coxrep.linalg import Mat, cokernel_projection, kernel_basis
+from coxrep import linalg as linalg_mod
 from coxrep import reps as reps_mod
 from coxrep.quiver import admissible_sink_ordering
-from coxrep.reps import UnfoldedRep, _knit, _materialize, _plan, _reflection_step, _try_split
+from coxrep.reps import UnfoldedRep, _int_poly_at, _knit, _materialize, _plan, _reflection_step, _try_split
 from coxrep.unfold import unfolded_arrow_id, vertex_name
 from families import all_orientations, family_quiver
 
@@ -701,6 +702,7 @@ LEAVES_SHA256 = {
     ("powers", "I2(5)"): "f00a4eaf8ca262dd3a11407a2e5195e371d006fb275d9f2dad5e34018d823cdc",
     ("sum", "A3"): "5f18a6bd13bc025a52a07ac8a4c8dd37a3f44e63d3eddcef894f2d38366dbb40",
     ("sum", "D4"): "e47c29c8c9c38dee701af898eb1519d697c81dc24f1ab7bd5c92f289a88ada8c",
+    ("sum", "B3"): "c0d838da50d43825b758b30c20995bfaa74db1544f33f2b2c9b6ea206a587b7f",
     ("sum", "I2(5)"): "0db0b1dd361fa1b3ca22addb1c0305e71dc9bf5f4fc80b029f5444de1dcf3b56",
 }
 
@@ -720,7 +722,7 @@ def test_decompose_scrambled_powers(name):
     assert leaves_sha256(leaves) == LEAVES_SHA256["powers", name]
 
 
-@pytest.mark.parametrize("name", ["A3", "D4", "I2(5)"])
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "I2(5)"])
 def test_decompose_scrambled_sum_of_all(name):
     reps = enumerate_indecomposables(family_quiver(name))
     total = reps[0]
@@ -754,6 +756,51 @@ def test_lazy_end_basis_equals_endomorphism_basis(name):
         assert [(m.num, m.den) for m in drawn[t].values()] == [(m.num, m.den) for m in elem.values()]
         assert basis[t] is drawn[t]
     assert list(basis) == expected
+
+
+def test_end_basis_eliminates_only_up_to_the_columns_it_reads(monkeypatch):
+    # a scrambled W^3 + W' + S^3 over D4, W and W' the two largest
+    # indecomposables and S a simple: the shape of the largest decompose job
+    reps = sorted(enumerate_indecomposables(family_quiver("D4")), key=lambda W: W.total_dim())
+    W, W2, S = reps[-1], reps[-2], reps[0]
+    total = W
+    for X in [W, W, W2, S, S, S]:
+        total = direct_sum(total, X)
+    V = scrambled(total, random.Random("partial:D4"))
+    eliminated = []
+    eliminate = linalg_mod._eliminate
+
+    def counted(row, prow, pc, nonzero):
+        eliminated.append(pc)
+        return eliminate(row, prow, pc, nonzero)
+
+    monkeypatch.setattr(linalg_mod, "_eliminate", counted)
+    basis = reps_mod._EndBasis(V)
+    first = basis[0]
+    # whether V is a leaf asks for a second free column, not the nullity
+    assert basis.reaches(1)
+    partial = len(eliminated)
+    len(basis)  # runs the elimination to the end
+    # (14 of 819 row eliminations; the first two free columns are 4 and 5
+    # of 130)
+    assert 0 < partial < len(eliminated) / 2
+    monkeypatch.undo()
+    assert len(basis) == end_dim(V)
+    expected = endomorphism_basis(V)[0]
+    assert list(first) == list(expected) == list(V.quiver.vertices)
+    assert [(m.num, m.den) for m in first.values()] == [(m.num, m.den) for m in expected.values()]
+
+
+def test_int_poly_at_is_the_sum_of_powers():
+    rng = random.Random("poly")
+    for d in (1, 2, 4):
+        g = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        G = Mat.from_rows(g)
+        for coeffs in ([1, 0], [1, -2], [2, 0, -1, 5], [1, 0, 0, 0, 0], [-3, 1, 4, 1, 5, 9]):
+            acc, power = Mat.zeros(d, d), Mat.identity(d)
+            for c in reversed(coeffs):
+                acc, power = acc + power.scale(c), power * G
+            assert _int_poly_at(coeffs, g) == [list(r) for r in acc.num]
 
 
 def test_decompose_back_substitutes_only_the_elements_it_tries(monkeypatch):
