@@ -36,7 +36,7 @@ from itertools import chain, count
 from math import gcd, lcm
 from operator import mul
 
-from ._values import Frozen, Value
+from ._values import Frozen, Value, _set_slots
 
 
 class NoSolution(Exception):
@@ -396,8 +396,7 @@ class Solution(Frozen):
     __slots__ = ("particular", "homogeneous")
 
     def __init__(self, particular: Mat, homogeneous: Mat):
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "homogeneous", homogeneous)
+        _set_slots(self, particular, homogeneous)
 
     @property
     def is_unique(self) -> bool:

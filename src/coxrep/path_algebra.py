@@ -9,15 +9,14 @@ times the label class of a; grade zero has one unit summand per vertex.  A path
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
+from ._values import Value, _set_slots
 from .fusion import FusionElem, arrow_label_class
-from .quiver import CoxeterQuiver, UnknownVertex
+from .quiver import CoxeterQuiver
 
 
-@dataclass(frozen=True)
-class PathGrade:
+class PathGrade(Value):
     """All paths of one length.
 
     For length 0 `paths` holds one vertex id per trivial path; for length
@@ -25,8 +24,10 @@ class PathGrade:
     arrow equal to the source of the next.
     """
 
-    length: int
-    paths: tuple
+    __slots__ = ("length", "paths")
+
+    def __init__(self, length: int, paths: tuple):
+        _set_slots(self, length, paths)
 
 
 def enumerate_paths(Q: CoxeterQuiver, n: int) -> PathGrade:
@@ -47,14 +48,6 @@ def enumerate_paths(Q: CoxeterQuiver, n: int) -> PathGrade:
         if not current:
             break
     return PathGrade(n, tuple(sorted(current)))
-
-
-def arrow_class(Q: CoxeterQuiver, arrow_id: str) -> FusionElem:
-    """The fusion class attached to one arrow: the label-n simple of index n-3."""
-    arrow = next((a for a in Q.arrows if a.id == str(arrow_id)), None)
-    if arrow is None:
-        raise UnknownVertex(f"unknown arrow id {arrow_id!r}")
-    return arrow_label_class(Q.label_set, arrow.label)
 
 
 def _grades(Q: CoxeterQuiver):

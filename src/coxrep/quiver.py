@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 
-from ._values import Value
+from ._values import Value, _set_slots
 
 
 class QuiverError(Exception):
@@ -70,12 +69,11 @@ def _grouped(keys, items, key) -> dict:
     return {k: tuple(group) for k, group in groups.items()}
 
 
-@dataclass(frozen=True)
-class Arrow:
-    id: str
-    source: str
-    target: str
-    label: int = 3
+class Arrow(Value):
+    __slots__ = ("id", "source", "target", "label")
+
+    def __init__(self, id: str, source: str, target: str, label: int = 3):
+        _set_slots(self, id, source, target, label)
 
 
 class CoxeterQuiver(Value):
@@ -108,10 +106,8 @@ class CoxeterQuiver(Value):
         if len({a.id for a in arrs}) != len(arrs):
             raise QuiverError("duplicate arrow id")
         arrs = tuple(sorted(arrs, key=lambda a: vertex_key(a.id)))
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "arrows", arrs)
-        object.__setattr__(self, "_out", _grouped(verts, arrs, attrgetter("source")))
-        object.__setattr__(self, "_in", _grouped(verts, arrs, attrgetter("target")))
+        out, into = (_grouped(verts, arrs, attrgetter(end)) for end in ("source", "target"))
+        _set_slots(self, verts, arrs, out, into)
         admissible_sink_ordering(self)
 
     @property
@@ -271,12 +267,13 @@ def admissible_sink_ordering(Q: CoxeterQuiver) -> tuple[str, ...]:
     return tuple(placed)
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(Value):
     """A Coxeter-Dynkin family with its rank or gonality, or NotDynkin."""
 
-    family: str
-    param: int | None = None
+    __slots__ = ("family", "param")
+
+    def __init__(self, family: str, param: int | None = None):
+        _set_slots(self, family, param)
 
     @property
     def name(self) -> str:

@@ -51,7 +51,7 @@ from itertools import chain, islice
 from math import lcm
 from operator import mul
 
-from ._values import Value
+from ._values import Value, _set_slots
 from .fusion import SimpleObject
 from .linalg import Mat, _back_substitute, _echelon, _echelon_steps, _kernel_vectors, charpoly, int_kernel
 from .linalg import integer_roots, solve_all
@@ -137,9 +137,7 @@ class UnfoldedRep(Value):
             if m is None:
                 m = Mat.zeros(full_dims[a.target], full_dims[a.source])
             full_maps[a.id] = m
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "dims", full_dims)
-        object.__setattr__(self, "maps", full_maps)
+        _set_slots(self, quiver, full_dims, full_maps)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())

@@ -30,11 +30,10 @@ vertex over i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 
-from ._values import Value
+from ._values import Value, _set_slots
 from .fusion import (
     FusionElem,
     SimpleObject,
@@ -265,13 +264,14 @@ def coxeter_order(Q: CoxeterQuiver, ordering) -> int:
     raise CapExceeded("Coxeter element order not found below 10000")
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Value):
     """A deduplicated set of root vectors; closed means stable under all
     simple reflections (up to the sign filter used to build it)."""
 
-    roots: frozenset[RootVector]
-    closed: bool
+    __slots__ = ("roots", "closed")
+
+    def __init__(self, roots: frozenset[RootVector], closed: bool):
+        _set_slots(self, roots, closed)
 
     def __len__(self):
         return len(self.roots)

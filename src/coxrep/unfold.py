@@ -9,23 +9,21 @@ different original arrows are distinct even between the same vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import attrgetter
 
-from ._values import Value
+from ._values import Value, _set_slots
 from .fusion import SimpleObject, _simple_mul, arrow_label_class, irr_enumerate, tlj_simples
 from .quiver import Arrow, CoxeterQuiver, DynkinType, UnknownVertex, vertex_key
 from .quiver import _classify_components, _grouped
 from .rootsys import RootVector, _fold
 
 
-@dataclass(frozen=True)
-class UnfoldedArrow:
-    id: str
-    source: str
-    target: str
-    provenance: str
+class UnfoldedArrow(Value):
+    __slots__ = ("id", "source", "target", "provenance")
+
+    def __init__(self, id: str, source: str, target: str, provenance: str):
+        _set_slots(self, id, source, target, provenance)
 
 
 def vertex_name(simple: SimpleObject, v: str) -> str:
@@ -43,14 +41,10 @@ class UnfoldedQuiver(Value):
     __slots__ = ("source", "irr", "vertices", "parts", "arrows", "_in", "_out", "_over")
 
     def __init__(self, source: CoxeterQuiver, irr, vertices, parts, arrows):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "irr", tuple(irr))
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "parts", dict(parts))
-        object.__setattr__(self, "arrows", tuple(arrows))
-        object.__setattr__(self, "_in", _grouped(self.vertices, self.arrows, attrgetter("target")))
-        object.__setattr__(self, "_out", _grouped(self.vertices, self.arrows, attrgetter("source")))
-        object.__setattr__(self, "_over", _grouped(source.vertices, self.vertices, lambda u: self.parts[u][1]))
+        vertices, parts, arrows = tuple(vertices), dict(parts), tuple(arrows)
+        into, out = (_grouped(vertices, arrows, attrgetter(end)) for end in ("target", "source"))
+        over = _grouped(source.vertices, vertices, lambda u: parts[u][1])
+        _set_slots(self, source, tuple(irr), vertices, parts, arrows, into, out, over)
 
     def in_arrows(self, name: str) -> tuple[UnfoldedArrow, ...]:
         return self._in[name]

@@ -649,6 +649,23 @@ def test_output_does_not_depend_on_the_hash_seed(capsys, qfile, argv):
         assert result.stdout == out.encode()
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S: what site and .pth files import differs between machines; the
+    # source tree goes on sys.path by hand
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import coxrep.cli\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
+
+
 def test_closed_output_pipe_exits_141_silently(capsys, qfile):
     # the document is larger than a pipe buffer (64 KiB), so the command is
     # still writing when the reader closes the pipe after one line

@@ -15,10 +15,9 @@ from coxrep import (
     parse_quiver,
     path_algebra_class,
     pf_eval,
-    UnknownVertex,
 )
 from coxrep.fusion import arrow_label_class
-from coxrep.path_algebra import _grades, arrow_class
+from coxrep.path_algebra import _grades
 from families import family_quiver
 
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 1 2\n")
@@ -48,12 +47,6 @@ def test_enumerate_paths_composition_order():
     arrows = {a.id: a for a in A3.arrows}
     last, first = path
     assert arrows[first].target == arrows[last].source
-
-
-def test_arrow_class():
-    assert arrow_class(I25, "a0") == arrow_label_class((5,), 5)
-    with pytest.raises(UnknownVertex, match="unknown arrow id 'zz'"):
-        arrow_class(I25, "zz")
 
 
 def test_grade_class_golden():

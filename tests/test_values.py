@@ -1,5 +1,6 @@
 """Every value type is immutable, pickles at every protocol, copies and
-deep-copies; every check on malformed input raises its own exception type.
+deep-copies; the types made of plain fields construct, compare, hash and
+print by those fields; every check on malformed input raises its own exception type.
 
 Runs under pytest, and as a plain script (`PYTHONPATH=src python
 tests/test_values.py`) on an interpreter without pytest.
@@ -10,11 +11,15 @@ import pickle
 from fractions import Fraction
 
 from coxrep import (
+    Arrow,
     CoxeterQuiver,
+    DynkinType,
     FusionElem,
     Mat,
     MismatchedQuiver,
     OrbitBudgetExceeded,
+    PathGrade,
+    RootSet,
     RootVector,
     SimpleObject,
     SplittingFailed,
@@ -22,6 +27,7 @@ from coxrep import (
     UnknownVertex,
     direct_sum,
     enumerate_indecomposables,
+    enumerate_paths,
     fold_dim,
     hom_dim,
     parse_quiver,
@@ -33,6 +39,7 @@ from coxrep import (
 from coxrep._values import Frozen, Value
 from coxrep.linalg import Solution
 from coxrep.quiver import QuiverError
+from coxrep.unfold import UnfoldedArrow
 
 H2 = parse_quiver("vertex 1\nvertex 2\narrow 1 2 5\n")
 A2 = parse_quiver("vertex 1\nvertex 2\narrow 1 2\n")
@@ -71,6 +78,11 @@ def _samples() -> list:
         H2,
         uq,
         big,
+        H2.arrows[0],
+        DynkinType("I2", 5),
+        uq.arrows[0],
+        positive_roots(H2),
+        enumerate_paths(H2, 1),
     ]
 
 
@@ -80,7 +92,7 @@ def test_every_value_type_is_sampled():
         for cls in todo.pop().__subclasses__():
             kinds.add(cls)
             todo.append(cls)
-    assert {type(x) for x in _samples()} == kinds - {Value} and len(kinds) == 9
+    assert {type(x) for x in _samples()} == kinds - {Value} and len(kinds) == 14
 
 
 def test_values_pickle_copy_and_deepcopy():
@@ -124,6 +136,31 @@ def test_values_refuse_assignment_and_deletion():
             exc = _raises(AttributeError, lambda: delattr(x, attr))
             assert str(exc) == f"{name} is immutable"
         assert _slots(x) == before
+
+
+def test_field_values_construct_compare_hash_and_print_by_their_fields():
+    root = RootVector.basis(H2, "1")
+    # each row: the positional arguments, the keyword arguments, the repr
+    table = [
+        (Arrow, ("a0", "1", "2", 3), {"id": "a0", "source": "1", "target": "2"},
+         "Arrow(id='a0', source='1', target='2', label=3)"),
+        (DynkinType, ("NotDynkin", None), {"family": "NotDynkin"}, "NotDynkin"),
+        (DynkinType, ("I2", 5), {"param": 5, "family": "I2"}, "I2(5)"),
+        (UnfoldedArrow, ("a0:5:0@1>5:2@2", "5:0@1", "5:2@2", "a0"),
+         {"provenance": "a0", "target": "5:2@2", "source": "5:0@1", "id": "a0:5:0@1>5:2@2"},
+         "UnfoldedArrow(id='a0:5:0@1>5:2@2', source='5:0@1', target='5:2@2', provenance='a0')"),
+        (RootSet, (frozenset({root}), True), {"roots": frozenset({root}), "closed": True},
+         "RootSet(roots=frozenset({RootVector(1: FusionElem(1*[5:0]))}), closed=True)"),
+        (PathGrade, (1, (("a0",),)), {"length": 1, "paths": (("a0",),)},
+         "PathGrade(length=1, paths=(('a0',),))"),
+    ]
+    for cls, args, kwargs, text in table:
+        x = cls(*args)
+        assert x == cls(**kwargs) and hash(x) == hash(cls(**kwargs))
+        assert repr(x) == text
+        assert hash(x) == hash(args) and x != args
+    assert H2.arrows[0] == Arrow("a0", "1", "2", 5) != Arrow("a0", "1", "2")
+    assert unfold(H2).arrows[0] == UnfoldedArrow("a0:5:0@1>5:2@2", "5:0@1", "5:2@2", "a0")
 
 
 def test_unfolded_rep_is_unhashable():
