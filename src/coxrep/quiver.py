@@ -75,6 +75,9 @@ class Arrow(Value):
     def __init__(self, id: str, source: str, target: str, label: int = 3):
         _set_slots(self, id, source, target, label)
 
+    def _state(self):
+        return self.id, self.source, self.target, self.label
+
 
 class CoxeterQuiver(Value):
     """Immutable validated Coxeter quiver."""
@@ -93,7 +96,8 @@ class CoxeterQuiver(Value):
                 a = Arrow(*a)
             if type(a.label) is not int:
                 raise TypeError(f"arrow {a.id}: label {a.label!r} is not an integer")
-            a = Arrow(str(a.id), str(a.source), str(a.target), a.label)
+            if not (type(a) is Arrow and type(a.id) is type(a.source) is type(a.target) is str):
+                a = Arrow(str(a.id), str(a.source), str(a.target), a.label)
             if a.source not in vset:
                 raise UnknownVertex(f"arrow {a.id}: unknown source {a.source!r}")
             if a.target not in vset:

@@ -21,7 +21,9 @@ Indecomposables of finite-type quivers are knitted forward from the simples:
 the source step carries each one-dimensional representation around the cycle
 of orientations of an admissible ordering until it vanishes, and every
 representation met on the original orientation is indecomposable, one per
-extended positive root.  A `Mat` per map and an `UnfoldedRep` are built
+extended positive root.  The local steps repeat within one knitting, so a
+knitting call solves each distinct local input once and builds one `Mat` per
+distinct map, which its members share.  An `UnfoldedRep` is built
 (`_materialize`, through the unchecked constructors `Mat._trusted` and
 `UnfoldedRep._trusted`) only for the members yielded over the original
 orientation, and for the result of a public reflection functor.
@@ -238,8 +240,8 @@ def _reflect(Q: CoxeterQuiver, i: str, V: UnfoldedRep, at_sink: bool) -> Unfolde
         if a.source in dims and a.target in dims:
             m = V.maps[a.id]
             maps[a.id] = (m.num, m.den)
-    _reflection_step(_plan(V.quiver, i, at_sink), at_sink, dims, maps)
-    return _materialize(unfold(reverse_at(Q, i)), dims, maps)
+    _reflection_step(_plan(V.quiver, i, at_sink), at_sink, dims, maps, {})
+    return _materialize(unfold(reverse_at(Q, i)), dims, maps, {})
 
 
 def reflect_plus(Q: CoxeterQuiver, i: str, V: UnfoldedRep) -> UnfoldedRep:
@@ -271,26 +273,35 @@ def _plan(uq: UnfoldedQuiver, i: str, at_sink: bool) -> tuple:
     return tuple(plan)
 
 
-def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dict[str, tuple]) -> None:
+def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dict[str, tuple], solved: dict) -> None:
     """Apply, in place, the reflection functor that `plan` lays out
     (`_plan`): the kernel functor at a sink (at_sink), the cokernel functor
     at a source.
 
     (dims, maps) is a representation on its support: the non-zero
     dimensions, and (integer rows, den) for each arrow whose two ends are
-    both non-zero; every other vertex and arrow is zero, and the step keeps
-    it so.  At each u of the plan the live arrows are those whose other end
-    is non-zero (an arrow of width 0 would add no column).  With no live
-    arrow u becomes 0, so a u that is 0 with all its neighbours 0 is
-    skipped.  Otherwise the live blocks, over a common denominator, give one
-    integer row per basis vector r of V_u (row r of every block at a sink,
-    column r at a source), and their kernel vectors (`_kernel_vectors`; the
-    unit vectors if V_u = 0) span the new space at u.  The new map of a
-    reversed arrow holds the slices of the kernel vectors at its other
-    end's coordinates: one row per vector at a source, transposed at a sink
-    (the cokernel functor is the transpose dual of the kernel functor).
-    Rows are not brought to lowest terms; `Mat._trusted` does that when a
-    member is materialized."""
+    both non-zero, the rows as tuples of int tuples; every other vertex and
+    arrow is zero, and the step keeps it so.  At each u of the plan the live
+    arrows are those whose other end is non-zero (an arrow of width 0 would
+    add no column).  With no live arrow u becomes 0, so a u that is 0 with
+    all its neighbours 0 is skipped.  Otherwise the live blocks, over a
+    common denominator, give one integer row per basis vector r of V_u (row
+    r of every block at a sink, column r at a source), and their kernel
+    vectors (`_kernel_vectors`; the unit vectors if V_u = 0) span the new
+    space at u.  The new map of a reversed arrow holds the slices of the
+    kernel vectors at its other end's coordinates: one row per vector at a
+    source, transposed at a sink (the cokernel functor is the transpose dual
+    of the kernel functor).  Rows are not brought to lowest terms;
+    `Mat._trusted` does that when a member is materialized.
+
+    The step at u depends only on its live blocks in plan order (their
+    widths if V_u = 0), so `solved` maps them, exactly as held, to the new
+    dimension at u and the new blocks, and each stacked system (a tuple of
+    int tuples, which never equals a tuple of blocks or of widths) to its
+    kernel vectors, since blocks split into arrows differently can stack to
+    the same system.  So each distinct local input is stepped, and each
+    distinct system solved, once per dict; one dict serves one direction
+    only."""
     for u, arrows in plan:
         live = []
         width = 0
@@ -302,37 +313,63 @@ def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dic
         d = dims.pop(u, 0)
         if not live:
             continue
-        if d:
-            old = [maps.pop(a) for _, a, _ in live]
-            den = lcm(*(k for _, k in old))
-            blocks = [b if k == den else [[x * (den // k) for x in r] for r in b] for b, k in old]
-            if at_sink:
-                rows = [[x for b in blocks for x in b[r]] for r in range(d)]
+        key = tuple([maps.pop(a) for _, a, _ in live]) if d else tuple([w for _, _, w in live])
+        step = solved.get(key)
+        if step is None:
+            if d:
+                den = lcm(*(k for _, k in key))
+                blocks = [b if k == den else [[x * (den // k) for x in r] for r in b] for b, k in key]
+                if at_sink:
+                    rows = [[x for b in blocks for x in b[r]] for r in range(d)]
+                else:
+                    rows = [[row[r] for b in blocks for row in b] for r in range(d)]
+                system = tuple(map(tuple, rows))
+                kernel = solved.get(system)
+                if kernel is None:
+                    kernel = solved[system] = _kernel_vectors(rows, width)
+                vecs, den = kernel
             else:
-                rows = [[row[r] for b in blocks for row in b] for r in range(d)]
-            vecs, den = _kernel_vectors(rows, width)
-        else:
-            vecs, den = [[int(r == c) for r in range(width)] for c in range(width)], 1
-        if not vecs:
-            continue
-        dims[u] = len(vecs)
-        if at_sink:
-            K = list(zip(*vecs))  # the kernel vectors as columns
-        offset = 0
-        for new, _, w in live:
+                vecs, den = [[int(r == c) for r in range(width)] for c in range(width)], 1
             if at_sink:
-                maps[new] = (K[offset : offset + w], den)
+                K = tuple(zip(*vecs))  # the kernel vectors as columns
             else:
-                maps[new] = ([x[offset : offset + w] for x in vecs], den)
-            offset += w
+                vecs = list(map(tuple, vecs))
+            out = []
+            offset = 0
+            for _, _, w in live:
+                if at_sink:
+                    out.append((K[offset : offset + w], den))
+                else:
+                    out.append((tuple([x[offset : offset + w] for x in vecs]), den))
+                offset += w
+            step = solved[key] = (len(vecs), out)
+        e, out = step
+        if e:
+            dims[u] = e
+            for (new, _, _), block in zip(live, out):
+                maps[new] = block
 
 
-def _materialize(uq: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, tuple]) -> UnfoldedRep:
+def _materialize(uq: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, tuple], mats: dict) -> UnfoldedRep:
     """The representation over uq held on its support as (dims, maps) (see
-    `_reflection_step`), built unchecked: one `Mat` per map, in lowest
-    terms, and the zero maps filled in by `UnfoldedRep._trusted`."""
-    mats = {a: Mat._trusted(len(rows), len(rows[0]), rows, den) for a, (rows, den) in maps.items()}
-    return UnfoldedRep._trusted(uq, dims, mats)
+    `_reflection_step`), built unchecked.  `mats` maps each block to its
+    `Mat`, in lowest terms, and each zero shape to its `Mat.zeros`, so one
+    dict builds one `Mat` per distinct map and shares it (a `Mat` is
+    immutable)."""
+    full = {}
+    for a in uq.arrows:
+        block = maps.get(a.id)
+        key = block or (dims.get(a.target, 0), dims.get(a.source, 0))
+        M = mats.get(key)
+        if M is None:
+            if block:
+                rows, den = block
+                M = Mat._trusted(len(rows), len(rows[0]), rows, den)
+            else:
+                M = Mat.zeros(*key)
+            mats[key] = M
+        full[a.id] = M
+    return UnfoldedRep._trusted(uq, dims, full)
 
 
 def apply_reflection_word(Q: CoxeterQuiver, V: UnfoldedRep, word) -> UnfoldedRep:
@@ -495,12 +532,16 @@ def _knit(uq: UnfoldedQuiver, n_roots: int):
     (Q_n = Q_0); its plan is read off uq, once per orientation and call.  A
     chain is carried on its support, as integer rows, through the module
     global `_reflection_step`; only a member over Q is materialized
-    (`_materialize`), which is once per extended positive root.
+    (`_materialize`), which is once per extended positive root.  Two dicts
+    live for the call: `solved`, through which each distinct local input is
+    stepped and each distinct system solved once, and `mats`, through which
+    each distinct map is one `Mat`, shared by the members.
     """
     ordering = admissible_sink_ordering(uq.source)
     n = len(ordering)
     plans = [_plan(uq, vp, at_sink=False) for vp in ordering]
     reflections = _int_reflections(uq)
+    solved, mats = {}, {}
     for k, vk in enumerate(ordering):
         for A in uq.irr:
             start = vertex_name(A, vk)
@@ -509,10 +550,10 @@ def _knit(uq: UnfoldedQuiver, n_roots: int):
             p = k
             for _ in range(steps):
                 if p == 0:
-                    yield _materialize(uq, dims, maps)
+                    yield _materialize(uq, dims, maps, mats)
                 p = (p - 1) % n
-                _reflection_step(plans[p], False, dims, maps)
-            yield _materialize(uq, dims, maps)
+                _reflection_step(plans[p], False, dims, maps, solved)
+            yield _materialize(uq, dims, maps, mats)
 
 
 def _last_landing(names, reflections, ordering, k: int, start: str, max_steps: int) -> int:

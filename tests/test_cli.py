@@ -701,7 +701,9 @@ def test_runs_are_byte_identical(capsys, qfile):
 # order of `_pinned_argvs`; the CLI output is part of the interface, so these
 # change only on purpose.  The last two entries and the families F4, G2 and
 # I2(8), whose even labels exercise the twist choice of `positive_roots`, were
-# recorded before the root orbit was closed in unfolded integer coordinates
+# recorded before the root orbit was closed in unfolded integer coordinates;
+# E8 and H4, whose knittings repeat most of their local steps, were recorded
+# before the knitting solved each distinct step once
 STDOUT_SHA256 = {
     "B3": (
         "5d1ab94158b155f5e1a79c40f8ba8b0b618773e889551e8066ce1c7225ca271c",
@@ -720,6 +722,15 @@ STDOUT_SHA256 = {
         "0aa8aeb1eea94c354b89affd891cf8331c1a9297b5a82af8a894e692eb3acb97",
         "3def95c1c1f395b7e79e6bf8f0f7540c2bbd4cd4639f3270876d526c891993a5",
         "5d08ad923898e8f44a8a9baf55faa667b097df4df2b549a9efdf8995a464182a",
+    ),
+    "E8": (
+        "87895dde0aad0c276ced7f4bffad94d01d68c0310822aad0c62e6f236e4512ba",
+        "7b4a8b4b9a78836cf1e3ea4361886f62b08fc4afa3604e478356ce292b7fbb4b",
+        "80be33721f4b7bab3318ef8bbb6c69700aef0cb3b22fd0271a3dfdf9e9bbaf5e",
+        "27fb7a25ffbd8dd52e8cefe4b749393cdef9c10b6389e1093ec5d4bf49a02df7",
+        "135dc31001b1029f5b6024d8431f2bc1562dc5da2b39d69c510bd94640fe9a76",
+        "f3240c6386254e07eb31ab4138d05724d9e4d454c90675d73d0f29167b8e2120",
+        "db48a50337dfde2d1ee1c330bc0d7a52f11cb6b0816c50b0352b6605c72ea1bb",
     ),
     "F4": (
         "9fe87e93fa2adaf2194daa9374e9e762e985d709e63018a50fcc748a4f01faec",
@@ -747,6 +758,15 @@ STDOUT_SHA256 = {
         "0f90243a89ec6a922e16fbe21fc9f829c9c31ead83dd8582980074d73a6b9efa",
         "b294b6cad8df9ce386c545cf359cc1cb99de54d8a4d0722ab08a9a0990ad57a2",
         "3e689d266c08114eeb134e07c05e24b08033b4482483d0db22e6ce7c90519260",
+    ),
+    "H4": (
+        "e944b8ae77840cf626986fc7aa44179b566244c4ff7419a8d7b07e1011bb1c9d",
+        "b5e98865bd3443b2f74656a680b853ca0010aebee0f5736f48176e18ef0672cc",
+        "d6f206c03e3b61556dedbdbb7e4af7bf690e8d9e398fd7fe439b2780c2a9e75d",
+        "4d7ad9199fad3cffbf11a11174de37c79bec1a0e8377aab4033227565c7b011b",
+        "3e4a49708fb0b5ae81ab1cb8115c9145dade6c7b610905a427f984046b9bbfd6",
+        "1ce818804685c33470af7d879769b3c395bb4b1f01481b116614dfd5cbf47612",
+        "4b407ee8acf3bd73104de8b51c8d446723d86a45a898037e98e1f184d3411cb6",
     ),
     "I2(5)": (
         "f883cb7b96e18cc1fe34822f22ab3b078b7e6238649ba9b83f2ef0d2e808a482",

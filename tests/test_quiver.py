@@ -58,6 +58,25 @@ def test_parse_text_and_json_round_trip():
     assert Q2 == Q
 
 
+def test_each_arrow_is_built_once(monkeypatch):
+    # the quiver keeps an Arrow it is given when its ids are strings, and
+    # rebuilds one that is a tuple or has ids of another type
+    built = []
+    init = Arrow.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Arrow, "__init__", counted)
+    Q = parse_quiver("vertex 1\nvertex 2\nvertex 3\nvertex 4\narrow 1 2\narrow 2 3 5\narrow 4 3\narrow 1 4 4\n")
+    assert len(Q.arrows) == 4 and len(built) == 4
+    a = Arrow("x", "1", "2", 5)
+    assert CoxeterQuiver(["1", "2"], [a]).arrows[0] is a
+    assert CoxeterQuiver([1, 2], [Arrow(0, 1, 2)]).arrows == (Arrow("0", "1", "2"),)
+    assert CoxeterQuiver([1, 2], [("0", 1, 2, 5)]).arrows == (Arrow("0", "1", "2", 5),)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(QuiverParseError):
         parse_quiver("vertex 1\nnonsense 2\n")

@@ -237,7 +237,7 @@ def materialized(uq, dims, maps):
         s, t = ends[a]
         assert s in dims and t in dims
         exact[a] = Mat(dims[t], dims[s], [[Fraction(x, den) for x in r] for r in rows])
-    V = _materialize(uq, dims, maps)
+    V = _materialize(uq, dims, maps, {})
     assert UnfoldedRep(uq, dims, exact) == V
     return V
 
@@ -246,8 +246,10 @@ def materialized(uq, dims, maps):
 def test_reflection_step_forms_agree(name):
     # a run of source steps, as in the knitting, carries the support state of
     # each representation through empty vertices; after every step it is a
-    # valid support state and equals the reference cokernel functor
+    # valid support state and equals the reference cokernel functor.  One
+    # memo serves every run, since a step depends only on its local input
     empty = 0
+    solved = {}
     for Q in all_orientations(family_quiver(name)):
         reps = enumerate_indecomposables(Q)
         for V in reps + [direct_sum(reps[0], reps[-1])]:
@@ -257,7 +259,7 @@ def test_reflection_step_forms_agree(name):
                 i = sorted(cur.sources())[0]
                 uq2 = unfold(reverse_at(cur, i))
                 empty += len(dims) < len(uq2.vertices)
-                _reflection_step(_plan(full.quiver, i, at_sink=False), False, dims, maps)
+                _reflection_step(_plan(full.quiver, i, at_sink=False), False, dims, maps, solved)
                 full = reference_reflect_minus(cur, i, full)
                 assert materialized(uq2, dims, maps) == full
                 cur = uq2.source
@@ -307,10 +309,11 @@ def test_plan_does_not_depend_on_the_orientation(name):
     assert mixed or len(Q.vertices) == 2
 
 
-@pytest.mark.parametrize("name", ["D4", "H3"])
+@pytest.mark.parametrize("name", ["D4", "H3", "E8", "H4"])
 def test_knit_steps_on_the_support(name, monkeypatch):
-    # no kernel of an empty vertex with empty neighbours; one `Mat` per map
-    # of each member yielded, so none between the members; and an
+    # no kernel of an empty vertex with empty neighbours, and no system
+    # solved twice in one knitting; one `Mat` per distinct map of the members
+    # yielded, shared by them, so none between the members; and an
     # `UnfoldedRep` built, unchecked, only for each member yielded
     Q = family_quiver(name)
     calls, inits, mats = [], [], []
@@ -319,7 +322,7 @@ def test_knit_steps_on_the_support(name, monkeypatch):
     mat_init = Mat._init
 
     def recorded(rows, ncols):
-        calls.append((len(rows), ncols))
+        calls.append((tuple(map(tuple, rows)), ncols))
         return kernel_vectors(rows, ncols)
 
     def counted(self, *args, **kwargs):
@@ -327,7 +330,7 @@ def test_knit_steps_on_the_support(name, monkeypatch):
         init(self, *args, **kwargs)
 
     def built(self, *args):
-        mats.append(args)
+        mats.append(self)
         mat_init(self, *args)
 
     uq = unfold(Q)
@@ -336,10 +339,13 @@ def test_knit_steps_on_the_support(name, monkeypatch):
     monkeypatch.setattr(UnfoldedRep, "__init__", counted)
     monkeypatch.setattr(Mat, "_init", built)
     members = list(_knit(uq, n_roots))
-    assert calls and (0, 0) not in calls
+    assert calls and ((), 0) not in calls
+    assert len(set(calls)) == len(calls)
     assert len(members) == n_roots
     assert inits == []
-    assert len(mats) == sum(len(W.maps) for W in members)
+    maps = [m for W in members for m in W.maps.values()]
+    assert len(mats) == len(set(maps))
+    assert {id(m) for m in maps} <= {id(M) for M in mats}
 
 
 def test_reflect_plus_at_zero_sink():
@@ -501,8 +507,8 @@ def reference_knit(Q, n_roots, steps=None):
 def test_knit_matches_reference_and_stops_at_last_landing(name, monkeypatch):
     steps = []
 
-    def counted(plan, at_sink, dims, maps):
-        _reflection_step(plan, at_sink, dims, maps)
+    def counted(plan, at_sink, dims, maps, *rest):
+        _reflection_step(plan, at_sink, dims, maps, *rest)
         steps.append(not dims)
 
     monkeypatch.setattr(reps_mod, "_reflection_step", counted)
