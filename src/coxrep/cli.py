@@ -6,7 +6,8 @@ keys, a 2-space indent, "," and ": " separators and ASCII escapes: the bytes
 json.dumps gives with sort_keys=True, separators (",", ": ") and indent 2.
 A sub-document that recurs in a document (the source quiver of every
 representation, the class at a vertex, a positive root among the extended
-ones) is built once as a `rootsys._Shared` and written once per indent per
+ones, a matrix that several representations share) is built once as a
+`rootsys._Shared` or `rootsys._SharedList` and written once per indent per
 document, with those same bytes.
 Exit codes: 0 success, 1 unreadable input (a malformed command line, or a
 file, quiver, representation or fusion element that does not parse or
@@ -47,6 +48,7 @@ from .rootsys import (
     _Layout,
     _positive,
     _Shared,
+    _SharedList,
 )
 from .unfold import _classify_unfolded, unfold
 
@@ -86,9 +88,9 @@ def _dumps(doc) -> str:
     dicts with str keys, lists, tuples, str, int, True, False and None; any
     other type raises TypeError.  The stdlib encodes an indented document in
     pure Python; here strings go through its C escaper and the fragments are
-    joined once.  A `_Shared` dict is written once per indent per call and its
-    text reused wherever it recurs; the document keeps each one alive for the
-    call, so its id is a sound key."""
+    joined once.  A `_Shared` dict or `_SharedList` is written once per indent
+    per call and its text reused wherever it recurs; the document keeps each
+    one alive for the call, so its id is a sound key."""
     parts: list[str] = []
     shared: dict[tuple[int, str], str] = {}
 
@@ -100,12 +102,12 @@ def _dumps(doc) -> str:
             parts.append(head + ("null" if x is None else "true" if x else "false"))
         elif isinstance(x, int):
             parts.append(head + int.__repr__(x))
-        elif isinstance(x, dict):
+        elif isinstance(x, (dict, list, tuple)):
             if not x:
-                parts.append(head + "{}")
+                parts.append(head + ("{}" if isinstance(x, dict) else "[]"))
                 return
             key = None
-            if type(x) is _Shared:
+            if type(x) is _Shared or type(x) is _SharedList:
                 key = (id(x), pad)
                 text = shared.get(key)
                 if text is not None:
@@ -114,25 +116,22 @@ def _dumps(doc) -> str:
                 # written without the head, which differs between places
                 start, outer, head = len(parts), head, ""
             inner = pad + "  "
-            sep = head + "{" + inner
-            for k in sorted(x):
-                # _escape raises TypeError on a key that is not a str
-                put(sep + _escape(k) + ": ", x[k], inner)
-                sep = "," + inner
-            parts.append(pad + "}")
+            if isinstance(x, dict):
+                sep = head + "{" + inner
+                for k in sorted(x):
+                    # _escape raises TypeError on a key that is not a str
+                    put(sep + _escape(k) + ": ", x[k], inner)
+                    sep = "," + inner
+                parts.append(pad + "}")
+            else:
+                sep = head + "[" + inner
+                for item in x:
+                    put(sep, item, inner)
+                    sep = "," + inner
+                parts.append(pad + "]")
             if key is not None:
                 text = shared[key] = "".join(parts[start:])
                 parts[start:] = [outer + text]
-        elif isinstance(x, (list, tuple)):
-            if not x:
-                parts.append(head + "[]")
-                return
-            inner = pad + "  "
-            sep = head + "[" + inner
-            for item in x:
-                put(sep, item, inner)
-                sep = "," + inner
-            parts.append(pad + "]")
         else:
             raise TypeError(f"{type(x).__name__} is not JSON serializable here")
 
@@ -226,13 +225,24 @@ def _cmd_indecs(args) -> int:
     layout, found = reps_mod._indecomposables_with_dims(Q, args.budget)
 
     def doc():
-        # every representation is over Q: one quiver document serves them all
+        # every representation is over Q: one quiver document serves them
+        # all; the knitting shares each distinct map among its members, and
+        # one document serves each (`found` keeps the matrices alive, so an
+        # id is a sound key)
         quiver = _Shared(Q.to_json()) if args.full else None
+        mats: dict[int, _SharedList] = {}
+
+        def mat_doc(m):
+            rows = mats.get(id(m))
+            if rows is None:
+                rows = mats[id(m)] = _SharedList(m.to_json())
+            return rows
+
         entries = []
         for _, x, W in found:
             entry = {"dim_vector": layout.to_json(x)}
             if args.full:
-                entry["rep"] = W._json(quiver)
+                entry["rep"] = W._json(quiver, mat_doc)
             entries.append(entry)
         return {"count": len(found), "indecomposables": entries}
 

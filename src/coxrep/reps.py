@@ -120,16 +120,6 @@ class UnfoldedRep(Value):
                 )
         if rest:
             raise UnknownVertex(f"unknown unfolded arrows {sorted(rest)}")
-        self._fill(quiver, dims, maps)
-
-    @classmethod
-    def _trusted(cls, quiver: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, Mat]) -> "UnfoldedRep":
-        """The representation with the given dimensions and maps, unchecked."""
-        V = object.__new__(cls)
-        V._fill(quiver, dims, maps)
-        return V
-
-    def _fill(self, quiver: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, Mat]) -> None:
         # every vertex not given has dimension 0 and every arrow not given
         # the zero matrix of its shape
         full_dims = {u: dims.get(u, 0) for u in quiver.vertices}
@@ -141,6 +131,14 @@ class UnfoldedRep(Value):
             full_maps[a.id] = m
         _set_slots(self, quiver, full_dims, full_maps)
 
+    @classmethod
+    def _trusted(cls, quiver: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, Mat]) -> "UnfoldedRep":
+        """The representation with the given dimensions and maps, one per
+        vertex and arrow of quiver in its order, taken as they are."""
+        V = object.__new__(cls)
+        _set_slots(V, quiver, dims, maps)
+        return V
+
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
@@ -151,15 +149,17 @@ class UnfoldedRep(Value):
         return self.quiver, self.dims, self.maps
 
     def to_json(self) -> dict:
-        return self._json(self.quiver.source.to_json())
+        return self._json(self.quiver.source.to_json(), Mat.to_json)
 
-    def _json(self, quiver_doc: dict) -> dict:
-        """The `to_json` document with quiver_doc as its source quiver, so
-        that one quiver document can serve many representations."""
+    def _json(self, quiver_doc: dict, mat_doc) -> dict:
+        """The `to_json` document with quiver_doc as its source quiver and
+        mat_doc(m) as the document of each non-zero map m, so that one
+        quiver document, and one document per matrix, can serve many
+        representations."""
         return {
             "quiver": quiver_doc,
             "dims": {k: v for k, v in self.dims.items() if v},
-            "maps": {k: m.to_json() for k, m in self.maps.items() if not m.is_zero()},
+            "maps": {k: mat_doc(m) for k, m in self.maps.items() if not m.is_zero()},
         }
 
     @classmethod
@@ -356,10 +356,11 @@ def _materialize(uq: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, tuple
     `Mat`, in lowest terms, and each zero shape to its `Mat.zeros`, so one
     dict builds one `Mat` per distinct map and shares it (a `Mat` is
     immutable)."""
+    full_dims = {u: dims.get(u, 0) for u in uq.vertices}
     full = {}
     for a in uq.arrows:
         block = maps.get(a.id)
-        key = block or (dims.get(a.target, 0), dims.get(a.source, 0))
+        key = block or (full_dims[a.target], full_dims[a.source])
         M = mats.get(key)
         if M is None:
             if block:
@@ -369,7 +370,7 @@ def _materialize(uq: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, tuple
                 M = Mat.zeros(*key)
             mats[key] = M
         full[a.id] = M
-    return UnfoldedRep._trusted(uq, dims, full)
+    return UnfoldedRep._trusted(uq, full_dims, full)
 
 
 def apply_reflection_word(Q: CoxeterQuiver, V: UnfoldedRep, word) -> UnfoldedRep:

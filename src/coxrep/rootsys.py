@@ -31,7 +31,7 @@ vertex over i.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _escape
-from operator import itemgetter
+from operator import itemgetter, neg, sub
 
 from ._values import Value, _set_slots
 from .fusion import (
@@ -42,7 +42,7 @@ from .fusion import (
     arrow_label_class,
     is_positive_elem,
 )
-from .quiver import CoxeterQuiver
+from .quiver import CoxeterQuiver, is_finite_type
 
 
 class MismatchedQuiver(Exception):
@@ -214,27 +214,60 @@ def _fold(uq, coords) -> RootVector:
     return RootVector(labels, {v: FusionElem._trusted(labels, c) for v, c in classes.items()})
 
 
-def _int_reflections(uq) -> dict[str, tuple[tuple[int, tuple[int, ...]], ...]]:
+def _gather(positions):
+    """x -> the tuple of x at the positions, through `itemgetter`, which
+    gives a bare item for one position: one position is read as a slice."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0, 0))
+
+
+def _int_reflections(uq) -> dict[str, tuple]:
     """The simple reflection at each vertex i of uq.source in integer
     coordinates over the vertices of its unfolding uq, the same in every
-    orientation: for each unfolded u over i, the position of u and the
-    positions of its neighbours, one per arrow at u in either direction."""
+    orientation, compiled once for `_int_reflect` into `itemgetter`
+    gathers.  Each unfolded u over i has the positions of its neighbours,
+    one per arrow at u in either direction.  The u are kept in three lists:
+    those with one neighbour (a gather of the neighbours and one of the u),
+    those with several (a gather of the neighbours per u) and those with
+    none (a gather of the u).  The last gather reads x followed by the new
+    values, in that list order, and puts each new value at its u."""
     index = {u: k for k, u in enumerate(uq.vertices)}
-
-    def nbrs(u):
-        return [index[a.source] for a in uq.in_arrows(u)] + [index[a.target] for a in uq.out_arrows(u)]
-
-    return {i: tuple((index[u], tuple(nbrs(u))) for u in uq.vertices_over(i)) for i in uq.source.vertices}
+    n = len(index)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a in uq.arrows:
+        s, t = index[a.source], index[a.target]
+        nbrs[s].append(t)
+        nbrs[t].append(s)
+    out = {}
+    for i in uq.source.vertices:
+        one, many, none = [], [], []
+        for u in map(index.__getitem__, uq.vertices_over(i)):
+            (many if len(nbrs[u]) > 1 else one if nbrs[u] else none).append(u)
+        put = list(range(n))
+        for k, u in enumerate(one + many + none, n):
+            put[u] = k
+        out[i] = (
+            _gather([nbrs[u][0] for u in one]) if one else None,
+            _gather(one),
+            tuple((u, _gather(nbrs[u])) for u in many),
+            _gather(none) if none else None,
+            _gather(put),
+        )
+    return out
 
 
 def _int_reflect(x: tuple[int, ...], reflection) -> tuple[int, ...]:
     # x[u] becomes the sum over u's neighbours minus x[u]; the unfolded
-    # vertices over one vertex are pairwise non-adjacent, so the order of the
-    # pairs does not matter
-    y = list(x)
-    for u, nbrs in reflection:
-        y[u] = sum([x[w] for w in nbrs]) - x[u]
-    return tuple(y)
+    # vertices over one vertex are pairwise non-adjacent, so every new value
+    # reads x alone
+    one_w, one_u, many, none, put = reflection
+    new = list(map(sub, one_w(x), one_u(x))) if one_w else []
+    for u, nbrs in many:
+        new.append(sum(nbrs(x)) - x[u])
+    if none:
+        new += map(neg, none(x))
+    return put(x + tuple(new))
 
 
 def _check_ordering(Q: CoxeterQuiver, ordering) -> tuple[str, ...]:
@@ -252,16 +285,23 @@ def coxeter_apply(Q: CoxeterQuiver, ordering, v: RootVector) -> RootVector:
     return v
 
 
+_ORDER_CAP = 10000
+
+
 def coxeter_order(Q: CoxeterQuiver, ordering) -> int:
-    """Order of the Coxeter element acting on the standard basis."""
+    """Order of the Coxeter element acting on the standard basis.  Outside
+    finite type the Coxeter group is infinite, and so is the order of its
+    Coxeter element (Howlett, 1982): CapExceeded at once."""
     ordering = _check_ordering(Q, ordering)
+    if not is_finite_type(Q):
+        raise CapExceeded(f"Coxeter element order not found below {_ORDER_CAP}")
     basis = [RootVector.basis(Q, i) for i in Q.vertices]
     current = list(basis)
-    for power in range(1, 10000):
+    for power in range(1, _ORDER_CAP):
         current = [coxeter_apply(Q, ordering, w) for w in current]
         if current == basis:
             return power
-    raise CapExceeded("Coxeter element order not found below 10000")
+    raise CapExceeded(f"Coxeter element order not found below {_ORDER_CAP}")
 
 
 class RootSet(Value):
@@ -289,22 +329,28 @@ def _int_orbit(uq, budget: int):
 
     Breadth first from the simple roots in vertex order, reflecting in vertex
     order: the image under `_fold` of the fusion-valued closure, member by
-    member, so the budget trips at the same orbit size.  A member is
-    positive iff its least coordinate is >= 0 (no member is zero)."""
+    member, so the budget trips at the same orbit size.  A member is not
+    reflected at the vertex it came through: a reflection is an involution,
+    so that gives back the member it came from, which is already seen.  A
+    member is positive iff its least coordinate is >= 0 (no member is
+    zero)."""
     vertices = uq.source.vertices
     reflections = _int_reflections(uq)
+    steps = [(k, reflections[i]) for k, i in enumerate(vertices)]
+    # the reflections after coming through vertex k, and (last) from a simple
+    rest = [[step for step in steps if step[0] != k] for k in range(len(steps))] + [steps]
     # the simple root at i is 1 at the unit simple over i
     start = {v: k for k, (B, v) in enumerate(map(uq.parts.get, uq.vertices)) if B.is_unit()}
-    frontier = [tuple(int(k == start[i]) for k in range(len(uq.vertices))) for i in vertices]
-    seen = set(frontier)
+    frontier = [(tuple(int(k == start[i]) for k in range(len(uq.vertices))), -1) for i in vertices]
+    seen = {x for x, _ in frontier}
     while frontier:
         nxt = []
-        for x in frontier:
-            for i in vertices:
-                y = _int_reflect(x, reflections[i])
+        for x, back in frontier:
+            for k, reflection in rest[back]:
+                y = _int_reflect(x, reflection)
                 if y not in seen:
                     seen.add(y)
-                    nxt.append(y)
+                    nxt.append((y, k))
                     if len(seen) > budget:
                         partial = frozenset(_fold(uq, zip(uq.vertices, z)) for z in seen if min(z) >= 0)
                         raise OrbitBudgetExceeded(f"orbit exceeded budget {budget}", RootSet(partial, False))
@@ -330,13 +376,18 @@ def _product_tables(uq, simples) -> list[list[tuple[int, ...]]]:
     return [[tuple(position[C, v] for C in _simple_mul(X, B)) for B, v in parts] for X in simples]
 
 
-def _act(table, x: tuple[int, ...]) -> tuple[int, ...]:
-    """X · x for the `_product_tables` table of a simple X."""
-    y = [0] * len(x)
-    for k, c in enumerate(x):
-        if c:
-            for t in table[k]:
-                y[t] += c
+def _support(x: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (position, coordinate) pairs of x with a non-zero coordinate."""
+    return [(k, c) for k, c in enumerate(x) if c]
+
+
+def _act(table, support, n: int) -> tuple[int, ...]:
+    """X · x for the `_product_tables` table of a simple X, from the
+    `_support` of x, a tuple of length n."""
+    y = [0] * n
+    for k, c in support:
+        for t in table[k]:
+            y[t] += c
     return tuple(y)
 
 
@@ -349,10 +400,12 @@ def _positive(uq, budget: int) -> set[tuple[int, ...]]:
         return set(positive)
     tables = _product_tables(uq, units)
     serialize = _Layout(uq).serialize
+    n = len(uq.vertices)
     chosen, seen = set(), set()
     for x in positive:
         if x not in seen:
-            twists = [x] + [_act(t, x) for t in tables]
+            support = _support(x)
+            twists = [x] + [_act(t, support, n) for t in tables]
             seen.update(twists)
             chosen.add(min(twists, key=serialize))
     return chosen
@@ -362,8 +415,11 @@ def _extend(uq, roots) -> set[tuple[int, ...]]:
     """All X · x for X a simple and x one of `roots`, deduplicated."""
     out = set(roots)
     tables = _product_tables(uq, [s for s in uq.irr if not s.is_unit()])
-    for x in list(out):
-        out.update([_act(t, x) for t in tables])
+    if tables:
+        n = len(uq.vertices)
+        for x in list(out):
+            support = _support(x)
+            out.update([_act(t, support, n) for t in tables])
     return out
 
 
@@ -395,6 +451,13 @@ class _Shared(dict):
     """A sub-document that a --json document may hold in several places: the
     CLI writer writes its text once per indent and then reuses it.  It is a
     plain dict to every other reader, so it must not be changed once built."""
+
+    __slots__ = ()
+
+
+class _SharedList(list):
+    """A list sub-document, such as the rows of a matrix, that a --json
+    document may hold in several places: the same as `_Shared`."""
 
     __slots__ = ()
 

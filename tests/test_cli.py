@@ -434,11 +434,11 @@ def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
     from coxrep import enumerate_indecomposables, parse_quiver, rootsys
     from coxrep.linalg import Mat
 
-    n_maps = sum(
-        not m.is_zero()
-        for W in enumerate_indecomposables(parse_quiver(I25_TEXT))
-        for m in W.maps.values()
-    )
+    # the non-zero maps of one knitting, and the distinct Mat objects among
+    # them: the knitting builds one Mat per distinct map and shares it
+    maps = [m for W in enumerate_indecomposables(parse_quiver(I25_TEXT)) for m in W.maps.values() if not m.is_zero()]
+    n_maps, n_mats = len(maps), len({id(m) for m in maps})
+    assert n_mats < n_maps
     calls = {"serialize": 0, "to_json": 0}
     # every serialized root, of an integer tuple or of a RootVector, is
     # written by rootsys._write
@@ -462,9 +462,10 @@ def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
     assert calls == {"serialize": 5 + 10, "to_json": 0}
     calls.update(serialize=0)
     # one serialization per indecomposable, the sort key and, in text, the
-    # printed line; one Mat.to_json per non-zero map, in either form
+    # printed line; in text one Mat.to_json per non-zero map, in JSON one per
+    # distinct Mat, whose document every map that shares it holds
     assert run(capsys, "indecs", p, "--full", *flags)[0] == 0
-    assert calls == {"serialize": 10, "to_json": n_maps}
+    assert calls == {"serialize": 10, "to_json": n_mats if as_json else n_maps}
 
 
 @pytest.mark.parametrize("name", ["I2(5)", "D4"])

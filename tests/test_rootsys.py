@@ -27,7 +27,7 @@ from coxrep import (
     unfold,
 )
 from coxrep.fusion import arrow_label_class, invertible_simples
-from coxrep.rootsys import _product_tables
+from coxrep.rootsys import _int_reflect, _int_reflections, _product_tables
 from ade_oracle import count_positive_roots_of_components
 from families import expected_root_count, family_quiver, path_quiver
 
@@ -416,6 +416,63 @@ def test_budget_exceeded_matches_fusion_reference(Q, budget):
         assert got.value.partial == expected.value.partial
         assert not got.value.partial.closed
         assert len(got.value.partial) > 0
+
+
+@pytest.mark.parametrize("name", ["H3", "I2(7)", "B2+I2(5)"])
+def test_every_budget_matches_fusion_reference(name):
+    # the orbit skips the reflection a member came through; it must still
+    # trip at the same member, with the same partial set, at every budget
+    Q = B2_I25 if name == "B2+I2(5)" else family_quiver(name)
+    size = len(reference_root_orbit(Q))
+    for budget in range(size):
+        with pytest.raises(OrbitBudgetExceeded) as expected:
+            reference_root_orbit(Q, budget)
+        for compute in (root_orbit, positive_roots, extended_positive_roots):
+            with pytest.raises(OrbitBudgetExceeded) as got:
+                compute(Q, budget)
+            assert str(got.value) == str(expected.value)
+            assert got.value.partial == expected.value.partial
+    assert root_orbit(Q, size) == reference_root_orbit(Q, size)
+
+
+def test_compiled_reflection_matches_plain_formula():
+    # at every vertex, x[u] becomes the sum over u's neighbours minus x[u],
+    # for unfolded vertices with no neighbour, one neighbour and several
+    quivers = [family_quiver("A1"), B2_I25, family_quiver("H3"), path_quiver([10, 11, 12])]
+    degrees = set()
+    for Q in quivers:
+        uq = unfold(Q)
+        index = {u: k for k, u in enumerate(uq.vertices)}
+        reflections = _int_reflections(uq)
+        rng = random.Random(len(uq.vertices))
+        for i in Q.vertices:
+            nbrs = {
+                index[u]: [index[a.source] for a in uq.in_arrows(u)] + [index[a.target] for a in uq.out_arrows(u)]
+                for u in uq.vertices_over(i)
+            }
+            degrees.update(min(len(w), 2) for w in nbrs.values())
+            for _ in range(10):
+                x = tuple(rng.randint(-9, 9) for _ in uq.vertices)
+                y = list(x)
+                for u, w in nbrs.items():
+                    y[u] = sum(x[v] for v in w) - x[u]
+                assert _int_reflect(x, reflections[i]) == tuple(y)
+    assert degrees == {0, 1, 2}
+
+
+@pytest.mark.parametrize("Q", [AFFINE_D4, KRONECKER], ids=["affine-d4", "kronecker"])
+def test_coxeter_order_outside_finite_type_raises_at_once(Q, monkeypatch):
+    from coxrep import CapExceeded, InvalidOrdering, rootsys
+
+    def applied(*args):
+        raise AssertionError("the Coxeter element was applied")
+
+    monkeypatch.setattr(rootsys, "coxeter_apply", applied)
+    with pytest.raises(CapExceeded, match="^Coxeter element order not found below 10000$"):
+        coxeter_order(Q, Q.vertices)
+    # the ordering is checked first
+    with pytest.raises(InvalidOrdering):
+        coxeter_order(Q, Q.vertices[1:])
 
 
 def test_fold_dim_matches_fusion_sum():
