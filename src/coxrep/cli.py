@@ -196,25 +196,30 @@ def _cmd_roots(args) -> int:
     ext = _extend(uq, base) if args.extended else None
     layout = _Layout(uq)
 
-    def listing(roots):
-        # the serialized root is both the sort key and the printed line
-        return sorted((layout.serialize(x), x) for x in roots)
+    def listings(read):
+        # each root is read once, by layout.serialize or layout.entry, whose
+        # serialized form is both the sort key and the printed line; the
+        # positive roots are among the extended ones, so their listing is
+        # filtered from the one sorted list
+        rows = sorted((read(x), x) for x in (base if ext is None else ext))
+        return [r for r, x in rows if x in base], [r for r, _ in rows]
 
     def doc():
         # one document per root: a positive root recurs among the extended ones
-        roots = {x: _Shared(layout.to_json(x)) for x in (base if ext is None else ext)}
-        out = {"count": len(base), "positive_roots": [roots[x] for _, x in listing(base)]}
+        positive, extended = listings(layout.entry)
+        out = {"count": len(base), "positive_roots": [d for _, d in positive]}
         if ext is not None:
             out["extended_count"] = len(ext)
-            out["extended_positive_roots"] = [roots[x] for _, x in listing(ext)]
+            out["extended_positive_roots"] = [d for _, d in extended]
         return out
 
     def lines():
+        positive, extended = listings(layout.serialize)
         yield f"positive roots ({len(base)}):"
-        yield from (f"  {s}" for s, _ in listing(base))
+        yield from (f"  {s}" for s in positive)
         if ext is not None:
             yield f"extended positive roots ({len(ext)}):"
-            yield from (f"  {s}" for s, _ in listing(ext))
+            yield from (f"  {s}" for s in extended)
 
     _emit(args.json, doc, lines)
     return 0

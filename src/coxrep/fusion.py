@@ -206,6 +206,18 @@ def _simple_mul(x: SimpleObject, y: SimpleObject) -> tuple[SimpleObject, ...]:
     return tuple(SimpleObject(combo) for combo in product(*per_label))
 
 
+def _mul_acc(out: dict, x: dict, y: dict) -> None:
+    """Add the product of the coefficient dicts x and y into out, by the
+    bilinear extension of the tensor rule; a coefficient that sums to zero
+    stays in out.  The one product of the ring: `FusionElem.__mul__` and the
+    path-algebra sweep both call it."""
+    for sx, cx in x.items():
+        for sy, cy in y.items():
+            c = cx * cy
+            for s in _simple_mul(sx, sy):
+                out[s] = out.get(s, 0) + c
+
+
 class FusionElem(Value):
     """Integer combination of simple objects over a fixed label set."""
 
@@ -280,11 +292,7 @@ class FusionElem(Value):
             return FusionElem._trusted(self.labels, coeffs)
         self._check(other)
         out: dict[SimpleObject, int] = {}
-        for sx, cx in self.coeffs.items():
-            for sy, cy in other.coeffs.items():
-                c = cx * cy
-                for s in _simple_mul(sx, sy):
-                    out[s] = out.get(s, 0) + c
+        _mul_acc(out, self.coeffs, other.coeffs)
         return FusionElem._trusted(self.labels, {s: c for s, c in out.items() if c})
 
     __rmul__ = __mul__

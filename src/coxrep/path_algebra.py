@@ -5,6 +5,9 @@ semisimple vertex algebra, so the class of the length-n paths ending at w sums,
 over the arrows a: v -> w, the class of the length-(n-1) paths ending at v
 times the label class of a; grade zero has one unit summand per vertex.  A path
 (a_n, ..., a_1) starts along a_1.  Acyclicity makes the total class finite.
+The sweep over the lengths keeps one coefficient dict per vertex per length
+and adds each arrow's product into it with the ring's multiply-accumulate
+kernel, `fusion._mul_acc`; one `FusionElem` is built per grade.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from itertools import islice
 
 from ._values import Value, _set_slots
-from .fusion import FusionElem, arrow_label_class
+from .fusion import FusionElem, _mul_acc, arrow_label_class
 from .quiver import CoxeterQuiver
 
 
@@ -51,21 +54,29 @@ def enumerate_paths(Q: CoxeterQuiver, n: int) -> PathGrade:
 
 
 def _grades(Q: CoxeterQuiver):
-    """The grade classes from length 0 up to the longest path: `ending[w]` is
-    the class of the paths of the current length that end at w.  Grade 0 is
-    always yielded, even for the empty quiver."""
+    """The grade classes from length 0 up to the longest path.  `ending[v]`
+    is the coefficient dict of the class of the paths of the current length
+    that end at v, for the v that such a path ends at; each arrow v -> w
+    adds its product into the dict at w through `fusion._mul_acc`, and only
+    the yielded grades become `FusionElem`s.  Grade 0 is always yielded,
+    even for the empty quiver."""
     labels = Q.label_set
-    zero = FusionElem.zero(labels)
-    label_class = {n: arrow_label_class(labels, n) for n in labels}
-    ending = dict.fromkeys(Q.vertices, FusionElem.unit(labels))
+    label_class = {n: arrow_label_class(labels, n).coeffs for n in labels}
+    leaving = {v: [(a.target, label_class[a.label]) for a in Q.out_arrows(v)] for v in Q.vertices}
+    ending = dict.fromkeys(Q.vertices, FusionElem.unit(labels).coeffs)
     while True:
-        yield sum(ending.values(), zero)
-        ending = {
-            w: sum((ending[a.source] * label_class[a.label] for a in Q.in_arrows(w)), zero)
-            for w in Q.vertices
-        }
-        if not any(ending.values()):
+        total: dict = {}
+        for coeffs in ending.values():
+            for s, c in coeffs.items():
+                total[s] = total.get(s, 0) + c
+        yield FusionElem._trusted(labels, {s: c for s, c in total.items() if c})
+        nxt: dict = {}
+        for v, x in ending.items():
+            for w, y in leaving[v]:
+                _mul_acc(nxt.setdefault(w, {}), x, y)
+        if not nxt:
             return
+        ending = nxt
 
 
 def grade_class(Q: CoxeterQuiver, n: int) -> FusionElem:

@@ -516,7 +516,7 @@ def endomorphism_basis(V: UnfoldedRep) -> list[dict[str, Mat]]:
     return basis.draw(basis.free)
 
 
-def _knit(uq: UnfoldedQuiver, n_roots: int):
+def _knit(uq: UnfoldedQuiver, n_roots: int, reflections=None):
     """Yield the indecomposables of the finite-type quiver Q = uq.source,
     knitted forward from the simples; uq is the unfolding of Q.
 
@@ -536,12 +536,14 @@ def _knit(uq: UnfoldedQuiver, n_roots: int):
     (`_materialize`), which is once per extended positive root.  Two dicts
     live for the call: `solved`, through which each distinct local input is
     stepped and each distinct system solved once, and `mats`, through which
-    each distinct map is one `Mat`, shared by the members.
+    each distinct map is one `Mat`, shared by the members.  `reflections`
+    is `_int_reflections(uq)`, compiled here if not given.
     """
     ordering = admissible_sink_ordering(uq.source)
     n = len(ordering)
     plans = [_plan(uq, vp, at_sink=False) for vp in ordering]
-    reflections = _int_reflections(uq)
+    if reflections is None:
+        reflections = _int_reflections(uq)
     solved, mats = {}, {}
     for k, vk in enumerate(ordering):
         for A in uq.irr:
@@ -593,14 +595,15 @@ def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = DEFAULT_BU
     if not is_finite_type(Q):
         raise NotFiniteType("indecomposables are only enumerated in finite type")
     uq = unfold(Q)
-    roots = _extend(uq, _positive(uq, budget))
+    reflections = _int_reflections(uq)
+    roots = _extend(uq, _positive(uq, budget, reflections))
     try:
         x = _coordinates(uq, v)
     except (MismatchedQuiver, UnknownVertex):
         x = None
     if x not in roots:
         raise NotAnExtendedRoot(f"{v!r} is not an extended positive root")
-    for W in _knit(uq, len(roots)):
+    for W in _knit(uq, len(roots), reflections):
         if _dims(uq, W) == x:
             return W
     raise AssertionError("knitting did not reach an extended positive root")
@@ -613,12 +616,14 @@ def _indecomposables_with_dims(
     indecomposable) behind `enumerate_indecomposables`, in its order, and
     the layout that serializes the dimensions; the serialized form is both
     the sort key and the printed text line.  The knitted dimensions are
-    checked against the extended positive roots, as integer tuples."""
+    checked against the extended positive roots, as integer tuples.  The
+    root orbit and the knitting run on one compilation of the reflections."""
     if not is_finite_type(Q):
         raise NotFiniteType("enumeration requires a finite-type quiver")
     uq = unfold(Q)
-    roots = _extend(uq, _positive(uq, budget))
-    found = [(_dims(uq, W), W) for W in _knit(uq, len(roots))]
+    reflections = _int_reflections(uq)
+    roots = _extend(uq, _positive(uq, budget, reflections))
+    found = [(_dims(uq, W), W) for W in _knit(uq, len(roots), reflections)]
     if len(found) != len(roots) or {x for x, _ in found} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
     layout = _Layout(uq)

@@ -323,7 +323,7 @@ class RootSet(Value):
 DEFAULT_BUDGET = 10_000
 
 
-def _int_orbit(uq, budget: int):
+def _int_orbit(uq, budget: int, reflections=None):
     """The reflection orbit of the simple roots of uq.source in integer
     coordinates over the vertices of its unfolding uq.
 
@@ -333,9 +333,11 @@ def _int_orbit(uq, budget: int):
     reflected at the vertex it came through: a reflection is an involution,
     so that gives back the member it came from, which is already seen.  A
     member is positive iff its least coordinate is >= 0 (no member is
-    zero)."""
+    zero).  `reflections` is `_int_reflections(uq)`, compiled here if not
+    given."""
     vertices = uq.source.vertices
-    reflections = _int_reflections(uq)
+    if reflections is None:
+        reflections = _int_reflections(uq)
     steps = [(k, reflections[i]) for k, i in enumerate(vertices)]
     # the reflections after coming through vertex k, and (last) from a simple
     rest = [[step for step in steps if step[0] != k] for k in range(len(steps))] + [steps]
@@ -391,10 +393,11 @@ def _act(table, support, n: int) -> tuple[int, ...]:
     return tuple(y)
 
 
-def _positive(uq, budget: int) -> set[tuple[int, ...]]:
+def _positive(uq, budget: int, reflections=None) -> set[tuple[int, ...]]:
     """The positive roots of uq.source as integer tuples, one per class under
-    the invertible simples: the serialization-minimal member of each class."""
-    positive = [x for x in _int_orbit(uq, budget) if min(x) >= 0]
+    the invertible simples: the serialization-minimal member of each class.
+    The orbit runs on `reflections`, as in `_int_orbit`."""
+    positive = [x for x in _int_orbit(uq, budget, reflections) if min(x) >= 0]
     units = [s for s in uq.irr if not s.is_unit() and _is_invertible(s)]
     if not units:
         return set(positive)
@@ -502,6 +505,18 @@ class _Layout:
             if entry:
                 out[block[0]] = entry
         return out
+
+    def entry(self, x: tuple[int, ...]) -> tuple[str, _Shared]:
+        """The serialized form of x and its JSON, as one `_Shared` document
+        for a root that a document holds in several places, from one read of
+        each block."""
+        texts, out = [], _Shared()
+        for block in self.blocks:
+            text, entry = self._class(block, x)
+            texts.append((block[0], text))
+            if entry:
+                out[block[0]] = entry
+        return _write(texts), out
 
 
 def _folded(uq, roots, closed: bool = True) -> RootSet:

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,7 @@ from coxrep import (
     tlj_simples,
     tlj_tensor,
 )
-from coxrep.fusion import _simple_mul, arrow_label_class
+from coxrep.fusion import _mul_acc, _simple_mul, arrow_label_class
 
 
 def elem(labels, *pairs):
@@ -124,6 +125,38 @@ def test_fusion_mul_golden():
 def test_fusion_mul_label_mismatch():
     with pytest.raises(MismatchedLabelSets):
         fusion_mul(FusionElem.unit((4,)), FusionElem.unit((5,)))
+
+
+def reference_mul(x, y):
+    """x * y from the definition: the bilinear extension of the label-wise
+    tensor rule `tlj_tensor`, one simple pair and one summand at a time."""
+    out = FusionElem.zero(x.labels)
+    for sx, cx in x.coeffs.items():
+        for sy, cy in y.coeffs.items():
+            per_label = [[(n, c) for c in tlj_tensor(n, a, sy.index(n))] for n, a in sx.components]
+            for combo in product(*per_label):
+                out = out + FusionElem(x.labels, {SimpleObject(combo): cx * cy})
+    return out
+
+
+def test_mul_matches_bilinear_reference():
+    rng = random.Random(29)
+    for labels in [(), (5,), (4, 5), (3, 6, 8)]:
+        simples = irr_enumerate(labels)
+        zero = FusionElem.zero(labels)
+        for _ in range(40):
+            x = random_elem(rng, labels, simples, max_terms=4)
+            y = random_elem(rng, labels, simples, max_terms=4)
+            for a, b in ((x, y), (x, -y), (x, zero), (zero, y)):
+                assert a * b == reference_mul(a, b)
+            # the kernel on raw dicts: it adds into what `out` holds, and a
+            # zero coefficient in an operand contributes nothing
+            start = {rng.choice(simples): rng.randint(-3, 3) for _ in range(2)}
+            raw_x = dict.fromkeys(simples, 0)
+            raw_x.update(x.coeffs)
+            out = dict(start)
+            _mul_acc(out, raw_x, y.coeffs)
+            assert FusionElem(labels, out) == FusionElem(labels, start) + reference_mul(x, y)
 
 
 def test_ring_laws_random():

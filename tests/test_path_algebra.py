@@ -155,23 +155,31 @@ def reference_grade_class(Q, n):
     return total
 
 
-def random_dag(rng, n):
+def random_dag(rng, n, labels=(3, 4, 5, 6, 7, 8)):
     vertices = [str(i) for i in range(1, n + 1)]
     arrows = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if rng.random() < 0.5:
-                arrows.append(Arrow(f"a{len(arrows)}", str(i), str(j), rng.randint(3, 8)))
+                arrows.append(Arrow(f"a{len(arrows)}", str(i), str(j), rng.choice(labels)))
     return CoxeterQuiver(vertices, arrows)
 
 
 def test_grades_match_path_listing():
+    # the sweep against the sum over the listed paths, grade by grade, on
+    # DAGs with several labels and on some with a label of 2**70, which the
+    # ring takes as it is
     rng = random.Random(51)
-    for _ in range(30):
-        Q = random_dag(rng, rng.randint(1, 8))
-        reference = [reference_grade_class(Q, n) for n in range(longest_path(Q) + 3)]
-        assert [grade_class(Q, n) for n in range(len(reference))] == reference
-        assert path_algebra_class(Q) == sum(reference, FusionElem.zero(Q.label_set))
+    dags = [random_dag(rng, rng.randint(1, 8)) for _ in range(30)]
+    dags += [random_dag(rng, rng.randint(4, 8), (3, 5, 2**70)) for _ in range(5)]
+    assert any(2**70 in Q.label_set and longest_path(Q) > 2 for Q in dags)
+    for Q in dags:
+        zero = FusionElem.zero(Q.label_set)
+        grades = list(_grades(Q))
+        assert len(grades) == longest_path(Q) + 1
+        assert grades == [reference_grade_class(Q, n) for n in range(len(grades))]
+        assert [grade_class(Q, n) for n in range(len(grades) + 2)] == grades + [zero, zero]
+        assert path_algebra_class(Q) == sum(grades, zero)
 
 
 def transitive_tournament(n, label=3):

@@ -348,6 +348,30 @@ def test_knit_steps_on_the_support(name, monkeypatch):
     assert {id(m) for m in maps} <= {id(M) for M in mats}
 
 
+@pytest.mark.parametrize("name", ["B3", "H3"])
+def test_one_reflection_compile_per_call(name, monkeypatch):
+    # the root orbit and the knitting of one call run on one compilation of
+    # the integer reflections, in the enumeration and in indecomposable_for
+    from coxrep import rootsys
+
+    Q = family_quiver(name)
+    compiled = []
+    compile_reflections = rootsys._int_reflections
+
+    def counted(uq):
+        compiled.append(uq)
+        return compile_reflections(uq)
+
+    monkeypatch.setattr(rootsys, "_int_reflections", counted)
+    monkeypatch.setattr(reps_mod, "_int_reflections", counted)
+    found = enumerate_indecomposables(Q)
+    assert len(compiled) == 1
+    compiled.clear()
+    W = indecomposable_for(Q, dim_vector(found[-1]))
+    assert len(compiled) == 1
+    assert dim_vector(W) == dim_vector(found[-1])
+
+
 def test_reflect_plus_at_zero_sink():
     # V_1 = 0: the kernel at the sink is all of V_2 and the new map is 1
     S = simple_rep(A2, "2", unit_simple(A2))
