@@ -68,6 +68,11 @@ def tlj_simples(n: int) -> list[int]:
     return list(range(n - 1))
 
 
+def _simple_count(n: int) -> int:
+    """len(tlj_simples(n)), counted without listing them."""
+    return (n - 1) // 2 if n % 2 else n - 1
+
+
 def tlj_tensor(n: int, a: int, b: int) -> tuple[int, ...]:
     """Summand indices of the product of the a-th and b-th simples at label n.
 

@@ -224,6 +224,8 @@ def _parse_entry(x) -> int | Fraction:
         return x
     if not isinstance(x, str):
         raise TypeError(f"matrix entries must be strings or integers, got {x!r}")
+    if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
+        return int(x)  # an optional "-" and ASCII digits: what Fraction reads, faster
     try:
         return Fraction(x)
     except ZeroDivisionError as exc:
@@ -370,7 +372,16 @@ def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
     """Matrix whose columns form a basis of the null space of the integer
     matrix with the given rows (which are consumed): the vectors of
     `_kernel_vectors` as columns."""
-    return _columns(ncols, *_kernel_vectors(rows, ncols))
+    return _reduced_kernel(rows, ncols)[0]
+
+
+def _reduced_kernel(rows: list[list[int]], ncols: int) -> tuple[Mat, list[int]]:
+    """`int_kernel` and the free columns of the echelon form, in increasing
+    order: the basis is the identity at those rows (row free[k] is the k-th
+    unit vector), so the coordinates of a vector of its span are its entries
+    there."""
+    rows, pivots, supports, free = _echelon(rows, ncols)
+    return _columns(ncols, *_back_substitute(rows, pivots, supports, ncols, free)), free
 
 
 def kernel_basis(M: Mat) -> Mat:

@@ -36,7 +36,10 @@ tries it (`_EndBasis`).  Krull-Schmidt splitting uses Fitting's lemma
 in integers only: an endomorphism scaled to integer matrices splits the
 representation into its generalized eigenspaces for the integer roots of the
 blockwise characteristic polynomials, plus one part for all other
-eigenvalues.
+eigenvalues.  It solves only what the endomorphism does not already show: a
+triangular block has its diagonal for eigenvalues, a vertex that is a single
+generalized eigenspace is whole (Cayley-Hamilton), and a part's maps are
+read off its reduced kernel bases, with no linear solve.
 
 Everything here runs on the integer core of `Mat`: each matrix is integer
 rows `num` over one denominator `den`, and the reflection step, the Hom/End
@@ -55,8 +58,8 @@ from operator import mul
 
 from ._values import Value, _set_slots
 from .fusion import SimpleObject
-from .linalg import Mat, _back_substitute, _echelon, _echelon_steps, _kernel_vectors, charpoly, int_kernel
-from .linalg import integer_roots, solve_all
+from .linalg import Mat, NoSolution, _back_substitute, _echelon, _echelon_steps, _kernel_vectors, _reduced_kernel
+from .linalg import charpoly, int_kernel, integer_roots
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at, vertex_key
 from .rootsys import DEFAULT_BUDGET, CapExceeded, MismatchedQuiver, RootVector
 from .rootsys import _coordinates, _extend, _int_reflect, _int_reflections, _Layout, _positive
@@ -637,14 +640,33 @@ def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) ->
     return [W for _, _, W in _indecomposables_with_dims(Q, budget)[1]]
 
 
-def _restrict(V: UnfoldedRep, bases: dict[str, Mat]) -> UnfoldedRep:
-    """Subrepresentation supported on the given column bases (one per vertex)."""
-    dims = {u: bases[u].cols for u in V.quiver.vertices}
+def _restrict(V: UnfoldedRep, bases: dict[str, tuple[Mat, list[int]]]) -> UnfoldedRep:
+    """The subrepresentation of V on the given subspaces, one per vertex u
+    as (B_u, F_u): a basis B_u of columns (d_u x e_u) that is the identity
+    at its rows F_u (`_reduced_kernel`; every row for the identity basis).
+
+    The map of an arrow a: s -> t is the X with B_t X = M_a B_s; it is the
+    image M_a B_s read at the rows F_t, and B_t X must give the image back
+    (NoSolution if the subspaces are not invariant).  The product is skipped
+    if B_s is the identity, and the check if B_t is."""
     maps = {}
     for a in V.quiver.arrows:
-        image = V.maps[a.id] * bases[a.source]
-        maps[a.id] = solve_all(bases[a.target], image).particular
-    return UnfoldedRep(V.quiver, dims, maps)
+        M = V.maps[a.id]
+        (Bs, Fs), (Bt, Ft) = bases[a.source], bases[a.target]
+        if len(Fs) == Bs.rows:
+            image, den = M.num, M.den
+        else:
+            cols = Bs._transposed_num()
+            image, den = [[sum(map(mul, row, col)) for col in cols] for row in M.num], M.den * Bs.den
+        X = [image[r] for r in Ft]
+        if len(Ft) < Bt.rows:
+            # B_t X = image, with B_t = Bt.num / Bt.den: Bt.num X = Bt.den image
+            cols = list(zip(*X)) if X else [()] * Bs.cols
+            for brow, irow in zip(Bt.num, image):
+                if any(sum(map(mul, brow, col)) != Bt.den * x for col, x in zip(cols, irow)):
+                    raise NoSolution("the subspaces are not invariant")
+        maps[a.id] = Mat._trusted(Bt.cols, Bs.cols, X, den)
+    return UnfoldedRep._trusted(V.quiver, {u: bases[u][0].cols for u in V.quiver.vertices}, maps)
 
 
 def _int_poly_at(coeffs: list[int], g: list[list[int]]) -> list[list[int]]:
@@ -664,6 +686,16 @@ def _int_poly_at(coeffs: list[int], g: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def _eigenvalues(g: list[list[int]]) -> tuple[list[tuple[int, int]], list[int]]:
+    """`integer_roots(charpoly(g))` for a square integer matrix g; for a
+    triangular g, the diagonal entries with their multiplicities and the
+    cofactor [1], read off with no polynomial."""
+    if all(not any(row[:i]) for i, row in enumerate(g)) or all(not any(row[i + 1 :]) for i, row in enumerate(g)):
+        diagonal = [row[i] for i, row in enumerate(g)]
+        return [(mu, diagonal.count(mu)) for mu in sorted(set(diagonal))], [1]
+    return integer_roots(charpoly(g))
+
+
 def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
     """Fitting's lemma for the endomorphism f: V is the direct sum of the
     generalized eigenspaces of f for its rational eigenvalues and of one more
@@ -671,10 +703,15 @@ def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
 
     With D the common denominator of f, g = D f is integral, and its rational
     eigenvalues mu = D lambda are the integer roots of the characteristic
-    polynomials of the blocks g_u.  The part for mu is ker (g_u - mu)^e at
-    each vertex, e the multiplicity of mu in charpoly(g_u); the last part is
-    the kernel of the cofactor of those roots.  The parts are counted off
-    the roots before any kernel is computed."""
+    polynomials of the blocks g_u (`_eigenvalues`: the diagonal of a
+    triangular block).  The part for mu is ker (g_u - mu)^e at each vertex,
+    e the multiplicity of mu in charpoly(g_u); the last part is the kernel
+    of the cofactor of those roots.  The parts are counted off the roots
+    before any kernel is computed.  Where V_u is a single generalized
+    eigenspace (one root of multiplicity d_u, or no root), that polynomial
+    kills g_u (Cayley-Hamilton), and the kernel is the identity basis, taken
+    with no power and no elimination.  Each part is read off its reduced
+    kernel bases (`_restrict`)."""
     D = lcm(*(m.den for m in f.values()))
     blocks = []
     mus: set[int] = set()
@@ -683,23 +720,30 @@ def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
         d = V.dims[u]
         if d:
             g = f[u].num_over(D)
-            roots, rest = integer_roots(charpoly(g))
+            roots, rest = _eigenvalues(g)
             blocks.append((u, d, g, roots, rest))
             mus.update(mu for mu, _ in roots)
             other = other or len(rest) > 1
     if len(mus) + other < 2:
         return None
-    eigenspaces: dict[int, dict[str, Mat]] = {}
-    rest_space: dict[str, Mat] = {}
+    eigenspaces: dict[int, dict[str, tuple[Mat, list[int]]]] = {}
+    rest_space: dict[str, tuple[Mat, list[int]]] = {}
     for u, d, g, roots, rest in blocks:
+        if len(roots) + (len(rest) > 1) == 1:  # V_u is one generalized eigenspace
+            whole = (Mat.identity(d), list(range(d)))
+            if roots:
+                eigenspaces.setdefault(roots[0][0], {})[u] = whole
+            else:
+                rest_space[u] = whole
+            continue
         for mu, e in roots:
             shifted = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(g)]
-            eigenspaces.setdefault(mu, {})[u] = int_kernel(_int_poly_at([1] + [0] * e, shifted), d)
+            eigenspaces.setdefault(mu, {})[u] = _reduced_kernel(_int_poly_at([1] + [0] * e, shifted), d)
         if len(rest) > 1:
-            rest_space[u] = int_kernel(_int_poly_at(rest, g), d)
+            rest_space[u] = _reduced_kernel(_int_poly_at(rest, g), d)
     spaces = [eigenspaces[mu] for mu in sorted(eigenspaces)] + ([rest_space] if rest_space else [])
     parts = [
-        _restrict(V, {u: space.get(u, Mat.zeros(V.dims[u], 0)) for u in V.quiver.vertices})
+        _restrict(V, {u: space.get(u) or (Mat.zeros(d, 0), []) for u, d in V.dims.items()})
         for space in spaces
     ]
     if sum(p.total_dim() for p in parts) != V.total_dim():
@@ -761,15 +805,19 @@ def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
     element t is back-substituted, with the elimination advanced to its free
     column, only when a candidate first reads it (`_EndBasis`).  Each f is
     scaled by the common denominator D of its entries to integer blocks
-    g_u = D f_u.  The characteristic polynomial of every block is computed
-    by Berkowitz's division-free algorithm, and its integer roots mu (the
-    eigenvalues lambda = mu / D of f) come from its square-free part.  V
-    splits into the generalized eigenspaces ker (g_u - mu)^e, one per root,
-    and, if some eigenvalue is not rational, the kernel of the cofactor of
-    those roots; f is used when that gives at least two parts.  Each part is split again
-    until its endomorphism algebra is one-dimensional, which certifies the
-    leaf as indecomposable; a leaf reads that off the whole echelon form and
-    computes no endomorphism.  Leaves are sorted by dimension vector.
+    g_u = D f_u.  The integer eigenvalues mu of a triangular block (the
+    eigenvalues lambda = mu / D of f) are its diagonal entries; for every
+    other block the characteristic polynomial is computed by Berkowitz's
+    division-free algorithm, and its integer roots come from its square-free
+    part.  V splits into the generalized eigenspaces ker (g_u - mu)^e, one
+    per root, and, if some eigenvalue is not rational, the kernel of the
+    cofactor of those roots; f is used when that gives at least two parts.
+    A vertex that is one generalized eigenspace is taken whole, and each
+    part's maps are read off its reduced kernel bases (`_try_split`).  Each
+    part is split again until its endomorphism algebra is one-dimensional,
+    which certifies the leaf as indecomposable; a leaf reads that off the
+    whole echelon form and computes no endomorphism.  Leaves are sorted by
+    dimension vector.
     """
     if seed is None:
         seed = DEFAULT_SEED

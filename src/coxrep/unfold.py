@@ -13,10 +13,10 @@ from math import prod
 from operator import attrgetter
 
 from ._values import Value, _set_slots
-from .fusion import SimpleObject, _simple_mul, arrow_label_class, irr_enumerate, tlj_simples
+from .fusion import SimpleObject, _simple_count, _simple_mul, arrow_label_class, irr_enumerate
 from .quiver import Arrow, CoxeterQuiver, DynkinType, UnknownVertex, vertex_key
 from .quiver import _classify_components, _grouped
-from .rootsys import RootVector, _fold
+from .rootsys import CapExceeded, RootVector, _fold
 
 
 class UnfoldedArrow(Value):
@@ -95,8 +95,15 @@ def unfold(Q: CoxeterQuiver) -> UnfoldedQuiver:
     """Construct the unfolded classical quiver of Q.
 
     Vertices are ordered by simple key, then as in Q; arrows as in Q, then
-    by (source, target) within each arrow's block."""
+    by (source, target) within each arrow's block.  CapExceeded if the
+    unfolded vertices, |Irr| per vertex of Q, are too many to count in a
+    list at all (more than sys.maxsize)."""
+    from sys import maxsize
+
     labels = Q.label_set
+    size = prod(map(_simple_count, labels)) * len(Q.vertices)
+    if size > maxsize:
+        raise CapExceeded(f"the unfolded quiver would have {size} vertices, more than {maxsize}")
     irr = irr_enumerate(labels)
     parts = {vertex_name(B, v): (B, v) for B in sorted(irr, key=lambda s: s.key) for v in Q.vertices}
     arrows = []
@@ -133,7 +140,7 @@ def unfolded_arrow_count(Q: CoxeterQuiver, arrow_id: str) -> int:
     if str(arrow_id) not in labels:
         raise UnknownVertex(f"unknown arrow id {arrow_id!r}")
     n = labels[str(arrow_id)]
-    complements = prod(len(tlj_simples(m)) for m in Q.label_set if m != n)
+    complements = prod(_simple_count(m) for m in Q.label_set if m != n)
     return complements * ((n - 2) if n % 2 else 2 * (n - 2))
 
 

@@ -289,6 +289,29 @@ def test_budget_exit_code(capsys, qfile):
     assert out == ""
 
 
+BIG_LABEL_TEXT = f"vertex 1\nvertex 2\narrow 1 2 {2**70}\n"
+
+
+@pytest.mark.parametrize("command", ["unfold", "roots", "indecs", "reflect"])
+def test_a_label_too_large_to_unfold_exits_3(capsys, qfile, command):
+    # 2^70 - 1 simples: the unfolding is refused before they are listed,
+    # where range() used to end in an OverflowError traceback
+    if command == "reflect":
+        doc = {"quiver": {"vertices": ["1", "2"], "arrows": [{"source": "1", "target": "2", "label": 2**70}]}}
+        argv = ["reflect", qfile(json.dumps(doc), "rep.json"), "--vertex", "2", "--sign", "+"]
+    else:
+        argv = [command, qfile(BIG_LABEL_TEXT)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the unfolded quiver would have ") and err.count("\n") == 1
+
+
+def test_path_algebra_reads_a_label_too_large_to_unfold(capsys, qfile):
+    code, out, _ = run(capsys, "path-algebra", qfile(BIG_LABEL_TEXT))
+    assert code == 0
+    assert f"{2**70}:{2**70 - 3}" in out
+
+
 def test_internal_fault_exit_code(capsys, qfile, monkeypatch):
     from coxrep import reps
 

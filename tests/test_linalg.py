@@ -14,7 +14,7 @@ from coxrep import (
     rank,
     solve_all,
 )
-from coxrep.linalg import charpoly, int_kernel, integer_roots
+from coxrep.linalg import _parse_entry, _reduced_kernel, charpoly, int_kernel, integer_roots
 from coxrep.reps import _hom_rows
 from families import family_quiver
 from test_reps import scrambled
@@ -448,3 +448,41 @@ def test_from_json_reads_integers_and_fraction_strings():
     M = Mat.from_json([[3, "-2/6"], ["0", "4/2"]], 2, 2)
     assert M.data == ((3, Fraction(-1, 3)), (0, 2))
     assert M.to_json() == [["3", "-1/3"], ["0", "2"]]
+
+
+def fraction_entry(x):
+    """How an entry string was parsed before plain integers took `int`."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"matrix entry {x!r} has a zero denominator") from exc
+
+
+@pytest.mark.parametrize(
+    "x", ["--3", "-", "", "+3", " 3", "3 ", "1_0", "\u0663", "\u00b2", "007", "-0", "-12", "1e3", "1/2", "1/0"]
+)
+def test_parse_entry_agrees_with_fraction(x):
+    # "--3" would reach int through lstrip("-"), and "\u0663" (Arabic-Indic
+    # three) and "\u00b2" pass str.isdigit; only "-"? and ASCII digits take int
+    try:
+        expected = fraction_entry(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _parse_entry(x)
+        assert str(got.value) == str(exc)
+    else:
+        got = _parse_entry(x)
+        assert got == expected
+        assert type(got) is (int if x.isascii() and x.removeprefix("-").isdigit() else Fraction)
+
+
+def test_reduced_kernel_is_the_identity_at_its_free_rows():
+    rng = random.Random("reduced")
+    for _ in range(40):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 7)
+        M = [[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(cols)] for _ in range(rows)]
+        A = Mat(rows, cols, M)
+        B, free = _reduced_kernel([list(r) for r in M], cols)
+        assert (A * B).is_zero() and B.cols == cols - rank(A)
+        assert len(free) == B.cols and free == sorted(free)
+        assert B.submatrix(free, range(B.cols)) == Mat.identity(B.cols)

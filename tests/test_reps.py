@@ -41,11 +41,13 @@ from coxrep import (
     unfold,
     zero_rep,
 )
-from coxrep.linalg import Mat, cokernel_projection, kernel_basis
+from coxrep.linalg import Mat, NoSolution, _reduced_kernel, charpoly, cokernel_projection, integer_roots, kernel_basis
+from coxrep.linalg import solve_all
 from coxrep import linalg as linalg_mod
 from coxrep import reps as reps_mod
 from coxrep.quiver import admissible_sink_ordering
-from coxrep.reps import UnfoldedRep, _int_poly_at, _knit, _materialize, _plan, _reflection_step, _try_split
+from coxrep.reps import UnfoldedRep, _eigenvalues, _int_poly_at, _knit, _materialize, _plan, _reflection_step
+from coxrep.reps import _restrict, _try_split
 from coxrep.unfold import unfolded_arrow_id, vertex_name
 from families import all_orientations, family_quiver
 
@@ -685,6 +687,114 @@ def test_try_split_generalized_eigenspaces():
     # a single rational eigenvalue does not split
     f = scalar_endomorphism(SSS, "3:0@1", [[-3, 1, 0], [0, -3, 0], [0, 0, -3]])
     assert _try_split(SSS, f) is None
+
+
+def is_triangular(g):
+    d = len(g)
+    return all(not g[i][j] for i in range(d) for j in range(i)) or all(
+        not g[i][j] for i in range(d) for j in range(i + 1, d)
+    )
+
+
+def test_eigenvalues_read_off_triangular_blocks(monkeypatch):
+    rng = random.Random("triangular")
+    cases = []
+    for d in (1, 2, 3, 5, 7):
+        for _ in range(6):
+            # repeated, zero and negative diagonal entries
+            diagonal = [rng.choice([-3, -1, 0, 0, 2, 2, 5]) for _ in range(d)]
+            g = [[diagonal[i] if i == j else (rng.randint(-4, 4) if j > i else 0) for j in range(d)] for i in range(d)]
+            cases += [g, [list(r) for r in zip(*g)]]  # upper, and its transpose
+    expected = [integer_roots(charpoly(g)) for g in cases]
+    monkeypatch.setattr(reps_mod, "charpoly", None)  # a triangular block computes no polynomial
+    assert [_eigenvalues(g) for g in cases] == expected
+    monkeypatch.undo()
+    # every other block takes the characteristic polynomial
+    for g in ([[1, 2], [3, 4]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 1], [0, 2, 0], [1, 0, 2]]):
+        assert not is_triangular(g)
+        assert _eigenvalues(g) == integer_roots(charpoly(g))
+
+
+def restrict_by_solving(V, bases):
+    """`_restrict` as it was: each map solved from B_t X = M_a B_s, and the
+    part built by the public constructor."""
+    dims = {u: bases[u][0].cols for u in V.quiver.vertices}
+    maps = {
+        a.id: solve_all(bases[a.target][0], V.maps[a.id] * bases[a.source][0]).particular for a in V.quiver.arrows
+    }
+    return UnfoldedRep(V.quiver, dims, maps)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "I2(5)", "H3"])
+def test_restrict_reads_parts_off_reduced_kernel_bases(name, monkeypatch):
+    # the invariant parts of every split of a scrambled sum
+    calls = []
+    restrict = reps_mod._restrict
+
+    def recorded(V, bases):
+        part = restrict(V, bases)
+        calls.append((V, bases, part))
+        return part
+
+    monkeypatch.setattr(reps_mod, "_restrict", recorded)
+    decompose(scrambled_pair(name)[0])
+    assert len(calls) >= 2
+    for V, bases, part in calls:
+        expected = restrict_by_solving(V, bases)
+        assert part == expected
+        assert list(part.dims) == list(expected.dims) and list(part.maps) == list(expected.maps)
+        assert json.dumps(part.to_json()) == json.dumps(expected.to_json())
+        assert [(m.num, m.den) for m in part.maps.values()] == [(m.num, m.den) for m in expected.maps.values()]
+
+
+def test_restrict_refuses_a_subspace_that_is_not_invariant():
+    # A2 with the identity map on Q^2; the span of e_0 at the source is not
+    # mapped into the span of e_1 at the target, nor into 0
+    uq = unfold(A2)
+    (arrow,) = uq.arrows
+    V = UnfoldedRep(uq, {"3:0@1": 2, "3:0@2": 2}, {arrow.id: Mat.identity(2)})
+    e0, e1 = _reduced_kernel([[0, 1]], 2), _reduced_kernel([[1, 0]], 2)
+    assert e0[1] == [0] and e1[1] == [1]
+    for target in (e1, (Mat.zeros(2, 0), ())):
+        bases = {arrow.source: e0, arrow.target: target}
+        with pytest.raises(NoSolution):
+            restrict_by_solving(V, bases)
+        with pytest.raises(NoSolution):
+            _restrict(V, bases)
+    # the span of e_0 at both ends is invariant
+    bases = {arrow.source: e0, arrow.target: e0}
+    assert _restrict(V, bases) == restrict_by_solving(V, bases)
+
+
+def test_decompose_solves_no_system_and_no_triangular_polynomial(monkeypatch):
+    reps = enumerate_indecomposables(family_quiver("D4"))
+    total = reps[0]
+    for W in reps[1:]:
+        total = direct_sum(total, W)
+    V = scrambled(total, random.Random("counting:D4"))
+    solved, blocks, polynomials = [], [], []
+    eigenvalues, poly = reps_mod._eigenvalues, reps_mod.charpoly
+
+    def counted_solve(A, B):
+        solved.append(A)
+        return solve_all(A, B)
+
+    def counted_eigenvalues(g):
+        blocks.append(g)
+        return eigenvalues(g)
+
+    def counted_charpoly(g):
+        polynomials.append(g)
+        return poly(g)
+
+    monkeypatch.setattr(linalg_mod, "solve_all", counted_solve)
+    monkeypatch.setattr(reps_mod, "_eigenvalues", counted_eigenvalues)
+    monkeypatch.setattr(reps_mod, "charpoly", counted_charpoly)
+    assert_splits_into(V, reps)
+    assert solved == []
+    assert not any(map(is_triangular, polynomials))
+    assert 0 < len(polynomials) < len(blocks)
+    assert len(blocks) - len(polynomials) == sum(map(is_triangular, blocks))
 
 
 def scrambled(V, rng):

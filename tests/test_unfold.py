@@ -6,6 +6,7 @@ import pytest
 
 from coxrep import (
     Arrow,
+    CapExceeded,
     CoxeterQuiver,
     FusionElem,
     classify_graph,
@@ -20,7 +21,7 @@ from coxrep import (
     unfolded_arrow_count,
 )
 from coxrep import reps as reps_mod
-from coxrep.fusion import SimpleObject, _simple_mul, irr_enumerate
+from coxrep.fusion import SimpleObject, _simple_count, _simple_mul, irr_enumerate
 from coxrep.quiver import vertex_key
 from coxrep.reps import UnfoldedRep
 from coxrep.unfold import UnfoldedArrow, UnfoldedQuiver, fold_dim, vertex_name
@@ -117,6 +118,28 @@ def test_unfolded_arrow_count_golden():
     # classical arrow in a {3,5} quiver acquires one copy per complement
     Q35 = parse_quiver("vertex 1\nvertex 2\nvertex 3\narrow 1 2 5\narrow 2 3\n")
     assert unfolded_arrow_count(Q35, "a1") == 2
+
+
+def test_simple_count_is_the_length_of_tlj_simples():
+    assert [_simple_count(n) for n in range(3, 60)] == [len(tlj_simples(n)) for n in range(3, 60)]
+
+
+def test_unfold_refuses_a_label_whose_simples_cannot_be_listed(monkeypatch):
+    # 2^70 - 1 simples at label 2^70: list(range(...)) would raise
+    # OverflowError, so the size is checked before any simple is enumerated
+    big = 2**70
+    Q = CoxeterQuiver(["1", "2", "3"], [Arrow("a", "1", "2", big), Arrow("b", "2", "3", 5)])
+
+    def listed(labels):
+        raise AssertionError("irr_enumerate called")
+
+    # the module, which the package's `unfold` function shadows
+    monkeypatch.setattr(sys.modules["coxrep.unfold"], "irr_enumerate", listed)
+    with pytest.raises(CapExceeded, match=str(3 * 2 * (big - 1))):
+        unfold(Q)
+    # the arrow counts are counted the same way
+    assert unfolded_arrow_count(Q, "a") == 2 * 2 * (big - 2)
+    assert unfolded_arrow_count(Q, "b") == (big - 1) * 3
 
 
 def test_unfolded_arrow_counts_sum():
