@@ -4,11 +4,13 @@ Deterministic given input and flags: every listing is canonically ordered and
 repeated runs are byte identical.  A --json document is printed with sorted
 keys, a 2-space indent, "," and ": " separators and ASCII escapes: the bytes
 json.dumps gives with sort_keys=True, separators (",", ": ") and indent 2.
-A sub-document that recurs in a document (the source quiver of every
-representation, the class at a vertex, a positive root among the extended
-ones, a matrix that several representations share) is built once as a
-`rootsys._Shared` or `rootsys._SharedList` and written once per indent per
-document, with those same bytes.
+The regular parts of a document are `_jsontext._Part`s, which write their
+own text in one join: each root (through `rootsys._Layout`, whose class
+texts recur), each matrix and the source quiver of `indecs --full`, and the
+vertex lists and unfolded arrows of `unfold`.  The writer asks a part for
+its text once per indent per document, so a part that recurs (a positive
+root among the extended ones, a matrix or the quiver that several
+representations share) is written once, with those same bytes.
 Exit codes: 0 success, 1 unreadable input (a malformed command line, or a
 file, quiver, representation or fusion element that does not parse or
 validate; argparse's usage message goes to stderr), 2 precondition violation (a
@@ -30,6 +32,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from . import path_algebra as pa
 from . import reps as reps_mod
+from ._jsontext import _INDENT, _arr, _obj, _Part
 from .fusion import FusionElem, MismatchedLabelSets
 from .quiver import (
     CoxeterQuiver,
@@ -47,8 +50,6 @@ from .rootsys import (
     _extend,
     _Layout,
     _positive,
-    _Shared,
-    _SharedList,
 )
 from .unfold import _classify_unfolded, unfold
 
@@ -83,60 +84,62 @@ def _load_quiver(path: str) -> CoxeterQuiver:
         raise QuiverParseError(f"invalid quiver: {exc}") from exc
 
 
-def _dumps(doc) -> str:
-    """The --json bytes of doc (see the module docstring) for a document of
-    dicts with str keys, lists, tuples, str, int, True, False and None; any
-    other type raises TypeError.  The stdlib encodes an indented document in
-    pure Python; here strings go through its C escaper and the fragments are
-    joined once.  A `_Shared` dict or `_SharedList` is written once per indent
-    per call and its text reused wherever it recurs; the document keeps each
-    one alive for the call, so its id is a sound key."""
-    parts: list[str] = []
-    shared: dict[tuple[int, str], str] = {}
+def _dumps(doc, pad: str = "\n") -> str:
+    """The --json text of doc (see the module docstring) at the indent pad,
+    the document itself by default, for a document of dicts with str keys,
+    lists, tuples, str, int, True, False, None and `_Part`s; any other type
+    raises TypeError.  The stdlib encodes an indented document in pure
+    Python; here strings go through its C escaper and each container is one
+    join, laid out by `_obj` and `_arr`.  A part is rendered once per indent
+    per call and its text reused wherever it recurs."""
+    rendered: dict[tuple[_Part, str], str] = {}
 
-    def put(head: str, x, pad: str) -> None:
-        # head (separator, indent, key) shares a fragment with x's first text
+    def text(x, pad: str) -> str:
+        if type(x) is _Part:
+            key = (x, pad)
+            found = rendered.get(key)
+            if found is None:
+                found = rendered[key] = x.render(x.doc, pad)
+            return found
         if isinstance(x, str):
-            parts.append(head + _escape(x))
-        elif x is None or x is True or x is False:
-            parts.append(head + ("null" if x is None else "true" if x else "false"))
-        elif isinstance(x, int):
-            parts.append(head + int.__repr__(x))
-        elif isinstance(x, (dict, list, tuple)):
-            if not x:
-                parts.append(head + ("{}" if isinstance(x, dict) else "[]"))
-                return
-            key = None
-            if type(x) is _Shared or type(x) is _SharedList:
-                key = (id(x), pad)
-                text = shared.get(key)
-                if text is not None:
-                    parts.append(head + text)
-                    return
-                # written without the head, which differs between places
-                start, outer, head = len(parts), head, ""
-            inner = pad + "  "
-            if isinstance(x, dict):
-                sep = head + "{" + inner
-                for k in sorted(x):
-                    # _escape raises TypeError on a key that is not a str
-                    put(sep + _escape(k) + ": ", x[k], inner)
-                    sep = "," + inner
-                parts.append(pad + "}")
-            else:
-                sep = head + "[" + inner
-                for item in x:
-                    put(sep, item, inner)
-                    sep = "," + inner
-                parts.append(pad + "]")
-            if key is not None:
-                text = shared[key] = "".join(parts[start:])
-                parts[start:] = [outer + text]
-        else:
-            raise TypeError(f"{type(x).__name__} is not JSON serializable here")
+            return _escape(x)
+        if x is None or x is True or x is False:
+            return "null" if x is None else "true" if x else "false"
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if isinstance(x, dict):
+            inner = pad + _INDENT
+            return _obj(pad, [(k, text(x[k], inner)) for k in sorted(x)])
+        if isinstance(x, (list, tuple)):
+            inner = pad + _INDENT
+            return _arr(pad, [text(item, inner) for item in x])
+        raise TypeError(f"{type(x).__name__} is not JSON serializable here")
 
-    put("", doc, "\n")
-    return "".join(parts)
+    return text(doc, pad)
+
+
+def _strings(items, pad: str) -> str:
+    """A list of strings, such as the vertex ids of a quiver, in one join."""
+    return _arr(pad, map(_escape, items))
+
+
+def _components(comps) -> list:
+    return [{"type": t.name, "vertices": _Part(_strings, vs)} for vs, t in comps]
+
+
+def _matrix(rows, pad: str) -> str:
+    """The rows of `Mat.to_json`, in one join per row."""
+    inner = pad + _INDENT
+    return _arr(pad, [_arr(inner, map(_escape, row)) for row in rows])
+
+
+def _unfolded_arrows(arrows, pad: str) -> str:
+    """The "arrows" of `UnfoldedQuiver.to_json`, each through one template
+    of its keys in sorted order; every unfolded arrow is labelled 3."""
+    holes = [("id", "%s"), ("label", "3"), ("provenance", "%s"), ("source", "%s"), ("target", "%s")]
+    template = _obj(pad + _INDENT, holes)
+    e = _escape
+    return _arr(pad, [template % (e(a.id), e(a.provenance), e(a.source), e(a.target)) for a in arrows])
 
 
 def _emit(as_json: bool, doc, text_lines):
@@ -156,10 +159,7 @@ def _cmd_classify(args) -> int:
     finite = all(t.is_dynkin for _, t in comps)
     _emit(
         args.json,
-        lambda: {
-            "components": [{"vertices": list(vs), "type": t.name} for vs, t in comps],
-            "finite_type": finite,
-        },
+        lambda: {"components": _components(comps), "finite_type": finite},
         lambda: [f"component [{', '.join(vs)}]: {t.name}" for vs, t in comps]
         + ["finite type" if finite else "infinite type"],
     )
@@ -172,9 +172,10 @@ def _cmd_unfold(args) -> int:
     comps = _classify_unfolded(uq) if args.components else None
 
     def doc():
-        out = uq.to_json()
+        # the document of uq.to_json(), its two lists written as parts
+        out = {"vertices": _Part(_strings, uq.vertices), "arrows": _Part(_unfolded_arrows, uq.arrows)}
         if comps is not None:
-            out["components"] = [{"vertices": list(vs), "type": t.name} for vs, t in comps]
+            out["components"] = _components(comps)
         return out
 
     def lines():
@@ -192,12 +193,12 @@ def _cmd_unfold(args) -> int:
 def _cmd_roots(args) -> int:
     Q = _load_quiver(args.quiver)
     uq = unfold(Q)
-    base = _positive(uq, args.budget)
-    ext = _extend(uq, base) if args.extended else None
     layout = _Layout(uq)
+    base = _positive(uq, args.budget, layout=layout)
+    ext = _extend(uq, base) if args.extended else None
 
     def listings(read):
-        # each root is read once, by layout.serialize or layout.entry, whose
+        # each root is read once, by layout.serialize or layout.keyed, whose
         # serialized form is both the sort key and the printed line; the
         # positive roots are among the extended ones, so their listing is
         # filtered from the one sorted list
@@ -205,8 +206,8 @@ def _cmd_roots(args) -> int:
         return [r for r, x in rows if x in base], [r for r, _ in rows]
 
     def doc():
-        # one document per root: a positive root recurs among the extended ones
-        positive, extended = listings(layout.entry)
+        # one part per root: a positive root recurs among the extended ones
+        positive, extended = listings(layout.keyed)
         out = {"count": len(base), "positive_roots": [d for _, d in positive]}
         if ext is not None:
             out["extended_count"] = len(ext)
@@ -230,22 +231,22 @@ def _cmd_indecs(args) -> int:
     layout, found = reps_mod._indecomposables_with_dims(Q, args.budget)
 
     def doc():
-        # every representation is over Q: one quiver document serves them
-        # all; the knitting shares each distinct map among its members, and
-        # one document serves each (`found` keeps the matrices alive, so an
-        # id is a sound key)
-        quiver = _Shared(Q.to_json()) if args.full else None
-        mats: dict[int, _SharedList] = {}
+        # every representation is over Q: one quiver part serves them all;
+        # the knitting shares each distinct map among its members, and one
+        # part serves each (`found` keeps the matrices alive, so an id is a
+        # sound key)
+        quiver = _Part(_dumps, Q.to_json()) if args.full else None
+        mats: dict[int, _Part] = {}
 
         def mat_doc(m):
-            rows = mats.get(id(m))
-            if rows is None:
-                rows = mats[id(m)] = _SharedList(m.to_json())
-            return rows
+            part = mats.get(id(m))
+            if part is None:
+                part = mats[id(m)] = _Part(_matrix, m.to_json())
+            return part
 
         entries = []
         for _, x, W in found:
-            entry = {"dim_vector": layout.to_json(x)}
+            entry = {"dim_vector": layout.part(x)}
             if args.full:
                 entry["rep"] = W._json(quiver, mat_doc)
             entries.append(entry)

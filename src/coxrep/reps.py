@@ -55,6 +55,7 @@ from bisect import bisect_left
 from itertools import chain, islice
 from math import lcm
 from operator import mul
+from sys import maxsize
 
 from ._values import Value, _set_slots
 from .fusion import SimpleObject
@@ -110,6 +111,9 @@ class UnfoldedRep(Value):
                 raise TypeError(f"dimensions must be integers, got {d!r}")
             if d < 0:
                 raise ValueError("dimensions must be non-negative")
+            if d > maxsize:
+                # no list, and so no matrix, has that many rows or columns
+                raise CapExceeded(f"dimension {d} at {name} is more than {maxsize}")
         if rest:
             raise UnknownVertex(f"unknown unfolded vertices {sorted(rest)}")
         rest = dict(maps)
@@ -625,11 +629,11 @@ def _indecomposables_with_dims(
         raise NotFiniteType("enumeration requires a finite-type quiver")
     uq = unfold(Q)
     reflections = _int_reflections(uq)
-    roots = _extend(uq, _positive(uq, budget, reflections))
+    layout = _Layout(uq)
+    roots = _extend(uq, _positive(uq, budget, reflections, layout))
     found = [(_dims(uq, W), W) for W in _knit(uq, len(roots), reflections)]
     if len(found) != len(roots) or {x for x, _ in found} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
-    layout = _Layout(uq)
     return layout, sorted(((layout.serialize(x), x, W) for x, W in found), key=lambda triple: triple[0])
 
 

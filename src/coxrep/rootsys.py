@@ -17,7 +17,8 @@ The canonical twist of a positive root is the serialization-minimal member
 of {x} ∪ {u·x} over the invertible simples u (`_positive`), and `_extend`
 multiplies by every simple.  `_Layout` writes a tuple as `RootVector`
 writes its fold: `serialize`, which is both the sort key and the text line,
-through the shared `_write`, and `to_json`.
+through the shared `_write`, and `part`, its --json text as a
+`_jsontext._Part`.
 
 Tuples are folded to `RootVector`s (`_fold`) only where the public API
 returns them; `extend_by_simples` unfolds its argument (`_coordinates`).
@@ -33,6 +34,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter, neg, sub
 
+from ._jsontext import _INDENT, _obj, _Part
 from ._values import Value, _set_slots
 from .fusion import (
     FusionElem,
@@ -215,11 +217,14 @@ def _fold(uq, coords) -> RootVector:
 
 
 def _gather(positions):
-    """x -> the tuple of x at the positions, through `itemgetter`, which
-    gives a bare item for one position: one position is read as a slice."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0, 0))
+    """x -> the tuple of x at the positions (a list): a slice where they are
+    evenly spaced, none or one included, and `itemgetter` otherwise."""
+    if not positions:
+        return itemgetter(slice(0, 0))
+    step = positions[1] - positions[0] if len(positions) > 1 else 1
+    if step > 0 and positions == list(range(positions[0], positions[-1] + 1, step)):
+        return itemgetter(slice(positions[0], positions[-1] + 1, step))
+    return itemgetter(*positions)
 
 
 def _int_reflections(uq) -> dict[str, tuple]:
@@ -393,16 +398,17 @@ def _act(table, support, n: int) -> tuple[int, ...]:
     return tuple(y)
 
 
-def _positive(uq, budget: int, reflections=None) -> set[tuple[int, ...]]:
+def _positive(uq, budget: int, reflections=None, layout=None) -> set[tuple[int, ...]]:
     """The positive roots of uq.source as integer tuples, one per class under
-    the invertible simples: the serialization-minimal member of each class.
-    The orbit runs on `reflections`, as in `_int_orbit`."""
+    the invertible simples: the serialization-minimal member of each class,
+    serialized by `layout`, the caller's `_Layout(uq)` if it has one.  The
+    orbit runs on `reflections`, as in `_int_orbit`."""
     positive = [x for x in _int_orbit(uq, budget, reflections) if min(x) >= 0]
     units = [s for s in uq.irr if not s.is_unit() and _is_invertible(s)]
     if not units:
         return set(positive)
     tables = _product_tables(uq, units)
-    serialize = _Layout(uq).serialize
+    serialize = (_Layout(uq) if layout is None else layout).serialize
     n = len(uq.vertices)
     chosen, seen = set(), set()
     for x in positive:
@@ -445,33 +451,20 @@ def _class_text(pairs) -> str:
 
 def _write(blocks) -> str:
     """The serialized form of a root, compact JSON with sorted keys, from
-    its (vertex, `_class_text`) blocks in vertex order; the empty ones are
-    left out."""
-    return "{" + ",".join([f"{_escape(v)}:{{{text}}}" for v, text in blocks if text]) + "}"
-
-
-class _Shared(dict):
-    """A sub-document that a --json document may hold in several places: the
-    CLI writer writes its text once per indent and then reuses it.  It is a
-    plain dict to every other reader, so it must not be changed once built."""
-
-    __slots__ = ()
-
-
-class _SharedList(list):
-    """A list sub-document, such as the rows of a matrix, that a --json
-    document may hold in several places: the same as `_Shared`."""
-
-    __slots__ = ()
+    the (vertex, `_class_text`) blocks of its non-zero classes in vertex
+    order."""
+    return "{" + ",".join([f"{_escape(v)}:{{{text}}}" for v, text in blocks]) + "}"
 
 
 class _Layout:
-    """The serialized form and the JSON of the integer tuples over an
+    """The serialized form and the --json part of the integer tuples over an
     unfolding, as `RootVector.serialize` and `to_json` give them for the
     folded root: the vertices of its source sorted by id, each with the
     positions of the simples over it sorted by key.  The class at a vertex
-    is written once per distinct slice of coordinates and then looked up;
-    `to_json` holds that one `_Shared` entry wherever the class recurs."""
+    is read once per distinct slice of coordinates, and its serialized text,
+    its (simple key, coefficient) pairs and its --json text at each indent
+    are then looked up; a root's part joins the texts of its non-zero
+    classes at the indent where it sits."""
 
     __slots__ = ("blocks",)
 
@@ -482,41 +475,47 @@ class _Layout:
         self.blocks = []
         for v, cells in sorted(over.items()):
             cells.sort()
-            keys = tuple(key for key, _ in cells)
-            self.blocks.append((v, keys, itemgetter(*(k for _, k in cells)), {}))
+            self.blocks.append((v, tuple(key for key, _ in cells), _gather([k for _, k in cells]), {}))
 
-    @staticmethod
-    def _class(block, x) -> tuple[str, dict]:
-        _, keys, get, memo = block
-        values = get(x)
-        found = memo.get(values)
-        if found is None:
-            entry = _Shared({k: c for k, c in zip(keys, values if len(keys) > 1 else (values,)) if c})
-            found = memo[values] = (_class_text(entry.items()), entry)
-        return found
-
-    def serialize(self, x: tuple[int, ...]) -> str:
-        return _write([(block[0], self._class(block, x)[0]) for block in self.blocks])
-
-    def to_json(self, x: tuple[int, ...]) -> dict:
-        out = {}
-        for block in self.blocks:
-            entry = self._class(block, x)[1]
-            if entry:
-                out[block[0]] = entry
+    def _classes(self, x: tuple[int, ...]) -> list[tuple[str, tuple]]:
+        """The (vertex, class) pairs of the non-zero classes of x, a class
+        being its serialized text, its pairs and its texts by indent."""
+        out = []
+        for v, keys, get, memo in self.blocks:
+            values = get(x)
+            cls = memo.get(values)
+            if cls is None:
+                pairs = [(k, c) for k, c in zip(keys, values) if c]
+                cls = memo[values] = (_class_text(pairs), pairs, {}) if pairs else ()
+            if cls:
+                out.append((v, cls))
         return out
 
-    def entry(self, x: tuple[int, ...]) -> tuple[str, _Shared]:
-        """The serialized form of x and its JSON, as one `_Shared` document
-        for a root that a document holds in several places, from one read of
-        each block."""
-        texts, out = [], _Shared()
-        for block in self.blocks:
-            text, entry = self._class(block, x)
-            texts.append((block[0], text))
-            if entry:
-                out[block[0]] = entry
-        return _write(texts), out
+    def serialize(self, x: tuple[int, ...]) -> str:
+        return _write([(v, cls[0]) for v, cls in self._classes(x)])
+
+    def part(self, x: tuple[int, ...]) -> _Part:
+        return _Part(_root_json, self._classes(x))
+
+    def keyed(self, x: tuple[int, ...]) -> tuple[str, _Part]:
+        """The serialized form of x and its part, from one read of each block."""
+        classes = self._classes(x)
+        return _write([(v, cls[0]) for v, cls in classes]), _Part(_root_json, classes)
+
+
+def _root_json(classes, pad: str) -> str:
+    """The --json text at the indent pad of a root's non-zero `_Layout`
+    classes, each class written once per indent."""
+    inner = pad + _INDENT
+    return _obj(pad, [(v, cls[2].get(inner) or _class_json(cls, inner)) for v, cls in classes])
+
+
+def _class_json(cls, pad: str) -> str:
+    """The --json text of a `_Layout` class at the indent pad, kept for the
+    next root that holds the class there."""
+    _, pairs, texts = cls
+    text = texts[pad] = _obj(pad, [(k, str(c)) for k, c in pairs])
+    return text
 
 
 def _folded(uq, roots, closed: bool = True) -> RootSet:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from coxrep.cli import main
-from coxrep.rootsys import _Shared
+from coxrep._jsontext import _Part
 from families import family_quiver
 
 H3_TEXT = "vertex 1\nvertex 2\nvertex 3\narrow 1 2 5\narrow 2 3\n"
@@ -312,6 +312,20 @@ def test_path_algebra_reads_a_label_too_large_to_unfold(capsys, qfile):
     assert f"{2**70}:{2**70 - 3}" in out
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_a_dimension_too_large_for_a_matrix_exits_3(capsys, qfile, sign):
+    # 2^70 rows fit in no list: the representation is refused before any
+    # matrix is built, where Mat.zeros used to end in an OverflowError
+    doc = {
+        "quiver": {"vertices": ["1", "2"], "arrows": [{"id": "a", "source": "1", "target": "2"}]},
+        "dims": {"3:0@1": 2**70},
+    }
+    vertex = "2" if sign == "+" else "1"
+    code, out, err = run(capsys, "reflect", qfile(json.dumps(doc), "rep.json"), "--vertex", vertex, "--sign", sign)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: dimension {2**70} at 3:0@1 is more than ") and err.count("\n") == 1
+
+
 def test_internal_fault_exit_code(capsys, qfile, monkeypatch):
     from coxrep import reps
 
@@ -585,33 +599,128 @@ def test_roots_print_what_the_fusion_route_gives(capsys, qfile, name):
     assert out == _dumps(doc) + "\n"
 
 
+@pytest.mark.parametrize("name", ["I2(24)", "B3"])
+def test_one_layout_per_roots_call(capsys, qfile, monkeypatch, name):
+    # the twist choice and the listing read the roots through one layout, so
+    # each class text is computed once; B3 and I2(24) have an even label
+    from coxrep import rootsys
+
+    calls = []
+    init = rootsys._Layout.__init__
+
+    def counted(self, uq):
+        calls.append(uq)
+        init(self, uq)
+
+    monkeypatch.setattr(rootsys._Layout, "__init__", counted)
+    p = qfile(json.dumps(family_quiver(name).to_json()))
+    for _ in range(2):
+        calls.clear()
+        assert run(capsys, "roots", p, "--extended", "--json")[0] == 0
+        assert len(calls) == 1
+
+
+ODD_ID_POOL = 'aZ09"\\{},@: \u00e9\u4e2d\u2028'
+
+
+def odd_id_quivers(seed, count):
+    """Finite-type quivers from the families, each vertex and arrow renamed
+    to a random id with quotes, backslashes, braces, commas, "@", ":",
+    non-ASCII characters and the line separator U+2028, and each arrow
+    turned at random."""
+    from coxrep import Arrow, CoxeterQuiver
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        Q = family_quiver(rng.choice(["A3", "B3", "D4", "G2", "H3", "I2(5)", "I2(8)"]))
+        names = set()
+        while len(names) < len(Q.vertices) + len(Q.arrows):
+            names.add("".join(rng.choice(ODD_ID_POOL) for _ in range(rng.randint(1, 5))))
+        names = rng.sample(sorted(names), len(names))
+        rename = dict(zip(Q.vertices, names))
+        arrows = []
+        for a, arrow_id in zip(Q.arrows, names[len(Q.vertices):]):
+            s, t = rename[a.source], rename[a.target]
+            if rng.random() < 0.5:
+                s, t = t, s
+            arrows.append(Arrow(arrow_id, s, t, a.label))
+        out.append(CoxeterQuiver(names[: len(Q.vertices)], arrows))
+    return out
+
+
+def stdlib_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unfold_and_roots_parts_match_stdlib(capsys, qfile, seed):
+    # the parts write the documents of the public to_json methods
+    from coxrep import extended_positive_roots, positive_roots, unfold
+    from coxrep.unfold import _classify_unfolded
+
+    for Q in odd_id_quivers(seed, 4):
+        p = qfile(json.dumps(Q.to_json()))
+        code, out, _ = run(capsys, "unfold", p, "--components", "--json")
+        assert code == 0
+        uq = unfold(Q)
+        doc = uq.to_json()
+        doc["components"] = [{"vertices": list(vs), "type": t.name} for vs, t in _classify_unfolded(uq)]
+        assert out == stdlib_json(doc)
+        code, out, _ = run(capsys, "roots", p, "--extended", "--json")
+        assert code == 0
+        base, ext = positive_roots(Q).sorted(), extended_positive_roots(Q).sorted()
+        doc = {
+            "count": len(base),
+            "positive_roots": [r.to_json() for r in base],
+            "extended_count": len(ext),
+            "extended_positive_roots": [r.to_json() for r in ext],
+        }
+        assert out == stdlib_json(doc)
+
+
 JSON_TEXT_POOL = 'aZ0 "\\/\n\t\x00\x1f\x7f\u00e9\u4e2d\u2028\u2029\U0001f600'
 
 
+def as_part(doc):
+    """doc as a `_Part` that the writer itself renders at each indent."""
+    from coxrep.cli import _dumps
+
+    return _Part(_dumps, doc)
+
+
 def random_json_doc(rng, depth=0, pool=None):
-    """A random document; with a pool, about half of its dicts are `_Shared`
-    and go into the pool, and some values are drawn again from the pool, so
-    one shared part recurs at one depth and at others, inside another."""
+    """A random document, and the same with every part replaced by the plain
+    document it renders.  With a pool (part -> plain document), about half
+    of its dicts and lists are parts and go into the pool, and some values
+    are drawn again from the pool, so one part recurs at one depth and at
+    others, inside another."""
     if pool and rng.random() < 0.15:
-        return rng.choice(pool)
+        return rng.choice(list(pool.items()))
     kind = rng.randrange(7 if depth < 4 else 4)
     if kind == 0:
-        return rng.choice([True, False, None])
-    if kind == 1:
-        return rng.randint(-1000, 1000)
-    if kind == 2:
-        return rng.choice([-1, 1]) * rng.randrange(10**49, 10**60)
-    if kind == 3:
-        return "".join(rng.choice(JSON_TEXT_POOL) for _ in range(rng.randrange(6)))
-    if kind == 4:
+        x = rng.choice([True, False, None])
+    elif kind == 1:
+        x = rng.randint(-1000, 1000)
+    elif kind == 2:
+        x = rng.choice([-1, 1]) * rng.randrange(10**49, 10**60)
+    elif kind == 3:
+        x = "".join(rng.choice(JSON_TEXT_POOL) for _ in range(rng.randrange(6)))
+    elif kind == 4:
         keys = ("".join(rng.choice(JSON_TEXT_POOL) for _ in range(rng.randrange(4))) for _ in range(rng.randrange(5)))
-        doc = {k: random_json_doc(rng, depth + 1, pool) for k in keys}
-        if pool is not None and rng.random() < 0.5:
-            doc = _Shared(doc)
-            pool.append(doc)
-        return doc
-    items = [random_json_doc(rng, depth + 1, pool) for _ in range(rng.randrange(5))]
-    return items if kind == 5 else tuple(items)
+        items = {k: random_json_doc(rng, depth + 1, pool) for k in keys}
+        doc, plain = {k: d for k, (d, _) in items.items()}, {k: p for k, (_, p) in items.items()}
+    else:
+        items = [random_json_doc(rng, depth + 1, pool) for _ in range(rng.randrange(5))]
+        doc, plain = [d for d, _ in items], [p for _, p in items]
+        if kind == 6:
+            doc, plain = tuple(doc), tuple(plain)
+    if kind < 4:
+        return x, x
+    if pool is not None and rng.random() < 0.5:
+        doc = as_part(doc)
+        pool[doc] = plain
+    return doc, plain
 
 
 def test_json_writer_matches_stdlib_indent_encoder():
@@ -630,27 +739,56 @@ def test_json_writer_matches_stdlib_indent_encoder():
     assert _dumps(fixed) == stdlib(fixed)
     rng = random.Random(11)
     for _ in range(500):
-        doc = random_json_doc(rng)
+        doc, _ = random_json_doc(rng)
         assert _dumps(doc) == stdlib(doc)
-    # a shared part is written once per indent and its text reused: the same
-    # object several times at one depth and at other depths, a shared part
-    # inside another, an empty one, and one that is the whole document
-    part = _Shared({"b": [1, {"c": None}], "a": "\u00e9"})
-    outer = _Shared({"part": part, "parts": [part, part]})
-    empty = _Shared()
+    # a part is rendered once per indent and its text reused: the same part
+    # several times at one depth and at other depths, a part inside another,
+    # empty ones, and one that is the whole document; a part inside another
+    # is rendered by the outer part's own call, so only the renders that the
+    # checked call makes itself are counted
+    renders, depth = [], [0]
+
+    def counted(doc):
+        def render(doc, pad):
+            if not depth[0]:
+                renders.append((id(part), pad))
+            depth[0] += 1
+            try:
+                return _dumps(doc, pad)
+            finally:
+                depth[0] -= 1
+
+        part = _Part(render, doc)
+        return part
+
+    plain_part = {"b": [1, {"c": None}], "a": "\u00e9"}
+    part = counted(plain_part)
+    plain_outer = {"part": plain_part, "parts": [plain_part, plain_part]}
+    outer = counted({"part": part, "parts": [part, part]})
+    empty, empty_list = counted({}), counted([])
     fixed = {
         "one": part,
         "two": part,
         "deep": [[part, {"k": part}], ("x", part)],
         "outer": [outer, {"o": outer}, outer],
-        "empty": [empty, {"e": empty}, empty],
+        "empty": [empty, {"e": empty}, empty, empty_list],
     }
-    for doc in (fixed, part, outer, empty, [fixed, fixed]):
-        assert _dumps(doc) == stdlib(doc)
+    plain_fixed = {
+        "one": plain_part,
+        "two": plain_part,
+        "deep": [[plain_part, {"k": plain_part}], ("x", plain_part)],
+        "outer": [plain_outer, {"o": plain_outer}, plain_outer],
+        "empty": [{}, {"e": {}}, {}, []],
+    }
+    cases = [(fixed, plain_fixed), (part, plain_part), (outer, plain_outer), (empty, {}), (empty_list, [])]
+    for doc, plain in cases + [([fixed, fixed], [plain_fixed, plain_fixed])]:
+        renders.clear()
+        assert _dumps(doc) == stdlib(plain)
+        assert renders and len(renders) == len(set(renders))
     for _ in range(500):
-        doc = random_json_doc(rng, pool=[])
-        assert _dumps(doc) == stdlib(doc)
-    for bad in (1.5, {"a": [0.0]}, {1: 2}, {"a": {b"b": 1}}, [object()]):
+        doc, plain = random_json_doc(rng, pool={})
+        assert _dumps(doc) == stdlib(plain)
+    for bad in (1.5, {"a": [0.0]}, {1: 2}, {"a": {b"b": 1}}, [object()], as_part({"a": 1.5})):
         with pytest.raises(TypeError):
             _dumps(bad)
 
@@ -812,6 +950,67 @@ STDOUT_SHA256 = {
         "53d6b094a7438c1deb82e84c5d5049821e8cb70c652d82e4bd383b0ee909f3c9",
     ),
 }
+
+
+# sha256 of `unfold --components --json` and `classify --json`, recorded
+# before the unfolded vertex lists and arrows were written as parts; "5-6-7"
+# is the path with labels 5, 6 and 7
+UNFOLD_CLASSIFY_SHA256 = {
+    "B3": (
+        "005144f1a331972789771a8ec18f4634d1ac9b6dacce11a6c08a386180e03ad0",
+        "9707ce3de0a41e4515b238b41a92a14745f2f9fb2a7c6572a705dc41633530e8",
+    ),
+    "D4": (
+        "6d6128a49b3ddd5e8ea2aea33f7927f907eaacab7bc7e5113cf43c3efa7024c3",
+        "0c857cfface9fc04da60c585ee7c1f3362107731f3d9200996f693f340126528",
+    ),
+    "E8": (
+        "d36b23c2b07db1890fbfd8a63bc994acc1a0e43ca0235046295487db74a697ff",
+        "5769831492003a64ef48d805717c5d84061b681a8c1c17510245ad70da9c1067",
+    ),
+    "F4": (
+        "2751da37664465adc2c1e717ebf15f3811fd993a660e340cd34d4a4ac311e3bf",
+        "04a8f4d6bddc97387390c55169cf3d15c65b1eac213d4255c9f778eb027a3f69",
+    ),
+    "G2": (
+        "eabda91af575997f92cd4f1e23adb65dcae0d58d8dc3a6aa7b45f8ddac4706af",
+        "39f4bc1afeecf599d2e2c93973cd353d11eebf8a11c2fc9bb293cd47a858ff39",
+    ),
+    "H3": (
+        "7bbb49b7d702f013e66ffe102784cd3647eaacf73c7780d8dd2c1dce1b2db746",
+        "a470a28b78e69a146f52d6a4bbd6e96188f3bed95b70a3aac8bd411ee500d65e",
+    ),
+    "H4": (
+        "7bdbb5a4c944d3eedc291e097f001c7dc989f2c9971fd5471ea10ef9de4957e3",
+        "08078d43175b20c89aed8a4cdeee3b8f03c60525aa4b95ac756ca58f207b0f08",
+    ),
+    "I2(5)": (
+        "5c17be923319501224d315a0c23f8ba5613c23f5e5caf5957c9bf702b979e1e2",
+        "a263376990db22e99ba052c6fd5985ae370db65b3605595a360913bdcb374f1d",
+    ),
+    "I2(8)": (
+        "0e2a4403bab198d5360a513a7bdd382db426b65b527da9df21af12e2e84edb8e",
+        "86a203ce3fc9c33799ebf317f3919e415ceedc5cedcb94a9b1465d5b992937c1",
+    ),
+    "5-6-7": (
+        "2d653b3994011e44a96e2d23cf246120003289c11b3a3ec43898c0cea571d207",
+        "b7f5dfe8f4790293079d9fbb810080dbc954af46b5b538423d97d4eb0c71edfa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFOLD_CLASSIFY_SHA256))
+def test_unfold_and_classify_bytes_are_recorded(capsys, qfile, name):
+    from families import path_quiver
+
+    Q = path_quiver([5, 6, 7]) if name == "5-6-7" else family_quiver(name)
+    p = qfile(json.dumps(Q.to_json()))
+    digests = []
+    for argv in (["unfold", p, "--components", "--json"], ["classify", p, "--json"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == UNFOLD_CLASSIFY_SHA256[name]
 
 
 def _pinned_argvs(Q, qpath, rep_path):
