@@ -5,7 +5,7 @@ repeated runs are byte identical.  A --json document is printed with sorted
 keys, a 2-space indent, "," and ": " separators and ASCII escapes: the bytes
 json.dumps gives with sort_keys=True, separators (",", ": ") and indent 2.
 The regular parts of a document are `_jsontext._Part`s, which write their
-own text in one join: each root (through `rootsys._Layout`, whose class
+own text in one join: each root (through `rootsys._Walk`, whose class
 texts recur), each matrix and the source quiver of `indecs --full`, and the
 vertex lists and unfolded arrows of `unfold`.  The writer asks a part for
 its text once per indent per document, so a part that recurs (a positive
@@ -48,8 +48,8 @@ from .rootsys import (
     MismatchedQuiver,
     OrbitBudgetExceeded,
     _extend,
-    _Layout,
     _positive,
+    _walk,
 )
 from .unfold import _classify_unfolded, unfold
 
@@ -92,30 +92,31 @@ def _dumps(doc, pad: str = "\n") -> str:
     Python; here strings go through its C escaper and each container is one
     join, laid out by `_obj` and `_arr`.  A part is rendered once per indent
     per call and its text reused wherever it recurs."""
-    rendered: dict[tuple[_Part, str], str] = {}
+    return _text(doc, pad, {})
 
-    def text(x, pad: str) -> str:
-        if type(x) is _Part:
-            key = (x, pad)
-            found = rendered.get(key)
-            if found is None:
-                found = rendered[key] = x.render(x.doc, pad)
-            return found
-        if isinstance(x, str):
-            return _escape(x)
-        if x is None or x is True or x is False:
-            return "null" if x is None else "true" if x else "false"
-        if isinstance(x, int):
-            return int.__repr__(x)
-        if isinstance(x, dict):
-            inner = pad + _INDENT
-            return _obj(pad, [(k, text(x[k], inner)) for k in sorted(x)])
-        if isinstance(x, (list, tuple)):
-            inner = pad + _INDENT
-            return _arr(pad, [text(item, inner) for item in x])
-        raise TypeError(f"{type(x).__name__} is not JSON serializable here")
 
-    return text(doc, pad)
+def _text(x, pad: str, rendered: dict[tuple[_Part, str], str]) -> str:
+    """`_dumps` of x, each part's text by indent kept in `rendered`, not in
+    a closure's cell, which would hold it in a reference cycle."""
+    if type(x) is _Part:
+        key = (x, pad)
+        found = rendered.get(key)
+        if found is None:
+            found = rendered[key] = x.render(x.doc, pad)
+        return found
+    if isinstance(x, str):
+        return _escape(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, dict):
+        inner = pad + _INDENT
+        return _obj(pad, [(k, _text(x[k], inner, rendered)) for k in sorted(x)])
+    if isinstance(x, (list, tuple)):
+        inner = pad + _INDENT
+        return _arr(pad, [_text(item, inner, rendered) for item in x])
+    raise TypeError(f"{type(x).__name__} is not JSON serializable here")
 
 
 def _strings(items, pad: str) -> str:
@@ -192,13 +193,12 @@ def _cmd_unfold(args) -> int:
 
 def _cmd_roots(args) -> int:
     Q = _load_quiver(args.quiver)
-    uq = unfold(Q)
-    layout = _Layout(uq)
-    base = _positive(uq, args.budget, layout=layout)
-    ext = _extend(uq, base) if args.extended else None
+    walk = _walk(Q)
+    base = _positive(walk, args.budget)
+    ext = _extend(walk, base) if args.extended else None
 
     def listings(read):
-        # each root is read once, by layout.serialize or layout.keyed, whose
+        # each root is read once, by walk.serialize or walk.keyed, whose
         # serialized form is both the sort key and the printed line; the
         # positive roots are among the extended ones, so their listing is
         # filtered from the one sorted list
@@ -207,7 +207,7 @@ def _cmd_roots(args) -> int:
 
     def doc():
         # one part per root: a positive root recurs among the extended ones
-        positive, extended = listings(layout.keyed)
+        positive, extended = listings(walk.keyed)
         out = {"count": len(base), "positive_roots": [d for _, d in positive]}
         if ext is not None:
             out["extended_count"] = len(ext)
@@ -215,7 +215,7 @@ def _cmd_roots(args) -> int:
         return out
 
     def lines():
-        positive, extended = listings(layout.serialize)
+        positive, extended = listings(walk.serialize)
         yield f"positive roots ({len(base)}):"
         yield from (f"  {s}" for s in positive)
         if ext is not None:
@@ -228,7 +228,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_indecs(args) -> int:
     Q = _load_quiver(args.quiver)
-    layout, found = reps_mod._indecomposables_with_dims(Q, args.budget)
+    walk, found = reps_mod._indecomposables_with_dims(Q, args.budget)
 
     def doc():
         # every representation is over Q: one quiver part serves them all;
@@ -246,7 +246,7 @@ def _cmd_indecs(args) -> int:
 
         entries = []
         for _, x, W in found:
-            entry = {"dim_vector": layout.part(x)}
+            entry = {"dim_vector": walk.part(x)}
             if args.full:
                 entry["rep"] = W._json(quiver, mat_doc)
             entries.append(entry)

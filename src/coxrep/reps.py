@@ -11,12 +11,13 @@ step (`_reflection_step`) on a representation held on its support: its
 non-zero dimensions, and the maps between them as integer rows over a
 denominator.  A plan (`_plan`) lists the vertices over i with their arrows.
 Only the direction of the arrows at i differs between orientations, so the
-knitting plans each of its orientations once, off the one unfolding of the
-original orientation.  At each vertex over i the step
-stacks only the blocks of the arrows whose other end is non-zero, solves one
-integer system if the vertex itself is non-zero, takes the identity if it is
-zero, and skips it if it and all its neighbours are zero; it slices the
-kernel vectors straight into the new maps, with no `Mat` in between.
+knitting plans each of its orientations once, off the `rootsys._Walk` of
+the original orientation, whose reflections run each chain's dimension
+vectors ahead of it.  At each vertex over i the step stacks only the blocks
+of the arrows whose other end is non-zero, solves one integer system if the
+vertex itself is non-zero, takes the identity if it is zero, and skips it if
+it and all its neighbours are zero; it slices the kernel vectors straight
+into the new maps, with no `Mat` in between.
 Indecomposables of finite-type quivers are knitted forward from the simples:
 the source step carries each one-dimensional representation around the cycle
 of orientations of an admissible ordering until it vanishes, and every
@@ -63,7 +64,7 @@ from .linalg import Mat, NoSolution, _back_substitute, _echelon, _echelon_steps,
 from .linalg import charpoly, int_kernel, integer_roots
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at, vertex_key
 from .rootsys import DEFAULT_BUDGET, CapExceeded, MismatchedQuiver, RootVector
-from .rootsys import _coordinates, _extend, _int_reflect, _int_reflections, _Layout, _positive
+from .rootsys import _coordinates, _extend, _int_reflect, _positive, _walk, _Walk
 from .unfold import UnfoldedQuiver, fold_dim, unfold, unfolded_arrow_id, vertex_name
 
 DEFAULT_SEED = 7
@@ -523,9 +524,9 @@ def endomorphism_basis(V: UnfoldedRep) -> list[dict[str, Mat]]:
     return basis.draw(basis.free)
 
 
-def _knit(uq: UnfoldedQuiver, n_roots: int, reflections=None):
+def _knit(walk: _Walk, n_roots: int):
     """Yield the indecomposables of the finite-type quiver Q = uq.source,
-    knitted forward from the simples; uq is the unfolding of Q.
+    knitted forward from the simples; uq = walk.uq is the unfolding of Q.
 
     With the admissible ordering v_0, ..., v_{n-1}, let Q_k be Q reversed at
     v_0, ..., v_{k-1}.  For each k and simple A the chain starts at the
@@ -543,20 +544,17 @@ def _knit(uq: UnfoldedQuiver, n_roots: int, reflections=None):
     (`_materialize`), which is once per extended positive root.  Two dicts
     live for the call: `solved`, through which each distinct local input is
     stepped and each distinct system solved once, and `mats`, through which
-    each distinct map is one `Mat`, shared by the members.  `reflections`
-    is `_int_reflections(uq)`, compiled here if not given.
+    each distinct map is one `Mat`, shared by the members.
     """
+    uq = walk.uq
     ordering = admissible_sink_ordering(uq.source)
     n = len(ordering)
     plans = [_plan(uq, vp, at_sink=False) for vp in ordering]
-    if reflections is None:
-        reflections = _int_reflections(uq)
     solved, mats = {}, {}
     for k, vk in enumerate(ordering):
         for A in uq.irr:
-            start = vertex_name(A, vk)
-            steps = _last_landing(uq.vertices, reflections, ordering, k, start, n * n_roots)
-            dims, maps = {start: 1}, {}
+            steps = _last_landing(walk, ordering, k, walk.basis(vk, A), n * n_roots)
+            dims, maps = {vertex_name(A, vk): 1}, {}
             p = k
             for _ in range(steps):
                 if p == 0:
@@ -566,19 +564,19 @@ def _knit(uq: UnfoldedQuiver, n_roots: int, reflections=None):
             yield _materialize(uq, dims, maps, mats)
 
 
-def _last_landing(names, reflections, ordering, k: int, start: str, max_steps: int) -> int:
-    """The number of cokernel steps from the simple at `start` over Q_k to
-    the last member of its knitting chain over Q_0.
+def _last_landing(walk: _Walk, ordering, k: int, x: tuple[int, ...], max_steps: int) -> int:
+    """The number of cokernel steps from the simple over Q_k of dimension
+    vector x to the last member of its knitting chain over Q_0.
 
     The dimension vector of a step is the integer reflection of the one
     before, and the step vanishes exactly when that has a negative
     coordinate: the chain is indecomposable, and over the unfolded vertices
     of one vertex the functor is a product of classical reflection functors,
     which kill only the simple at their vertex.  The first k steps reflect
-    away from v_k and keep the coordinate 1 at `start`, so every chain lands
+    away from v_k and keep the coordinate 1 of x, so every chain lands
     on Q_0 at least once."""
     n = len(ordering)
-    x = tuple(int(u == start) for u in names)
+    reflections = walk.reflections
     p = k
     last = 0
     for step in range(max_steps):
@@ -601,40 +599,37 @@ def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = DEFAULT_BU
     extended positive root, taken from the forward knitting of the simples."""
     if not is_finite_type(Q):
         raise NotFiniteType("indecomposables are only enumerated in finite type")
-    uq = unfold(Q)
-    reflections = _int_reflections(uq)
-    roots = _extend(uq, _positive(uq, budget, reflections))
+    walk = _walk(Q)
+    roots = _extend(walk, _positive(walk, budget))
     try:
-        x = _coordinates(uq, v)
+        x = _coordinates(walk, v)
     except (MismatchedQuiver, UnknownVertex):
         x = None
     if x not in roots:
         raise NotAnExtendedRoot(f"{v!r} is not an extended positive root")
-    for W in _knit(uq, len(roots), reflections):
-        if _dims(uq, W) == x:
+    for W in _knit(walk, len(roots)):
+        if _dims(walk.uq, W) == x:
             return W
     raise AssertionError("knitting did not reach an extended positive root")
 
 
 def _indecomposables_with_dims(
     Q: CoxeterQuiver, budget: int
-) -> tuple[_Layout, list[tuple[str, tuple[int, ...], UnfoldedRep]]]:
+) -> tuple[_Walk, list[tuple[str, tuple[int, ...], UnfoldedRep]]]:
     """The triples (serialized dimension vector, unfolded dimensions,
     indecomposable) behind `enumerate_indecomposables`, in its order, and
-    the layout that serializes the dimensions; the serialized form is both
+    the walk that serializes the dimensions; the serialized form is both
     the sort key and the printed text line.  The knitted dimensions are
     checked against the extended positive roots, as integer tuples.  The
-    root orbit and the knitting run on one compilation of the reflections."""
+    root orbit, the twist, the extension and the knitting read one walk."""
     if not is_finite_type(Q):
         raise NotFiniteType("enumeration requires a finite-type quiver")
-    uq = unfold(Q)
-    reflections = _int_reflections(uq)
-    layout = _Layout(uq)
-    roots = _extend(uq, _positive(uq, budget, reflections, layout))
-    found = [(_dims(uq, W), W) for W in _knit(uq, len(roots), reflections)]
+    walk = _walk(Q)
+    roots = _extend(walk, _positive(walk, budget))
+    found = [(_dims(walk.uq, W), W) for W in _knit(walk, len(roots))]
     if len(found) != len(roots) or {x for x, _ in found} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
-    return layout, sorted(((layout.serialize(x), x, W) for x, W in found), key=lambda triple: triple[0])
+    return walk, sorted(((walk.serialize(x), x, W) for x, W in found), key=lambda triple: triple[0])
 
 
 def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> list[UnfoldedRep]:

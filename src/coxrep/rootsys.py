@@ -11,26 +11,26 @@ in the order of `unfold(Q).vertices`, from the orbit to the printed bytes.
 The simple reflection at i is the product of the commuting classical
 reflections at the unfolded vertices over i (Etingof-Khovanov), and folding,
 the class sum of x[(B, v)] [B] at each v, is a bijection, so the integer
-orbit (`_int_orbit`) is the image of the fusion-valued one.  A simple X acts
-by `_act`: e_{B@v} goes to the sum of e_{C@v} over the simples C in X ⊗ B.
+orbit (`_int_orbit`) and `coxeter_order` run on the images of the
+fusion-valued reflections, off one `_Walk`.  A simple X acts by `_act`:
+e_{B@v} goes to the sum of e_{C@v} over the simples C in X ⊗ B.
 The canonical twist of a positive root is the serialization-minimal member
 of {x} ∪ {u·x} over the invertible simples u (`_positive`), and `_extend`
-multiplies by every simple.  `_Layout` writes a tuple as `RootVector`
-writes its fold: `serialize`, which is both the sort key and the text line,
-through the shared `_write`, and `part`, its --json text as a
-`_jsontext._Part`.
+multiplies by every simple.
 
 Tuples are folded to `RootVector`s (`_fold`) only where the public API
-returns them; `extend_by_simples` unfolds its argument (`_coordinates`).
-The CLI and the `indecs` cross-check work on the tuples.  `reflect` keeps
-the fusion-valued rule as an independent route.  Both reflections are
-local: `reflect` at i reads the arrows Q stores at i, one label class each,
-and the integer reflection reads the arrows the unfolding stores at each
-vertex over i.
+returns them, and read off them (`_coordinates`) where it takes them.
+`reflect` keeps the fusion-valued rule, the tests' reference for the orbit
+and `coxeter_order`; `coxeter_apply` and `depositivize_exponent` loop over
+it, as one sparse vector needs no unfolding.  Both reflections are local:
+`reflect` at i reads the arrows Q stores at i, one label class each, and
+the integer reflection reads the arrows the unfolding stores over i.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
+from math import lcm
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter, neg, sub
 
@@ -44,7 +44,7 @@ from .fusion import (
     arrow_label_class,
     is_positive_elem,
 )
-from .quiver import CoxeterQuiver, is_finite_type
+from .quiver import CoxeterQuiver, classify_graph
 
 
 class MismatchedQuiver(Exception):
@@ -227,9 +227,9 @@ def _gather(positions):
     return itemgetter(*positions)
 
 
-def _int_reflections(uq) -> dict[str, tuple]:
-    """The simple reflection at each vertex i of uq.source in integer
-    coordinates over the vertices of its unfolding uq, the same in every
+def _int_reflections(walk: "_Walk") -> dict[str, tuple]:
+    """The simple reflection at each vertex i of Q = walk.uq.source in
+    integer coordinates over the positions of the walk, the same in every
     orientation, compiled once for `_int_reflect` into `itemgetter`
     gathers.  Each unfolded u over i has the positions of its neighbours,
     one per arrow at u in either direction.  The u are kept in three lists:
@@ -237,17 +237,17 @@ def _int_reflections(uq) -> dict[str, tuple]:
     those with several (a gather of the neighbours per u) and those with
     none (a gather of the u).  The last gather reads x followed by the new
     values, in that list order, and puts each new value at its u."""
-    index = {u: k for k, u in enumerate(uq.vertices)}
-    n = len(index)
+    uq, position = walk.uq, walk.position
+    n = len(position)
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for a in uq.arrows:
-        s, t = index[a.source], index[a.target]
+        s, t = position[uq.parts[a.source]], position[uq.parts[a.target]]
         nbrs[s].append(t)
         nbrs[t].append(s)
     out = {}
     for i in uq.source.vertices:
         one, many, none = [], [], []
-        for u in map(index.__getitem__, uq.vertices_over(i)):
+        for u in sorted(position[B, i] for B in uq.irr):
             (many if len(nbrs[u]) > 1 else one if nbrs[u] else none).append(u)
         put = list(range(n))
         for k, u in enumerate(one + many + none, n):
@@ -294,19 +294,28 @@ _ORDER_CAP = 10000
 
 
 def coxeter_order(Q: CoxeterQuiver, ordering) -> int:
-    """Order of the Coxeter element acting on the standard basis.  Outside
-    finite type the Coxeter group is infinite, and so is the order of its
-    Coxeter element (Howlett, 1982): CapExceeded at once."""
+    """Order of the Coxeter element on the standard basis: the lcm over the
+    components, which commute, of the order on the walk of the component
+    alone, which unfolds only the component's labels.  CapExceeded at once
+    outside finite type (infinite order, Howlett 1982) and for a label
+    m >= the cap, which in finite type labels a component I2(m) of Coxeter
+    number m."""
     ordering = _check_ordering(Q, ordering)
-    if not is_finite_type(Q):
+    components = classify_graph(Q)
+    if not all(t.is_dynkin for _, t in components) or max(Q.label_set, default=0) >= _ORDER_CAP:
         raise CapExceeded(f"Coxeter element order not found below {_ORDER_CAP}")
-    basis = [RootVector.basis(Q, i) for i in Q.vertices]
-    current = list(basis)
-    for power in range(1, _ORDER_CAP):
-        current = [coxeter_apply(Q, ordering, w) for w in current]
-        if current == basis:
-            return power
-    raise CapExceeded(f"Coxeter element order not found below {_ORDER_CAP}")
+    order = 1
+    for vertices, _ in components:
+        walk = _walk(CoxeterQuiver(vertices, [a for a in Q.arrows if a.source in vertices]))
+        steps = [walk.reflections[i] for i in ordering if i in vertices]
+        current = basis = [walk.basis(i) for i in vertices]
+        power = 1
+        while power < _ORDER_CAP and (current := [reduce(_int_reflect, steps, x) for x in current]) != basis:
+            power += 1
+        order = lcm(order, power)
+    if order >= _ORDER_CAP:
+        raise CapExceeded(f"Coxeter element order not found below {_ORDER_CAP}")
+    return order
 
 
 class RootSet(Value):
@@ -328,9 +337,9 @@ class RootSet(Value):
 DEFAULT_BUDGET = 10_000
 
 
-def _int_orbit(uq, budget: int, reflections=None):
-    """The reflection orbit of the simple roots of uq.source in integer
-    coordinates over the vertices of its unfolding uq.
+def _int_orbit(walk: "_Walk", budget: int):
+    """The reflection orbit of the simple roots of Q = walk.uq.source in
+    integer coordinates over the vertices of its unfolding.
 
     Breadth first from the simple roots in vertex order, reflecting in vertex
     order: the image under `_fold` of the fusion-valued closure, member by
@@ -338,17 +347,12 @@ def _int_orbit(uq, budget: int, reflections=None):
     reflected at the vertex it came through: a reflection is an involution,
     so that gives back the member it came from, which is already seen.  A
     member is positive iff its least coordinate is >= 0 (no member is
-    zero).  `reflections` is `_int_reflections(uq)`, compiled here if not
-    given."""
-    vertices = uq.source.vertices
-    if reflections is None:
-        reflections = _int_reflections(uq)
-    steps = [(k, reflections[i]) for k, i in enumerate(vertices)]
+    zero)."""
+    Q = walk.uq.source
+    steps = [(k, walk.reflections[i]) for k, i in enumerate(Q.vertices)]
     # the reflections after coming through vertex k, and (last) from a simple
     rest = [[step for step in steps if step[0] != k] for k in range(len(steps))] + [steps]
-    # the simple root at i is 1 at the unit simple over i
-    start = {v: k for k, (B, v) in enumerate(map(uq.parts.get, uq.vertices)) if B.is_unit()}
-    frontier = [(tuple(int(k == start[i]) for k in range(len(uq.vertices))), -1) for i in vertices]
+    frontier = [(walk.basis(i), -1) for i in Q.vertices]
     seen = {x for x, _ in frontier}
     while frontier:
         nxt = []
@@ -359,7 +363,7 @@ def _int_orbit(uq, budget: int, reflections=None):
                     seen.add(y)
                     nxt.append((y, k))
                     if len(seen) > budget:
-                        partial = frozenset(_fold(uq, zip(uq.vertices, z)) for z in seen if min(z) >= 0)
+                        partial = frozenset(walk.fold(z) for z in seen if min(z) >= 0)
                         raise OrbitBudgetExceeded(f"orbit exceeded budget {budget}", RootSet(partial, False))
         frontier = nxt
     return seen
@@ -367,20 +371,8 @@ def _int_orbit(uq, budget: int, reflections=None):
 
 def root_orbit(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> frozenset[RootVector]:
     """Closure of the simple roots under all simple reflections, both signs."""
-    from .unfold import unfold  # unfold imports RootVector from here
-
-    uq = unfold(Q)
-    return frozenset(_fold(uq, zip(uq.vertices, x)) for x in _int_orbit(uq, budget))
-
-
-def _product_tables(uq, simples) -> list[list[tuple[int, ...]]]:
-    """For each simple X of `simples`, the table of multiplication by X in
-    the coordinates of `_int_orbit`: at the position of B@v, the positions of
-    C@v for the simples C in X ⊗ B, read off the one product of simples,
-    `fusion._simple_mul`."""
-    parts = [uq.parts[u] for u in uq.vertices]
-    position = {part: k for k, part in enumerate(parts)}
-    return [[tuple(position[C, v] for C in _simple_mul(X, B)) for B, v in parts] for X in simples]
+    walk = _walk(Q)
+    return frozenset(map(walk.fold, _int_orbit(walk, budget)))
 
 
 def _support(x: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -388,58 +380,51 @@ def _support(x: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(k, c) for k, c in enumerate(x) if c]
 
 
-def _act(table, support, n: int) -> tuple[int, ...]:
-    """X · x for the `_product_tables` table of a simple X, from the
-    `_support` of x, a tuple of length n."""
-    y = [0] * n
+def _act(table, support) -> tuple[int, ...]:
+    """X · x for the `_Walk.table` of a simple X, from the `_support` of x."""
+    y = [0] * len(table)
     for k, c in support:
         for t in table[k]:
             y[t] += c
     return tuple(y)
 
 
-def _positive(uq, budget: int, reflections=None, layout=None) -> set[tuple[int, ...]]:
-    """The positive roots of uq.source as integer tuples, one per class under
-    the invertible simples: the serialization-minimal member of each class,
-    serialized by `layout`, the caller's `_Layout(uq)` if it has one.  The
-    orbit runs on `reflections`, as in `_int_orbit`."""
-    positive = [x for x in _int_orbit(uq, budget, reflections) if min(x) >= 0]
-    units = [s for s in uq.irr if not s.is_unit() and _is_invertible(s)]
-    if not units:
+def _positive(walk: "_Walk", budget: int) -> set[tuple[int, ...]]:
+    """The positive roots of walk.uq.source as integer tuples, one per class
+    under the invertible simples: the serialization-minimal member of each
+    class, serialized by the walk."""
+    positive = [x for x in _int_orbit(walk, budget) if min(x) >= 0]
+    tables = [walk.table(s) for s in walk.uq.irr if not s.is_unit() and _is_invertible(s)]
+    if not tables:
         return set(positive)
-    tables = _product_tables(uq, units)
-    serialize = (_Layout(uq) if layout is None else layout).serialize
-    n = len(uq.vertices)
     chosen, seen = set(), set()
     for x in positive:
         if x not in seen:
             support = _support(x)
-            twists = [x] + [_act(t, support, n) for t in tables]
+            twists = [x] + [_act(t, support) for t in tables]
             seen.update(twists)
-            chosen.add(min(twists, key=serialize))
+            chosen.add(min(twists, key=walk.serialize))
     return chosen
 
 
-def _extend(uq, roots) -> set[tuple[int, ...]]:
+def _extend(walk: "_Walk", roots) -> set[tuple[int, ...]]:
     """All X · x for X a simple and x one of `roots`, deduplicated."""
     out = set(roots)
-    tables = _product_tables(uq, [s for s in uq.irr if not s.is_unit()])
+    tables = [walk.table(s) for s in walk.uq.irr if not s.is_unit()]
     if tables:
-        n = len(uq.vertices)
         for x in list(out):
             support = _support(x)
-            out.update([_act(t, support, n) for t in tables])
+            out.update([_act(t, support) for t in tables])
     return out
 
 
-def _coordinates(uq, r: RootVector) -> tuple[int, ...]:
+def _coordinates(walk: "_Walk", r: RootVector) -> tuple[int, ...]:
     """The integer tuple that `_fold` takes to r."""
-    _check_vector(uq.source, r)
-    position = {part: k for k, part in enumerate(map(uq.parts.__getitem__, uq.vertices))}
-    x = [0] * len(uq.vertices)
+    _check_vector(walk.uq.source, r)
+    x = [0] * len(walk.position)
     for v, e in r.entries.items():
         for B, c in e.coeffs.items():
-            x[position[B, v]] = c
+            x[walk.position[B, v]] = c
     return tuple(x)
 
 
@@ -456,26 +441,46 @@ def _write(blocks) -> str:
     return "{" + ",".join([f"{_escape(v)}:{{{text}}}" for v, text in blocks]) + "}"
 
 
-class _Layout:
-    """The serialized form and the --json part of the integer tuples over an
-    unfolding, as `RootVector.serialize` and `to_json` give them for the
-    folded root: the vertices of its source sorted by id, each with the
-    positions of the simples over it sorted by key.  The class at a vertex
-    is read once per distinct slice of coordinates, and its serialized text,
-    its (simple key, coefficient) pairs and its --json text at each indent
-    are then looked up; a root's part joins the texts of its non-zero
-    classes at the indent where it sits."""
-
-    __slots__ = ("blocks",)
+class _Walk:
+    """The compiled form of the unfolding uq that one call reads: the
+    `position` of each pair (B, v) and, built on first use, the
+    `reflections` (`_int_reflections`), each simple's product `table` and
+    the layout `blocks`, the vertices of uq.source sorted by id, each with
+    the simples over it sorted by key, as `RootVector.serialize` and
+    `to_json` write a fold.  A class is read once per distinct slice of
+    coordinates, and its serialized text, its (simple key, coefficient)
+    pairs and its --json text at each indent are then looked up."""
 
     def __init__(self, uq):
-        over: dict[str, list] = {}
-        for k, (B, v) in enumerate(map(uq.parts.__getitem__, uq.vertices)):
-            over.setdefault(v, []).append((B.key, k))
-        self.blocks = []
-        for v, cells in sorted(over.items()):
-            cells.sort()
-            self.blocks.append((v, tuple(key for key, _ in cells), _gather([k for _, k in cells]), {}))
+        self.uq = uq
+        self.position = {uq.parts[u]: k for k, u in enumerate(uq.vertices)}
+        self.tables: dict[SimpleObject, list[tuple[int, ...]]] = {}
+
+    @cached_property
+    def reflections(self) -> dict[str, tuple]:
+        return _int_reflections(self)
+
+    @cached_property
+    def blocks(self) -> list:
+        simples = sorted(self.uq.irr, key=lambda B: B.key)
+        keys = tuple(B.key for B in simples)
+        return [(v, keys, _gather([self.position[B, v] for B in simples]), {}) for v in sorted(self.uq.source.vertices)]
+
+    def basis(self, v: str, B: SimpleObject | None = None) -> tuple[int, ...]:
+        """The unit vector at (B, v), at the unit simple by default."""
+        k = self.position[B or SimpleObject.unit(self.uq.source.label_set), v]
+        return tuple(int(j == k) for j in range(len(self.position)))
+
+    def table(self, X: SimpleObject) -> list[tuple[int, ...]]:
+        """At the position of B@v, those of the C@v for C in X ⊗ B."""
+        table = self.tables.get(X)
+        if table is None:
+            position = self.position
+            table = self.tables[X] = [tuple(position[C, v] for C in _simple_mul(X, B)) for B, v in position]
+        return table
+
+    def fold(self, x: tuple[int, ...]) -> RootVector:
+        return _fold(self.uq, zip(self.uq.vertices, x))
 
     def _classes(self, x: tuple[int, ...]) -> list[tuple[str, tuple]]:
         """The (vertex, class) pairs of the non-zero classes of x, a class
@@ -504,22 +509,27 @@ class _Layout:
 
 
 def _root_json(classes, pad: str) -> str:
-    """The --json text at the indent pad of a root's non-zero `_Layout`
+    """The --json text at the indent pad of a root's non-zero `_Walk`
     classes, each class written once per indent."""
     inner = pad + _INDENT
     return _obj(pad, [(v, cls[2].get(inner) or _class_json(cls, inner)) for v, cls in classes])
 
 
 def _class_json(cls, pad: str) -> str:
-    """The --json text of a `_Layout` class at the indent pad, kept for the
+    """The --json text of a `_Walk` class at the indent pad, kept for the
     next root that holds the class there."""
     _, pairs, texts = cls
     text = texts[pad] = _obj(pad, [(k, str(c)) for k, c in pairs])
     return text
 
 
-def _folded(uq, roots, closed: bool = True) -> RootSet:
-    return RootSet(frozenset(_fold(uq, zip(uq.vertices, x)) for x in roots), closed)
+def _walk(Q: CoxeterQuiver) -> _Walk:
+    from .unfold import unfold  # unfold imports RootVector from here
+    return _Walk(unfold(Q))
+
+
+def _folded(walk: _Walk, roots, closed: bool = True) -> RootSet:
+    return RootSet(frozenset(map(walk.fold, roots)), closed)
 
 
 def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
@@ -532,26 +542,20 @@ def positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
     makes positive root counts match the classical Coxeter tables and the
     extended positive roots a disjoint union over the simples.
     """
-    from .unfold import unfold
-
-    uq = unfold(Q)
-    return _folded(uq, _positive(uq, budget))
+    walk = _walk(Q)
+    return _folded(walk, _positive(walk, budget))
 
 
 def extended_positive_roots(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> RootSet:
     """All products (simple class) * (positive root), deduplicated."""
-    from .unfold import unfold
-
-    uq = unfold(Q)
-    return _folded(uq, _extend(uq, _positive(uq, budget)))
+    walk = _walk(Q)
+    return _folded(walk, _extend(walk, _positive(walk, budget)))
 
 
 def extend_by_simples(Q: CoxeterQuiver, base: RootSet) -> RootSet:
     """All products (simple class) * r for r in the positive roots `base`."""
-    from .unfold import unfold
-
-    uq = unfold(Q)
-    return _folded(uq, _extend(uq, [_coordinates(uq, r) for r in base.roots]), base.closed)
+    walk = _walk(Q)
+    return _folded(walk, _extend(walk, [_coordinates(walk, r) for r in base.roots]), base.closed)
 
 
 def depositivize_exponent(

@@ -348,8 +348,8 @@ def test_cross_check_catches_a_corrupted_chain(capsys, qfile, monkeypatch, fault
 
     knit = reps._knit
 
-    def corrupted(uq, n_roots, reflections=None):
-        members = list(knit(uq, n_roots, reflections))
+    def corrupted(walk, n_roots):
+        members = list(knit(walk, n_roots))
         if fault == "drop":
             del members[3]
         elif fault == "repeat":
@@ -599,25 +599,83 @@ def test_roots_print_what_the_fusion_route_gives(capsys, qfile, name):
     assert out == _dumps(doc) + "\n"
 
 
+def test_json_writer_leaves_no_reference_cycle(capsys, qfile, monkeypatch):
+    # the writer keeps a document's memo of rendered parts in no cycle, so
+    # it is freed when the document is written, not by the cyclic collector;
+    # the documents of every --json command are built first, and only the
+    # writer runs with the collector off
+    import gc
+
+    from coxrep import cli, enumerate_indecomposables, parse_quiver
+
+    text = "vertex 1\nvertex 2\nvertex 3\narrow 1 2 4\narrow 2 3\n"
+    p = qfile(text)
+    rep = qfile(json.dumps(enumerate_indecomposables(parse_quiver(text))[3].to_json()), "rep.json")
+    commands = [
+        ["roots", p, "--extended", "--json"],
+        ["indecs", p, "--full", "--json"],
+        ["unfold", p, "--components", "--json"],
+        ["path-algebra", p, "--json"],
+        ["classify", p, "--json"],
+        ["reflect", rep, "--vertex", "3", "--sign", "+", "--json"],
+        ["fusion", "--labels", "4", "--mul", '{"4:1": 1}', '{"4:1": 1}', "--json"],
+    ]
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda as_json, doc, text_lines: docs.append(doc()))
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert len(docs) == len(commands)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv, doc in zip(commands, docs):
+            assert cli._dumps(doc), argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name", ["I2(24)", "B3"])
 def test_one_layout_per_roots_call(capsys, qfile, monkeypatch, name):
-    # the twist choice and the listing read the roots through one layout, so
-    # each class text is computed once; B3 and I2(24) have an even label
-    from coxrep import rootsys
+    # the orbit, the twist choice, the extension and the listing read the
+    # roots through one walk, so each class text is computed once, and each
+    # simple's product table is built at most once per call; B3 and I2(24)
+    # have an even label, so the twist and the extension share a table
+    from collections import Counter
 
-    calls = []
-    init = rootsys._Layout.__init__
+    from coxrep import coxeter_order, extended_positive_roots, indecomposable_for, rootsys
+
+    calls, products = [], Counter()
+    init = rootsys._Walk.__init__
+    simple_mul = rootsys._simple_mul
 
     def counted(self, uq):
         calls.append(uq)
         init(self, uq)
 
-    monkeypatch.setattr(rootsys._Layout, "__init__", counted)
-    p = qfile(json.dumps(family_quiver(name).to_json()))
-    for _ in range(2):
+    def multiplied(X, B):
+        products[X] += 1
+        return simple_mul(X, B)
+
+    monkeypatch.setattr(rootsys._Walk, "__init__", counted)
+    monkeypatch.setattr(rootsys, "_simple_mul", multiplied)
+    Q = family_quiver(name)
+    p = qfile(json.dumps(Q.to_json()))
+    top = extended_positive_roots(Q).sorted()[-1]
+    for call in (
+        lambda: run(capsys, "roots", p, "--extended", "--json")[0] == 0,
+        lambda: run(capsys, "roots", p, "--extended")[0] == 0,
+        lambda: run(capsys, "indecs", p, "--json")[0] == 0,
+        lambda: coxeter_order(Q, Q.vertices) > 1,
+        lambda: indecomposable_for(Q, top).quiver.source == Q,
+    ):
         calls.clear()
-        assert run(capsys, "roots", p, "--extended", "--json")[0] == 0
+        products.clear()
+        assert call()
         assert len(calls) == 1
+        n = len(calls[0].vertices)
+        assert all(count == n for count in products.values())
+    assert len(products) == len(calls[0].irr) - 1
 
 
 ODD_ID_POOL = 'aZ09"\\{},@: \u00e9\u4e2d\u2028'

@@ -48,6 +48,7 @@ from coxrep import reps as reps_mod
 from coxrep.quiver import admissible_sink_ordering
 from coxrep.reps import UnfoldedRep, _eigenvalues, _int_poly_at, _knit, _materialize, _plan, _reflection_step
 from coxrep.reps import _restrict, _try_split
+from coxrep.rootsys import _Walk
 from coxrep.unfold import unfolded_arrow_id, vertex_name
 from families import all_orientations, family_quiver
 
@@ -340,7 +341,7 @@ def test_knit_steps_on_the_support(name, monkeypatch):
     monkeypatch.setattr(reps_mod, "_kernel_vectors", recorded)
     monkeypatch.setattr(UnfoldedRep, "__init__", counted)
     monkeypatch.setattr(Mat, "_init", built)
-    members = list(_knit(uq, n_roots))
+    members = list(_knit(_Walk(uq), n_roots))
     assert calls and ((), 0) not in calls
     assert len(set(calls)) == len(calls)
     assert len(members) == n_roots
@@ -352,26 +353,45 @@ def test_knit_steps_on_the_support(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["B3", "H3"])
 def test_one_reflection_compile_per_call(name, monkeypatch):
-    # the root orbit and the knitting of one call run on one compilation of
-    # the integer reflections, in the enumeration and in indecomposable_for
-    from coxrep import rootsys
+    # the root orbit, the twist, the extension and the knitting of one call
+    # read one walk, which compiles the integer reflections at most once: in
+    # the enumeration, in indecomposable_for, in coxeter_order and in the
+    # public root functions
+    from coxrep import coxeter_order, rootsys
 
     Q = family_quiver(name)
-    compiled = []
+    walks, compiled = [], []
+    init = rootsys._Walk.__init__
     compile_reflections = rootsys._int_reflections
 
-    def counted(uq):
-        compiled.append(uq)
-        return compile_reflections(uq)
+    def counted(self, uq):
+        walks.append(uq)
+        init(self, uq)
 
-    monkeypatch.setattr(rootsys, "_int_reflections", counted)
-    monkeypatch.setattr(reps_mod, "_int_reflections", counted)
+    def compile_counted(walk):
+        compiled.append(walk)
+        return compile_reflections(walk)
+
+    monkeypatch.setattr(rootsys._Walk, "__init__", counted)
+    monkeypatch.setattr(rootsys, "_int_reflections", compile_counted)
+
+    def one_each():
+        assert len(walks) == len(compiled) == 1
+        walks.clear()
+        compiled.clear()
+
     found = enumerate_indecomposables(Q)
-    assert len(compiled) == 1
-    compiled.clear()
+    one_each()
     W = indecomposable_for(Q, dim_vector(found[-1]))
-    assert len(compiled) == 1
+    one_each()
     assert dim_vector(W) == dim_vector(found[-1])
+    assert coxeter_order(Q, Q.vertices) > 1
+    one_each()
+    # the reflections are compiled on first use: the extension reads none
+    base = rootsys.positive_roots(Q)
+    one_each()
+    assert len(rootsys.extend_by_simples(Q, base)) >= len(base)
+    assert len(walks) == 1 and compiled == []
 
 
 def test_reflect_plus_at_zero_sink():
@@ -496,7 +516,7 @@ def test_enumerate_a2():
     assert len(dvs) == 3
     # the chain from the simple at 2 takes 3 steps, over the bound 2 * 1
     with pytest.raises(CapExceeded):
-        list(_knit(unfold(A2), 1))
+        list(_knit(_Walk(unfold(A2)), 1))
 
 
 def reference_knit(Q, n_roots, steps=None):
@@ -542,7 +562,7 @@ def test_knit_matches_reference_and_stops_at_last_landing(name, monkeypatch):
         n_roots = len(extended_positive_roots(Q))
         reference_steps = []
         expect = list(reference_knit(Q, n_roots, reference_steps))
-        assert list(_knit(unfold(Q), n_roots)) == expect
+        assert list(_knit(_Walk(unfold(Q)), n_roots)) == expect
         # every chain of the reference ends in a step that vanishes; the
         # knitting stops before it and takes no step that vanishes
         assert reference_steps.count(True) == len(Q.vertices) * len(unfold(Q).irr)
@@ -557,9 +577,9 @@ def test_knit_cap_matches_reference():
     with pytest.raises(CapExceeded) as expected:
         list(reference_knit(A2, 1))
     with pytest.raises(CapExceeded) as got:
-        list(_knit(unfold(A2), 1))
+        list(_knit(_Walk(unfold(A2)), 1))
     assert str(got.value) == str(expected.value)
-    assert list(_knit(unfold(A2), 2)) == list(reference_knit(A2, 2))
+    assert list(_knit(_Walk(unfold(A2)), 2)) == list(reference_knit(A2, 2))
 
 
 def test_enumerate_i25():

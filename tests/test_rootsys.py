@@ -27,7 +27,7 @@ from coxrep import (
     unfold,
 )
 from coxrep.fusion import arrow_label_class, invertible_simples
-from coxrep.rootsys import _int_reflect, _int_reflections, _product_tables
+from coxrep.rootsys import _int_reflect, _Walk
 from ade_oracle import count_positive_roots_of_components
 from families import expected_root_count, family_quiver, path_quiver
 
@@ -292,7 +292,8 @@ def test_reflection_builds_one_class_per_arrow_at_the_vertex(monkeypatch):
 
     monkeypatch.setattr(coxrep.rootsys, "arrow_label_class", counted)
     Q = family_quiver("E8")
-    coxeter_apply(Q, Q.vertices, e(Q, Q.vertices[0]))
+    for i in Q.vertices:
+        reflect(Q, i, e(Q, Q.vertices[0]))
     # the arrows at each vertex once, so every arrow twice
     assert len(calls) == 2 * len(Q.arrows) == 14
 
@@ -443,7 +444,7 @@ def test_compiled_reflection_matches_plain_formula():
     for Q in quivers:
         uq = unfold(Q)
         index = {u: k for k, u in enumerate(uq.vertices)}
-        reflections = _int_reflections(uq)
+        reflections = _Walk(uq).reflections
         rng = random.Random(len(uq.vertices))
         for i in Q.vertices:
             nbrs = {
@@ -462,17 +463,172 @@ def test_compiled_reflection_matches_plain_formula():
 
 @pytest.mark.parametrize("Q", [AFFINE_D4, KRONECKER], ids=["affine-d4", "kronecker"])
 def test_coxeter_order_outside_finite_type_raises_at_once(Q, monkeypatch):
+    import sys
+
     from coxrep import CapExceeded, InvalidOrdering, rootsys
 
-    def applied(*args):
-        raise AssertionError("the Coxeter element was applied")
+    def built(*args):
+        raise AssertionError("an unfolding was built or compiled")
 
-    monkeypatch.setattr(rootsys, "coxeter_apply", applied)
+    # `coxrep.unfold` is the function: the module comes from sys.modules
+    monkeypatch.setattr(sys.modules["coxrep.unfold"], "unfold", built)
+    monkeypatch.setattr(rootsys, "_int_reflections", built)
+    monkeypatch.setattr(rootsys._Walk, "__init__", built)
     with pytest.raises(CapExceeded, match="^Coxeter element order not found below 10000$"):
         coxeter_order(Q, Q.vertices)
     # the ordering is checked first
     with pytest.raises(InvalidOrdering):
         coxeter_order(Q, Q.vertices[1:])
+
+
+# --- the integer Coxeter element against loops over the fusion-valued reflect
+
+
+def reference_coxeter_apply(Q, ordering, v):
+    for i in ordering:
+        v = reflect(Q, i, v)
+    return v
+
+
+def reference_coxeter_order(Q, ordering):
+    basis = [e(Q, i) for i in Q.vertices]
+    current = basis
+    for power in range(1, 10000):
+        current = [reference_coxeter_apply(Q, ordering, w) for w in current]
+        if current == basis:
+            return power
+    raise AssertionError("no order below the cap")
+
+
+def reference_depositivize_exponent(Q, ordering, v, cap=1000):
+    w = v
+    for r in range(1, cap + 1):
+        w = reference_coxeter_apply(Q, ordering, w)
+        if not is_positive_vec(w):
+            return r
+    return None
+
+
+def random_vector(Q, rng, low, high):
+    simples = irr_enumerate(Q.label_set)
+    entries = {v: FusionElem(Q.label_set, {s: rng.randint(low, high) for s in simples}) for v in Q.vertices}
+    return RootVector(Q.label_set, entries)
+
+
+def refuse_fusion_reflect(monkeypatch):
+    # coxeter_order runs on the integer reflections; the reference loops
+    # call this module's own binding of `reflect`, which stays
+    import coxrep.rootsys
+
+    def refused(*args):
+        raise AssertionError("the fusion-valued reflect was called")
+
+    monkeypatch.setattr(coxrep.rootsys, "reflect", refused)
+
+
+@pytest.mark.parametrize("name", ["B2+I2(5)", "H3", "path 4-5-6"])
+def test_coxeter_apply_matches_fusion_reference(name):
+    Q = {"B2+I2(5)": B2_I25, "path 4-5-6": path_quiver([4, 5, 6])}.get(name) or family_quiver(name)
+    rng = random.Random(29)
+    for _ in range(8):
+        ordering = rng.sample(Q.vertices, len(Q.vertices))
+        v = random_vector(Q, rng, -3, 3)
+        assert coxeter_apply(Q, ordering, v) == reference_coxeter_apply(Q, ordering, v)
+    assert not coxeter_apply(Q, Q.vertices, RootVector.zero(Q.label_set))
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "B3", "B4", "H3", "H4", "I2(5)", "I2(8)", "I2(12)", "B2+I2(5)"])
+def test_coxeter_order_and_depositivize_match_fusion_reference(name, monkeypatch):
+    from coxrep import CapExceeded
+
+    Q = B2_I25 if name == "B2+I2(5)" else family_quiver(name)
+    rng = random.Random(name)
+    for ordering in (Q.vertices, Q.vertices[::-1], rng.sample(Q.vertices, len(Q.vertices))):
+        with monkeypatch.context() as m:
+            refuse_fusion_reflect(m)
+            h = coxeter_order(Q, ordering)
+        assert h == reference_coxeter_order(Q, ordering)
+        for cap in (h, 1):
+            for _ in range(5):
+                w = random_vector(Q, rng, 0, 2)
+                if not is_positive_vec(w):
+                    continue
+                expect = reference_depositivize_exponent(Q, ordering, w, cap)
+                if expect is None:
+                    with pytest.raises(CapExceeded):
+                        depositivize_exponent(Q, ordering, w, cap)
+                else:
+                    assert depositivize_exponent(Q, ordering, w, cap) == expect
+
+
+def test_coxeter_functions_build_no_unfolding_for_one_vector(monkeypatch):
+    # I2(2^70): an unfolding would have 2 * (2^70 - 1) vertices, but a class
+    # of the label has one simple, so one vector is reflected in the fusion
+    # ring; the Coxeter element has order 2^70, past the cap, known at once
+    import sys
+
+    from coxrep import CapExceeded
+
+    def built(*args):
+        raise AssertionError("an unfolding was built")
+
+    monkeypatch.setattr(sys.modules["coxrep.unfold"], "unfold", built)
+    m = 2**70
+    Q = parse_quiver(f"vertex 1\nvertex 2\narrow 1 2 {m}\n")
+    labels = Q.label_set
+    label = arrow_label_class(labels, m)
+    (X,) = label.coeffs
+    assert X.components == ((m, m - 3),)
+    image = RootVector(labels, {"1": -FusionElem.unit(labels), "2": -label})
+    assert coxeter_apply(Q, ("1", "2"), e(Q, "1")) == image
+    assert coxeter_apply(Q, ("2", "1"), e(Q, "2")) == reference_coxeter_apply(Q, ("2", "1"), e(Q, "2"))
+    assert depositivize_exponent(Q, ("1", "2"), e(Q, "1")) == 1
+    with pytest.raises(CapExceeded, match="^no depositivizing exponent below 5$"):
+        depositivize_exponent(Q, ("2", "1"), e(Q, "1"), cap=5)
+    with pytest.raises(CapExceeded, match="^Coxeter element order not found below 10000$"):
+        coxeter_order(Q, ("1", "2"))
+
+
+def test_coxeter_order_walks_each_component_alone(monkeypatch):
+    # I2(6), I2(7), ..., I2(14): a walk of the whole quiver would unfold
+    # 540540 simples per vertex, the product of the counts of the seven
+    # labels; each component's walk has only the simples of its label, and
+    # the order is the lcm of the Coxeter numbers m
+    from coxrep import rootsys
+    from coxrep.fusion import _simple_count
+
+    labels = [6, 7, 8, 9, 10, 12, 14]
+    Q = parse_quiver("".join(f"vertex a{m}\nvertex b{m}\narrow a{m} b{m} {m}\n" for m in labels))
+    sizes = []
+    init = rootsys._Walk.__init__
+
+    def counted(self, uq):
+        sizes.append(len(uq.vertices))
+        init(self, uq)
+
+    monkeypatch.setattr(rootsys._Walk, "__init__", counted)
+    assert coxeter_order(Q, Q.vertices) == 2520
+    assert coxeter_order(Q, Q.vertices[::-1]) == 2520
+    assert sorted(sizes) == sorted(2 * [2 * _simple_count(m) for m in labels])
+
+
+def test_coxeter_errors_check_the_ordering_then_positivity_then_the_vector():
+    from coxrep import InvalidOrdering, MismatchedQuiver, UnknownVertex
+
+    off = RootVector(A2.label_set, {"1": unit(A2), "zz": unit(A2)})
+    negative = RootVector(A2.label_set, {"1": -unit(A2), "zz": unit(A2)})
+    with pytest.raises(InvalidOrdering):
+        coxeter_apply(A2, ("1",), off)
+    with pytest.raises(InvalidOrdering):
+        depositivize_exponent(A2, ("1",), negative)
+    with pytest.raises(ValueError, match="^starting vector must be positive$"):
+        depositivize_exponent(A2, ("1", "2"), negative)
+    with pytest.raises(UnknownVertex):
+        depositivize_exponent(A2, ("1", "2"), off)
+    with pytest.raises(MismatchedQuiver):
+        depositivize_exponent(A2, ("1", "2"), e(I25, "1"))
+    with pytest.raises(MismatchedQuiver):
+        coxeter_apply(A2, ("1", "2"), e(I25, "1"))
 
 
 def test_fold_dim_matches_fusion_sum():
@@ -520,7 +676,8 @@ def per_label_product(X, B):
 def test_product_tables_and_invertible_simples_follow_the_per_label_rule(labels):
     uq = unfold(path_quiver(list(labels)))
     position = {uq.parts[u]: k for k, u in enumerate(uq.vertices)}
-    tables = _product_tables(uq, uq.irr)
+    walk = _Walk(uq)
+    tables = [walk.table(X) for X in uq.irr]
     for X, table in zip(uq.irr, tables):
         for k, u in enumerate(uq.vertices):
             B, v = uq.parts[u]
