@@ -5,12 +5,13 @@ repeated runs are byte identical.  A --json document is printed with sorted
 keys, a 2-space indent, "," and ": " separators and ASCII escapes: the bytes
 json.dumps gives with sort_keys=True, separators (",", ": ") and indent 2.
 The regular parts of a document are `_jsontext._Part`s, which write their
-own text in one join: each root (through `rootsys._Walk`, whose class
-texts recur), each matrix and the source quiver of `indecs --full`, and the
-vertex lists and unfolded arrows of `unfold`.  The writer asks a part for
-its text once per indent per document, so a part that recurs (a positive
-root among the extended ones, a matrix or the quiver that several
-representations share) is written once, with those same bytes.
+own text: each root (through `rootsys._Walk`, whose class texts recur), each
+entry of `indecs --full`, and the vertex lists and unfolded arrows of
+`unfold`.  The writer asks a part for its text once per indent per
+document, so a part that recurs (a positive root among the extended ones)
+is written once, with those same bytes; an `indecs --full` entry writes
+each matrix and the source quiver that several representations share once
+per call in the same way.
 Exit codes: 0 success, 1 unreadable input (a malformed command line, or a
 file, quiver, representation or fusion element that does not parse or
 validate; argparse's usage message goes to stderr), 2 precondition violation (a
@@ -143,6 +144,37 @@ def _unfolded_arrows(arrows, pad: str) -> str:
     return _arr(pad, [template % (e(a.id), e(a.provenance), e(a.source), e(a.target)) for a in arrows])
 
 
+def _indecs_entry(doc, pad: str) -> str:
+    """An entry of `indecs --full --json`, {"dim_vector": root, "rep":
+    W.to_json()}, at the indent pad.  doc is (the root's part, W, shared),
+    shared built once per call: the sorted vertices and arrow ids of the
+    unfolding, the source quiver's document, and by indent the quiver's
+    text and each map's text by its id, "" for a zero map, which the
+    document leaves out (the members keep every `Mat` alive, so an id is a
+    sound key)."""
+    root, W, (vertices, arrow_ids, quiver, by_pad) = doc
+    inner = pad + _INDENT
+    rep_pad = inner + _INDENT
+    memo = by_pad.get(pad)
+    if memo is None:
+        memo = by_pad[pad] = (_dumps(quiver, rep_pad), {})
+    quiver_text, texts = memo
+    dims, maps = W.dims, []
+    for a in arrow_ids:
+        m = W.maps[a]
+        text = texts.get(id(m))
+        if text is None:
+            text = texts[id(m)] = "" if m.is_zero() else _matrix(m.to_json(), rep_pad + _INDENT)
+        if text:
+            maps.append((a, text))
+    rep = [
+        ("dims", _obj(rep_pad, [(u, str(dims[u])) for u in vertices if dims[u]])),
+        ("maps", _obj(rep_pad, maps)),
+        ("quiver", quiver_text),
+    ]
+    return _obj(pad, [("dim_vector", root.render(root.doc, inner)), ("rep", _obj(inner, rep))])
+
+
 def _emit(as_json: bool, doc, text_lines):
     """Print the JSON document (as_json) or the text lines.  Both are
     zero-argument callables, and only the printed form is built, in full
@@ -228,28 +260,15 @@ def _cmd_roots(args) -> int:
 
 def _cmd_indecs(args) -> int:
     Q = _load_quiver(args.quiver)
-    walk, found = reps_mod._indecomposables_with_dims(Q, args.budget)
+    uq, found = reps_mod._indecomposables_with_dims(Q, args.budget)
 
     def doc():
-        # every representation is over Q: one quiver part serves them all;
-        # the knitting shares each distinct map among its members, and one
-        # part serves each (`found` keeps the matrices alive, so an id is a
-        # sound key)
-        quiver = _Part(_dumps, Q.to_json()) if args.full else None
-        mats: dict[int, _Part] = {}
-
-        def mat_doc(m):
-            part = mats.get(id(m))
-            if part is None:
-                part = mats[id(m)] = _Part(_matrix, m.to_json())
-            return part
-
-        entries = []
-        for _, x, W in found:
-            entry = {"dim_vector": walk.part(x)}
-            if args.full:
-                entry["rep"] = W._json(quiver, mat_doc)
-            entries.append(entry)
+        if not args.full:
+            return {"count": len(found), "indecomposables": [{"dim_vector": root} for _, root, _ in found]}
+        # every member lives over uq and the knitting shares each distinct
+        # map among them: one sorted layout and one quiver document serve all
+        shared = (sorted(uq.vertices), sorted(a.id for a in uq.arrows), Q.to_json(), {})
+        entries = [_Part(_indecs_entry, (root, W, shared)) for _, root, W in found]
         return {"count": len(found), "indecomposables": entries}
 
     def lines():

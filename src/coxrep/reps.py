@@ -11,23 +11,23 @@ step (`_reflection_step`) on a representation held on its support: its
 non-zero dimensions, and the maps between them as integer rows over a
 denominator.  A plan (`_plan`) lists the vertices over i with their arrows.
 Only the direction of the arrows at i differs between orientations, so the
-knitting plans each of its orientations once, off the `rootsys._Walk` of
-the original orientation, whose reflections run each chain's dimension
-vectors ahead of it.  At each vertex over i the step stacks only the blocks
+knitting plans each of its orientations once, off the unfolding of the
+original orientation.  At each vertex over i the step stacks only the blocks
 of the arrows whose other end is non-zero, solves one integer system if the
 vertex itself is non-zero, takes the identity if it is zero, and skips it if
 it and all its neighbours are zero; it slices the kernel vectors straight
 into the new maps, with no `Mat` in between.
 Indecomposables of finite-type quivers are knitted forward from the simples:
 the source step carries each one-dimensional representation around the cycle
-of orientations of an admissible ordering until it vanishes, and every
-representation met on the original orientation is indecomposable, one per
-extended positive root.  The local steps repeat within one knitting, so a
-knitting call solves each distinct local input once and builds one `Mat` per
-distinct map, which its members share.  An `UnfoldedRep` is built
-(`_materialize`, through the unchecked constructors `Mat._trusted` and
-`UnfoldedRep._trusted`) only for the members yielded over the original
-orientation, and for the result of a public reflection functor.
+of orientations of an admissible ordering until it vanishes, with no run
+ahead on dimension vectors, and every representation met on the original
+orientation is indecomposable, one per extended positive root.  The local
+steps repeat within one knitting, so a knitting call solves each distinct
+local input once and builds one `Mat` per distinct map, which its members
+share.  An `UnfoldedRep` is built (`_materialize`, through the unchecked
+constructors `Mat._trusted` and `UnfoldedRep._trusted`) only for the
+members yielded over the original orientation, and for the result of a
+public reflection functor.
 
 Hom and End spaces are the kernels of one integer linear system per pair of
 representations (`_hom_rows`); their dimensions are read off its echelon
@@ -58,13 +58,14 @@ from math import lcm
 from operator import mul
 from sys import maxsize
 
+from ._jsontext import _Part
 from ._values import Value, _set_slots
 from .fusion import SimpleObject
 from .linalg import Mat, NoSolution, _back_substitute, _echelon, _echelon_steps, _kernel_vectors, _reduced_kernel
 from .linalg import charpoly, int_kernel, integer_roots
 from .quiver import CoxeterQuiver, UnknownVertex, admissible_sink_ordering, is_finite_type, reverse_at, vertex_key
 from .rootsys import DEFAULT_BUDGET, CapExceeded, MismatchedQuiver, RootVector
-from .rootsys import _coordinates, _extend, _int_reflect, _positive, _walk, _Walk
+from .rootsys import _coordinates, _extend, _positive, _walk, _Walk
 from .unfold import UnfoldedQuiver, fold_dim, unfold, unfolded_arrow_id, vertex_name
 
 DEFAULT_SEED = 7
@@ -157,17 +158,10 @@ class UnfoldedRep(Value):
         return self.quiver, self.dims, self.maps
 
     def to_json(self) -> dict:
-        return self._json(self.quiver.source.to_json(), Mat.to_json)
-
-    def _json(self, quiver_doc: dict, mat_doc) -> dict:
-        """The `to_json` document with quiver_doc as its source quiver and
-        mat_doc(m) as the document of each non-zero map m, so that one
-        quiver document, and one document per matrix, can serve many
-        representations."""
         return {
-            "quiver": quiver_doc,
+            "quiver": self.quiver.source.to_json(),
             "dims": {k: v for k, v in self.dims.items() if v},
-            "maps": {k: mat_doc(m) for k, m in self.maps.items() if not m.is_zero()},
+            "maps": {k: m.to_json() for k, m in self.maps.items() if not m.is_zero()},
         }
 
     @classmethod
@@ -531,11 +525,9 @@ def _knit(walk: _Walk, n_roots: int):
     With the admissible ordering v_0, ..., v_{n-1}, let Q_k be Q reversed at
     v_0, ..., v_{k-1}.  For each k and simple A the chain starts at the
     one-dimensional representation at (A, v_k) over Q_k and applies the
-    cokernel functor at v_{k-1}, ..., v_0, v_{n-1}, ..., v_0, ... up to its
-    last member over Q_0 = Q, yielding each member over Q.  Where that is
-    comes from the chain of unfolded dimension vectors, run ahead of it by
-    `_last_landing`; a chain longer than n * n_roots steps raises
-    CapExceeded.
+    cokernel functor at v_{k-1}, ..., v_0, v_{n-1}, ..., v_0, ... until the
+    representation vanishes, yielding each member over Q_0 = Q.  A chain that
+    has not vanished after n * n_roots steps raises CapExceeded.
 
     The step to Q_p is the cokernel functor at v_p, a source of Q_{p+1}
     (Q_n = Q_0); its plan is read off uq, once per orientation and call.  A
@@ -549,44 +541,22 @@ def _knit(walk: _Walk, n_roots: int):
     uq = walk.uq
     ordering = admissible_sink_ordering(uq.source)
     n = len(ordering)
+    max_steps = n * n_roots
     plans = [_plan(uq, vp, at_sink=False) for vp in ordering]
     solved, mats = {}, {}
     for k, vk in enumerate(ordering):
         for A in uq.irr:
-            steps = _last_landing(walk, ordering, k, walk.basis(vk, A), n * n_roots)
             dims, maps = {vertex_name(A, vk): 1}, {}
             p = k
-            for _ in range(steps):
+            for _ in range(max_steps):
                 if p == 0:
                     yield _materialize(uq, dims, maps, mats)
                 p = (p - 1) % n
                 _reflection_step(plans[p], False, dims, maps, solved)
-            yield _materialize(uq, dims, maps, mats)
-
-
-def _last_landing(walk: _Walk, ordering, k: int, x: tuple[int, ...], max_steps: int) -> int:
-    """The number of cokernel steps from the simple over Q_k of dimension
-    vector x to the last member of its knitting chain over Q_0.
-
-    The dimension vector of a step is the integer reflection of the one
-    before, and the step vanishes exactly when that has a negative
-    coordinate: the chain is indecomposable, and over the unfolded vertices
-    of one vertex the functor is a product of classical reflection functors,
-    which kill only the simple at their vertex.  The first k steps reflect
-    away from v_k and keep the coordinate 1 of x, so every chain lands
-    on Q_0 at least once."""
-    n = len(ordering)
-    reflections = walk.reflections
-    p = k
-    last = 0
-    for step in range(max_steps):
-        if p == 0:
-            last = step
-        p = (p - 1) % n
-        x = _int_reflect(x, reflections[ordering[p]])
-        if min(x) < 0:
-            return last
-    raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
+                if not dims:
+                    break
+            else:
+                raise CapExceeded(f"knitting chain exceeded {max_steps} steps")
 
 
 def _dims(uq: UnfoldedQuiver, W: UnfoldedRep) -> tuple[int, ...]:
@@ -615,13 +585,14 @@ def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = DEFAULT_BU
 
 def _indecomposables_with_dims(
     Q: CoxeterQuiver, budget: int
-) -> tuple[_Walk, list[tuple[str, tuple[int, ...], UnfoldedRep]]]:
-    """The triples (serialized dimension vector, unfolded dimensions,
-    indecomposable) behind `enumerate_indecomposables`, in its order, and
-    the walk that serializes the dimensions; the serialized form is both
-    the sort key and the printed text line.  The knitted dimensions are
-    checked against the extended positive roots, as integer tuples.  The
-    root orbit, the twist, the extension and the knitting read one walk."""
+) -> tuple[UnfoldedQuiver, list[tuple[str, _Part, UnfoldedRep]]]:
+    """The unfolding of Q and the triples (serialized dimension vector, its
+    --json part, indecomposable) behind `enumerate_indecomposables`, in its
+    order; the serialized form is both the sort key and the printed text
+    line, and both forms come from one read of the root (`_Walk.keyed`).
+    The knitted dimensions are checked against the extended positive roots,
+    as integer tuples.  The root orbit, the twist, the extension and the
+    knitting read one walk."""
     if not is_finite_type(Q):
         raise NotFiniteType("enumeration requires a finite-type quiver")
     walk = _walk(Q)
@@ -629,7 +600,7 @@ def _indecomposables_with_dims(
     found = [(_dims(walk.uq, W), W) for W in _knit(walk, len(roots))]
     if len(found) != len(roots) or {x for x, _ in found} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
-    return walk, sorted(((walk.serialize(x), x, W) for x, W in found), key=lambda triple: triple[0])
+    return walk.uq, sorted(((*walk.keyed(x), W) for x, W in found), key=lambda triple: triple[0])
 
 
 def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> list[UnfoldedRep]:
@@ -816,10 +787,17 @@ def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
     part is split again until its endomorphism algebra is one-dimensional,
     which certifies the leaf as indecomposable; a leaf reads that off the
     whole echelon form and computes no endomorphism.  Leaves are sorted by
-    dimension vector.
+    dimension vector, once; the sort is stable, so leaves of one dimension
+    vector keep the order of the splitting tree.
     """
-    if seed is None:
-        seed = DEFAULT_SEED
+    leaves = _leaves(V, DEFAULT_SEED if seed is None else seed)
+    leaves.sort(key=lambda W: dim_vector(W).serialize())
+    return leaves
+
+
+def _leaves(V: UnfoldedRep, seed: int) -> list[UnfoldedRep]:
+    """The leaves of `decompose`, unsorted, in the order of the splitting
+    tree."""
     if V.is_zero():
         return []
     basis = _EndBasis(V)
@@ -833,9 +811,5 @@ def decompose(V: UnfoldedRep, seed: int | None = None) -> list[UnfoldedRep]:
     for f in candidates:
         parts = _try_split(V, f)
         if parts is not None:
-            leaves: list[UnfoldedRep] = []
-            for part in parts:
-                leaves.extend(decompose(part, seed))
-            leaves.sort(key=lambda W: dim_vector(W).serialize())
-            return leaves
+            return [W for part in parts for W in _leaves(part, seed)]
     raise SplittingFailed(seed)

@@ -499,9 +499,6 @@ class _Walk:
     def serialize(self, x: tuple[int, ...]) -> str:
         return _write([(v, cls[0]) for v, cls in self._classes(x)])
 
-    def part(self, x: tuple[int, ...]) -> _Part:
-        return _Part(_root_json, self._classes(x))
-
     def keyed(self, x: tuple[int, ...]) -> tuple[str, _Part]:
         """The serialized form of x and its part, from one read of each block."""
         classes = self._classes(x)

@@ -713,8 +713,9 @@ def stdlib_json(doc):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_unfold_and_roots_parts_match_stdlib(capsys, qfile, seed):
-    # the parts write the documents of the public to_json methods
-    from coxrep import extended_positive_roots, positive_roots, unfold
+    # the parts write the documents of the public to_json methods; the ids
+    # reach the keys of the dims and maps that the indecs entries write
+    from coxrep import dim_vector, enumerate_indecomposables, extended_positive_roots, positive_roots, unfold
     from coxrep.unfold import _classify_unfolded
 
     for Q in odd_id_quivers(seed, 4):
@@ -733,6 +734,14 @@ def test_unfold_and_roots_parts_match_stdlib(capsys, qfile, seed):
             "positive_roots": [r.to_json() for r in base],
             "extended_count": len(ext),
             "extended_positive_roots": [r.to_json() for r in ext],
+        }
+        assert out == stdlib_json(doc)
+        code, out, _ = run(capsys, "indecs", p, "--full", "--json")
+        assert code == 0
+        found = enumerate_indecomposables(Q)
+        doc = {
+            "count": len(found),
+            "indecomposables": [{"dim_vector": dim_vector(W).to_json(), "rep": W.to_json()} for W in found],
         }
         assert out == stdlib_json(doc)
 

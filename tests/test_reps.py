@@ -520,10 +520,9 @@ def test_enumerate_a2():
 
 
 def reference_knit(Q, n_roots, steps=None):
-    """The knitting as it was before the dimension vectors ran ahead of the
-    chain, on full representations through `reference_reflect_minus`: every
-    chain runs on until its representation vanishes.  Each step appends to
-    `steps` whether it vanished."""
+    """The knitting on full representations through `reference_reflect_minus`:
+    every chain runs on until its representation vanishes.  Each step appends
+    to `steps` whether it vanished."""
     ordering = admissible_sink_ordering(Q)
     n = len(ordering)
     quivers = [Q]
@@ -550,7 +549,7 @@ def reference_knit(Q, n_roots, steps=None):
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3", "I2(5)", "G2"])
-def test_knit_matches_reference_and_stops_at_last_landing(name, monkeypatch):
+def test_knit_matches_reference_step_for_step(name, monkeypatch):
     steps = []
 
     def counted(plan, at_sink, dims, maps, *rest):
@@ -563,11 +562,10 @@ def test_knit_matches_reference_and_stops_at_last_landing(name, monkeypatch):
         reference_steps = []
         expect = list(reference_knit(Q, n_roots, reference_steps))
         assert list(_knit(_Walk(unfold(Q)), n_roots)) == expect
-        # every chain of the reference ends in a step that vanishes; the
-        # knitting stops before it and takes no step that vanishes
+        # every chain of the reference ends in exactly one step that
+        # vanishes, and the knitting takes the same steps in the same order
         assert reference_steps.count(True) == len(Q.vertices) * len(unfold(Q).irr)
-        assert steps and not any(steps)
-        assert len(steps) < len(reference_steps)
+        assert steps == reference_steps
         del steps[:]
 
 
