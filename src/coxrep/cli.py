@@ -14,13 +14,14 @@ each matrix and the source quiver that several representations share once
 per call in the same way.
 Exit codes: 0 success, 1 unreadable input (a malformed command line, or a
 file, quiver, representation or fusion element that does not parse or
-validate; argparse's usage message goes to stderr), 2 precondition violation (a
-named condition of the command, such as a sink, a source or finite type), 3
-budget or cap exceeded, 4 internal fault (a failed internal cross-check, such
-as the knitted dimension vectors against the extended roots, or any
-ValueError that escapes a command, such as a matrix shape mismatch; reported
-as "error: internal: ..." with empty stdout), 141 (128 + SIGPIPE) the reader
-of stdout closed it before the output was written, with nothing on stderr.
+validate, JSON past the parser's digit or depth limit included; argparse's
+usage message goes to stderr), 2 precondition violation (a named condition of
+the command, such as a sink, a source or finite type), 3 budget or cap
+exceeded, 4 internal fault (a failed internal cross-check, such as the knitted
+dimension vectors against the extended roots, or any ValueError that escapes a
+command, such as a matrix shape mismatch; reported as "error: internal: ..."
+with empty stdout), 141 (128 + SIGPIPE) the reader of stdout closed it before
+the output was written, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -147,28 +148,26 @@ def _unfolded_arrows(arrows, pad: str) -> str:
 def _indecs_entry(doc, pad: str) -> str:
     """An entry of `indecs --full --json`, {"dim_vector": root, "rep":
     W.to_json()}, at the indent pad.  doc is (the root's part, W, shared),
-    shared built once per call: the sorted vertices and arrow ids of the
-    unfolding, the source quiver's document, and by indent the quiver's
-    text and each map's text by its id, "" for a zero map, which the
-    document leaves out (the members keep every `Mat` alive, so an id is a
-    sound key)."""
-    root, W, (vertices, arrow_ids, quiver, by_pad) = doc
+    shared built once per call: the source quiver's document, and by indent
+    the quiver's text and each block's text by its id, "" for a zero block,
+    which the document leaves out (the members keep every `Mat` alive, so
+    an id is a sound key).  W's support and blocks are all that is read."""
+    root, W, (quiver, by_pad) = doc
     inner = pad + _INDENT
     rep_pad = inner + _INDENT
     memo = by_pad.get(pad)
     if memo is None:
         memo = by_pad[pad] = (_dumps(quiver, rep_pad), {})
     quiver_text, texts = memo
-    dims, maps = W.dims, []
-    for a in arrow_ids:
-        m = W.maps[a]
+    maps = []
+    for a, m in sorted(W.blocks.items()):
         text = texts.get(id(m))
         if text is None:
             text = texts[id(m)] = "" if m.is_zero() else _matrix(m.to_json(), rep_pad + _INDENT)
         if text:
             maps.append((a, text))
     rep = [
-        ("dims", _obj(rep_pad, [(u, str(dims[u])) for u in vertices if dims[u]])),
+        ("dims", _obj(rep_pad, [(u, str(d)) for u, d in sorted(W.support.items())])),
         ("maps", _obj(rep_pad, maps)),
         ("quiver", quiver_text),
     ]
@@ -260,14 +259,14 @@ def _cmd_roots(args) -> int:
 
 def _cmd_indecs(args) -> int:
     Q = _load_quiver(args.quiver)
-    uq, found = reps_mod._indecomposables_with_dims(Q, args.budget)
+    found = reps_mod._indecomposables_with_dims(Q, args.budget)
 
     def doc():
         if not args.full:
             return {"count": len(found), "indecomposables": [{"dim_vector": root} for _, root, _ in found]}
-        # every member lives over uq and the knitting shares each distinct
-        # map among them: one sorted layout and one quiver document serve all
-        shared = (sorted(uq.vertices), sorted(a.id for a in uq.arrows), Q.to_json(), {})
+        # every member lives over one unfolding and the knitting shares each
+        # distinct map among them: one quiver document serves all
+        shared = (Q.to_json(), {})
         entries = [_Part(_indecs_entry, (root, W, shared)) for _, root, W in found]
         return {"count": len(found), "indecomposables": entries}
 
@@ -276,12 +275,8 @@ def _cmd_indecs(args) -> int:
         for key, _, W in found:
             yield f"  {key}"
             if args.full:
-                for name, d in sorted(W.dims.items()):
-                    if d:
-                        yield f"    dim {name} = {d}"
-                for k, m in sorted(W.maps.items()):
-                    if not m.is_zero():
-                        yield f"    map {k} = {m.to_json()}"
+                yield from (f"    dim {name} = {d}" for name, d in sorted(W.support.items()))
+                yield from (f"    map {k} = {m.to_json()}" for k, m in sorted(W.blocks.items()) if not m.is_zero())
 
     _emit(args.json, doc, lines)
     return 0
@@ -305,7 +300,7 @@ def _cmd_reflect(args) -> int:
     try:
         with open(args.rep, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise QuiverParseError(f"cannot read representation: {exc}") from exc
     try:
         V = reps_mod.UnfoldedRep.from_json(obj)
@@ -334,7 +329,7 @@ def _cmd_fusion(args) -> int:
         raise QuiverParseError(f"bad label list {args.labels!r}: labels are integers >= 3")
     try:
         operands = [json.loads(s) for s in args.mul]
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise QuiverParseError(f"bad fusion element JSON: {exc}") from exc
     try:
         x, y = (FusionElem.from_json(obj, labels) for obj in operands)

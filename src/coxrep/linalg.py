@@ -226,6 +226,11 @@ def _parse_entry(x) -> int | Fraction:
         raise TypeError(f"matrix entries must be strings or integers, got {x!r}")
     if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
         return int(x)  # an optional "-" and ASCII digits: what Fraction reads, faster
+    # Fraction would first build 10**|exponent|: above the default digit
+    # limit of int() on a string, which a plain integer entry meets, refuse it
+    exponent = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (len(exponent) > 5 or int(exponent) > 4300):
+        raise ValueError("matrix entry has an exponent above 4300 in magnitude")
     try:
         return Fraction(x)
     except ZeroDivisionError as exc:

@@ -201,7 +201,7 @@ def parse_quiver(text: str) -> CoxeterQuiver:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
             raise QuiverParseError(f"bad JSON: {exc}") from exc
         return CoxeterQuiver.from_json(obj)
     vertices: list[str] = []

@@ -1,22 +1,24 @@
 """Representations in unfolded coordinates and their reflection functors.
 
-A representation is stored as one rational dimension per unfolded vertex and
-one rational matrix per unfolded arrow.  Reflection at a sink of the Coxeter
-quiver acts as the classical kernel construction at every unfolded vertex
-lying over it, and matches the simple reflection on dimension vectors.
-Reflection at a source is its transpose dual, F-_i = D F+_i D with D the
-transpose of every matrix (Bernstein-Gelfand-Ponomarev): the cokernel of the
-map out of V_u is the transposed kernel of the transposed map.  Both are one
-step (`_reflection_step`) on a representation held on its support: its
-non-zero dimensions, and the maps between them as integer rows over a
-denominator.  A plan (`_plan`) lists the vertices over i with their arrows.
-Only the direction of the arrows at i differs between orientations, so the
-knitting plans each of its orientations once, off the unfolding of the
-original orientation.  At each vertex over i the step stacks only the blocks
-of the arrows whose other end is non-zero, solves one integer system if the
-vertex itself is non-zero, takes the identity if it is zero, and skips it if
-it and all its neighbours are zero; it slices the kernel vectors straight
-into the new maps, with no `Mat` in between.
+A representation is stored on its support, mostly a small part of the
+unfolded quiver: the non-zero dimensions, and one rational matrix per arrow
+between two non-zero vertices (`UnfoldedRep.support` and `.blocks`).  The
+full views `dims` and `maps` are built when read, never in a loop here.
+Reflection at a sink of the Coxeter quiver acts as the classical kernel
+construction at every unfolded vertex lying over it, and matches the simple
+reflection on dimension vectors.  Reflection at a source is its transpose
+dual, F-_i = D F+_i D with D the transpose of every matrix
+(Bernstein-Gelfand-Ponomarev): the cokernel of the map out of V_u is the
+transposed kernel of the transposed map.  Both are one step
+(`_reflection_step`) on that same support form, with each block as its
+integer rows over a denominator.  A plan (`_plan`) lists the vertices over i
+with their arrows.  Only the direction of the arrows at i differs between
+orientations, so the knitting plans each of its orientations once, off the
+unfolding of the original orientation.  At each vertex over i the step stacks
+only the blocks of the arrows whose other end is non-zero, solves one integer
+system if the vertex itself is non-zero, takes the identity if it is zero,
+and skips it if it and all its neighbours are zero; it slices the kernel
+vectors straight into the new maps, with no `Mat` in between.
 Indecomposables of finite-type quivers are knitted forward from the simples:
 the source step carries each one-dimensional representation around the cycle
 of orientations of an admissible ordering until it vanishes, with no run
@@ -25,9 +27,9 @@ orientation is indecomposable, one per extended positive root.  The local
 steps repeat within one knitting, so a knitting call solves each distinct
 local input once and builds one `Mat` per distinct map, which its members
 share.  An `UnfoldedRep` is built (`_materialize`, through the unchecked
-constructors `Mat._trusted` and `UnfoldedRep._trusted`) only for the
-members yielded over the original orientation, and for the result of a
-public reflection functor.
+constructors `Mat._trusted` and `UnfoldedRep._trusted`, with no zero
+matrix) only for the members yielded over the original orientation, and for
+the result of a public reflection functor.
 
 Hom and End spaces are the kernels of one integer linear system per pair of
 representations (`_hom_rows`); their dimensions are read off its echelon
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import lcm
 from operator import mul
 from sys import maxsize
@@ -98,15 +100,18 @@ class SplittingFailed(Exception):
 
 
 class UnfoldedRep(Value):
-    """Dimensions and matrices over the unfolded quiver of a Coxeter quiver."""
+    """A representation over the unfolded quiver, on its support: `support`
+    maps each vertex of non-zero dimension to that dimension, and `blocks`
+    each arrow between two of them to its `Mat`, zero included, in the order
+    of quiver's vertices and arrows.  `dims` and `maps`, every vertex and
+    every arrow, are built on each read."""
 
-    __slots__ = ("quiver", "dims", "maps")
+    __slots__ = ("quiver", "support", "blocks")
     __hash__ = None  # the state holds dicts
 
     def __init__(self, quiver: UnfoldedQuiver, dims=None, maps=None):
-        dims = dims or {}
-        maps = maps or {}
-        rest = dict(dims)
+        rest = dict(dims or {})
+        support = {}
         for name in quiver.vertices:
             d = rest.pop(name, 0)
             if type(d) is not int:
@@ -116,52 +121,53 @@ class UnfoldedRep(Value):
             if d > maxsize:
                 # no list, and so no matrix, has that many rows or columns
                 raise CapExceeded(f"dimension {d} at {name} is more than {maxsize}")
+            if d:
+                support[name] = d
         if rest:
             raise UnknownVertex(f"unknown unfolded vertices {sorted(rest)}")
-        rest = dict(maps)
+        rest = dict(maps or {})
+        blocks = {}
         for a in quiver.arrows:
-            rows = dims.get(a.target, 0)
-            cols = dims.get(a.source, 0)
+            rows, cols = support.get(a.target, 0), support.get(a.source, 0)
             m = rest.pop(a.id, None)
             if m is not None and (m.rows, m.cols) != (rows, cols):
-                raise ValueError(
-                    f"arrow {a.id}: matrix is {m.rows}x{m.cols}, expected {rows}x{cols}"
-                )
+                raise ValueError(f"arrow {a.id}: matrix is {m.rows}x{m.cols}, expected {rows}x{cols}")
+            if rows and cols:  # an arrow not given is zero
+                blocks[a.id] = Mat.zeros(rows, cols) if m is None else m
         if rest:
             raise UnknownVertex(f"unknown unfolded arrows {sorted(rest)}")
-        # every vertex not given has dimension 0 and every arrow not given
-        # the zero matrix of its shape
-        full_dims = {u: dims.get(u, 0) for u in quiver.vertices}
-        full_maps = {}
-        for a in quiver.arrows:
-            m = maps.get(a.id)
-            if m is None:
-                m = Mat.zeros(full_dims[a.target], full_dims[a.source])
-            full_maps[a.id] = m
-        _set_slots(self, quiver, full_dims, full_maps)
+        _set_slots(self, quiver, support, blocks)
 
     @classmethod
-    def _trusted(cls, quiver: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, Mat]) -> "UnfoldedRep":
-        """The representation with the given dimensions and maps, one per
-        vertex and arrow of quiver in its order, taken as they are."""
+    def _trusted(cls, quiver: UnfoldedQuiver, support: dict[str, int], blocks: dict[str, Mat]) -> "UnfoldedRep":
+        """The representation with the given support and blocks, in the
+        order of quiver's vertices and arrows, taken as they are."""
         V = object.__new__(cls)
-        _set_slots(V, quiver, dims, maps)
+        _set_slots(V, quiver, support, blocks)
         return V
 
+    @property
+    def dims(self) -> dict[str, int]:
+        """The dimension of every unfolded vertex, 0 off the support."""
+        return {u: self.support.get(u, 0) for u in self.quiver.vertices}
+
+    @property
+    def maps(self) -> dict[str, Mat]:
+        """The matrix of every unfolded arrow, a fresh zero matrix off the blocks."""
+        s, b = self.support, self.blocks
+        return {a.id: b.get(a.id) or Mat.zeros(s.get(a.target, 0), s.get(a.source, 0)) for a in self.quiver.arrows}
+
     def total_dim(self) -> int:
-        return sum(self.dims.values())
+        return sum(self.support.values())
 
     def is_zero(self) -> bool:
-        return self.total_dim() == 0
-
-    def _state(self):
-        return self.quiver, self.dims, self.maps
+        return not self.support
 
     def to_json(self) -> dict:
         return {
             "quiver": self.quiver.source.to_json(),
-            "dims": {k: v for k, v in self.dims.items() if v},
-            "maps": {k: m.to_json() for k, m in self.maps.items() if not m.is_zero()},
+            "dims": dict(self.support),
+            "maps": {k: m.to_json() for k, m in self.blocks.items() if not m.is_zero()},
         }
 
     @classmethod
@@ -181,14 +187,11 @@ class UnfoldedRep(Value):
             arrow = arrows.get(k)
             if arrow is None:
                 raise UnknownVertex(f"unknown unfolded arrow {k!r}")
-            maps[k] = Mat.from_json(
-                rows, dims.get(arrow.target, 0), dims.get(arrow.source, 0)
-            )
+            maps[k] = Mat.from_json(rows, dims.get(arrow.target, 0), dims.get(arrow.source, 0))
         return cls(uq, dims, maps)
 
     def __repr__(self):
-        support = {k: v for k, v in self.dims.items() if v}
-        return f"UnfoldedRep({support})"
+        return f"UnfoldedRep({self.support})"
 
 
 def zero_rep(Q: CoxeterQuiver) -> UnfoldedRep:
@@ -208,21 +211,21 @@ def simple_rep(Q: CoxeterQuiver, i: str, A: SimpleObject) -> UnfoldedRep:
 
 def dim_vector(V: UnfoldedRep) -> RootVector:
     """Fold the unfolded dimensions to one fusion-ring class per vertex."""
-    return fold_dim(V.quiver, V.dims)
+    return fold_dim(V.quiver, V.support)
 
 
 def direct_sum(V: UnfoldedRep, W: UnfoldedRep) -> UnfoldedRep:
     if V.quiver != W.quiver:
         raise ValueError("summands live over different quivers")
-    dims = {u: V.dims[u] + W.dims[u] for u in V.quiver.vertices}
+    dv, dw, mv_all, mw_all = V.dims, W.dims, V.maps, W.maps
     maps = {}
     for a in V.quiver.arrows:
-        mv, mw = V.maps[a.id], W.maps[a.id]
+        mv, mw = mv_all[a.id], mw_all[a.id]
         den = lcm(mv.den, mw.den)
         num = [r + [0] * mw.cols for r in mv.num_over(den)]
         num += [[0] * mv.cols + r for r in mw.num_over(den)]
         maps[a.id] = Mat._trusted(mv.rows + mw.rows, mv.cols + mw.cols, num, den)
-    return UnfoldedRep(V.quiver, dims, maps)
+    return UnfoldedRep(V.quiver, {u: dv[u] + dw[u] for u in dv}, maps)
 
 
 def _reflect(Q: CoxeterQuiver, i: str, V: UnfoldedRep, at_sink: bool) -> UnfoldedRep:
@@ -236,12 +239,8 @@ def _reflect(Q: CoxeterQuiver, i: str, V: UnfoldedRep, at_sink: bool) -> Unfolde
         raise NotASink(f"vertex {i!r} is not a sink")
     if not at_sink and not Q.is_source(i):
         raise NotASource(f"vertex {i!r} is not a source")
-    dims = {u: d for u, d in V.dims.items() if d}
-    maps = {}
-    for a in V.quiver.arrows:
-        if a.source in dims and a.target in dims:
-            m = V.maps[a.id]
-            maps[a.id] = (m.num, m.den)
+    dims = dict(V.support)
+    maps = {a: (m.num, m.den) for a, m in V.blocks.items()}
     _reflection_step(_plan(V.quiver, i, at_sink), at_sink, dims, maps, {})
     return _materialize(unfold(reverse_at(Q, i)), dims, maps, {})
 
@@ -354,25 +353,20 @@ def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dic
 
 def _materialize(uq: UnfoldedQuiver, dims: dict[str, int], maps: dict[str, tuple], mats: dict) -> UnfoldedRep:
     """The representation over uq held on its support as (dims, maps) (see
-    `_reflection_step`), built unchecked.  `mats` maps each block to its
-    `Mat`, in lowest terms, and each zero shape to its `Mat.zeros`, so one
-    dict builds one `Mat` per distinct map and shares it (a `Mat` is
-    immutable)."""
-    full_dims = {u: dims.get(u, 0) for u in uq.vertices}
-    full = {}
+    `_reflection_step`), built unchecked, in the order of uq's vertices and
+    arrows, with nothing filled in.  `mats` maps each block to its `Mat`, in
+    lowest terms, so one dict builds one `Mat` per distinct map and shares
+    it (a `Mat` is immutable)."""
+    blocks = {}
     for a in uq.arrows:
         block = maps.get(a.id)
-        key = block or (full_dims[a.target], full_dims[a.source])
-        M = mats.get(key)
-        if M is None:
-            if block:
+        if block:
+            M = mats.get(block)
+            if M is None:
                 rows, den = block
-                M = Mat._trusted(len(rows), len(rows[0]), rows, den)
-            else:
-                M = Mat.zeros(*key)
-            mats[key] = M
-        full[a.id] = M
-    return UnfoldedRep._trusted(uq, full_dims, full)
+                M = mats[block] = Mat._trusted(len(rows), len(rows[0]), rows, den)
+            blocks[a.id] = M
+    return UnfoldedRep._trusted(uq, {u: dims[u] for u in uq.vertices if u in dims}, blocks)
 
 
 def apply_reflection_word(Q: CoxeterQuiver, V: UnfoldedRep, word) -> UnfoldedRep:
@@ -398,23 +392,27 @@ def _hom_rows(V: UnfoldedRep, W: UnfoldedRep) -> tuple[list[list[int]], dict[str
     V -> W: f_t MV_a = MW_a f_s for every arrow a: s -> t.
 
     The unknowns are the entries of the blocks f_u (W.dims[u] x V.dims[u],
-    row-major) from offset base[u]; returns (rows, base, unknowns).  The
-    equations of an arrow are scaled by the lcm of the denominators of its two
-    matrices, so every row is integral."""
-    uq = V.quiver
+    row-major) from offset base[u], for each u in both supports; returns
+    (rows, base, unknowns).  An arrow in neither V's nor W's blocks gives
+    only 0 = 0 rows and is skipped.  The equations of an arrow are scaled by
+    the lcm of the denominators of its two matrices, so every row is
+    integral."""
+    sv, sw = V.support, W.support
     base: dict[str, int] = {}
     n_unknowns = 0
-    for u in uq.vertices:
-        base[u] = n_unknowns
-        n_unknowns += W.dims[u] * V.dims[u]
+    for u, d in sv.items():
+        if u in sw:
+            base[u] = n_unknowns
+            n_unknowns += sw[u] * d
     rows = []
-    for a in uq.arrows:
+    for a in V.quiver.arrows:
+        MV, MW = V.blocks.get(a.id), W.blocks.get(a.id)
+        if MV is None and MW is None:
+            continue
         s, t = a.source, a.target
-        MV, MW = V.maps[a.id], W.maps[a.id]
-        ds_v, dt_v = V.dims[s], V.dims[t]
-        ds_w, dt_w = W.dims[s], W.dims[t]
-        L = lcm(MV.den, MW.den)
-        mv, mw = MV.num_over(L), MW.num_over(L)
+        ds_v, dt_v, ds_w, dt_w = sv.get(s, 0), sv.get(t, 0), sw.get(s, 0), sw.get(t, 0)
+        L = lcm(MV.den if MV else 1, MW.den if MW else 1)
+        mv, mw = MV and MV.num_over(L), MW and MW.num_over(L)
         for r in range(dt_w):
             for c in range(ds_v):
                 row = [0] * n_unknowns
@@ -561,7 +559,7 @@ def _knit(walk: _Walk, n_roots: int):
 
 def _dims(uq: UnfoldedQuiver, W: UnfoldedRep) -> tuple[int, ...]:
     """W's dimensions as an integer tuple in the order of uq.vertices."""
-    return tuple(map(W.dims.__getitem__, uq.vertices))
+    return tuple(map(W.support.get, uq.vertices, repeat(0)))
 
 
 def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = DEFAULT_BUDGET) -> UnfoldedRep:
@@ -583,13 +581,11 @@ def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = DEFAULT_BU
     raise AssertionError("knitting did not reach an extended positive root")
 
 
-def _indecomposables_with_dims(
-    Q: CoxeterQuiver, budget: int
-) -> tuple[UnfoldedQuiver, list[tuple[str, _Part, UnfoldedRep]]]:
-    """The unfolding of Q and the triples (serialized dimension vector, its
-    --json part, indecomposable) behind `enumerate_indecomposables`, in its
-    order; the serialized form is both the sort key and the printed text
-    line, and both forms come from one read of the root (`_Walk.keyed`).
+def _indecomposables_with_dims(Q: CoxeterQuiver, budget: int) -> list[tuple[str, _Part, UnfoldedRep]]:
+    """The triples (serialized dimension vector, its --json part,
+    indecomposable) behind `enumerate_indecomposables`, in its order; the
+    serialized form is both the sort key and the printed text line, and
+    both forms come from one read of the root (`_Walk.keyed`).
     The knitted dimensions are checked against the extended positive roots,
     as integer tuples.  The root orbit, the twist, the extension and the
     knitting read one walk."""
@@ -600,28 +596,32 @@ def _indecomposables_with_dims(
     found = [(_dims(walk.uq, W), W) for W in _knit(walk, len(roots))]
     if len(found) != len(roots) or {x for x, _ in found} != roots:
         raise AssertionError("knitted dimension vectors differ from the extended roots")
-    return walk.uq, sorted(((*walk.keyed(x), W) for x, W in found), key=lambda triple: triple[0])
+    return sorted(((*walk.keyed(x), W) for x, W in found), key=lambda triple: triple[0])
 
 
 def enumerate_indecomposables(Q: CoxeterQuiver, budget: int = DEFAULT_BUDGET) -> list[UnfoldedRep]:
     """One representative per extended positive root, sorted by the serialized
     dimension vector, knitted forward from the simples.  The knitted dimension
     vectors are checked against the extended positive roots."""
-    return [W for _, _, W in _indecomposables_with_dims(Q, budget)[1]]
+    return [W for _, _, W in _indecomposables_with_dims(Q, budget)]
 
 
 def _restrict(V: UnfoldedRep, bases: dict[str, tuple[Mat, list[int]]]) -> UnfoldedRep:
     """The subrepresentation of V on the given subspaces, one per vertex u
-    as (B_u, F_u): a basis B_u of columns (d_u x e_u) that is the identity
-    at its rows F_u (`_reduced_kernel`; every row for the identity basis).
+    of V's support, in its order, as (B_u, F_u): a basis B_u of columns
+    (d_u x e_u) that is the identity at its rows F_u (`_reduced_kernel`;
+    every row for the identity basis).
 
-    The map of an arrow a: s -> t is the X with B_t X = M_a B_s; it is the
-    image M_a B_s read at the rows F_t, and B_t X must give the image back
-    (NoSolution if the subspaces are not invariant).  The product is skipped
-    if B_s is the identity, and the check if B_t is."""
-    maps = {}
+    The map of an arrow a: s -> t of V's blocks (every other is zero) is the
+    X with B_t X = M_a B_s; it is the image M_a B_s read at the rows F_t, and
+    B_t X must give the image back (NoSolution if the subspaces are not
+    invariant).  The product is skipped if B_s is the identity, and the
+    check if B_t is."""
+    blocks = {}
     for a in V.quiver.arrows:
-        M = V.maps[a.id]
+        M = V.blocks.get(a.id)
+        if M is None:
+            continue
         (Bs, Fs), (Bt, Ft) = bases[a.source], bases[a.target]
         if len(Fs) == Bs.rows:
             image, den = M.num, M.den
@@ -635,8 +635,9 @@ def _restrict(V: UnfoldedRep, bases: dict[str, tuple[Mat, list[int]]]) -> Unfold
             for brow, irow in zip(Bt.num, image):
                 if any(sum(map(mul, brow, col)) != Bt.den * x for col, x in zip(cols, irow)):
                     raise NoSolution("the subspaces are not invariant")
-        maps[a.id] = Mat._trusted(Bt.cols, Bs.cols, X, den)
-    return UnfoldedRep._trusted(V.quiver, {u: bases[u][0].cols for u in V.quiver.vertices}, maps)
+        if X and Bs.cols:
+            blocks[a.id] = Mat._trusted(Bt.cols, Bs.cols, X, den)
+    return UnfoldedRep._trusted(V.quiver, {u: B.cols for u, (B, _) in bases.items() if B.cols}, blocks)
 
 
 def _int_poly_at(coeffs: list[int], g: list[list[int]]) -> list[list[int]]:
@@ -686,14 +687,12 @@ def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
     blocks = []
     mus: set[int] = set()
     other = False
-    for u in V.quiver.vertices:
-        d = V.dims[u]
-        if d:
-            g = f[u].num_over(D)
-            roots, rest = _eigenvalues(g)
-            blocks.append((u, d, g, roots, rest))
-            mus.update(mu for mu, _ in roots)
-            other = other or len(rest) > 1
+    for u, d in V.support.items():
+        g = f[u].num_over(D)
+        roots, rest = _eigenvalues(g)
+        blocks.append((u, d, g, roots, rest))
+        mus.update(mu for mu, _ in roots)
+        other = other or len(rest) > 1
     if len(mus) + other < 2:
         return None
     eigenspaces: dict[int, dict[str, tuple[Mat, list[int]]]] = {}
@@ -713,7 +712,7 @@ def _try_split(V: UnfoldedRep, f: dict[str, Mat]) -> list[UnfoldedRep] | None:
             rest_space[u] = _reduced_kernel(_int_poly_at(rest, g), d)
     spaces = [eigenspaces[mu] for mu in sorted(eigenspaces)] + ([rest_space] if rest_space else [])
     parts = [
-        _restrict(V, {u: space.get(u) or (Mat.zeros(d, 0), []) for u, d in V.dims.items()})
+        _restrict(V, {u: space.get(u) or (Mat.zeros(d, 0), []) for u, d in V.support.items()})
         for space in spaces
     ]
     if sum(p.total_dim() for p in parts) != V.total_dim():
@@ -754,8 +753,8 @@ def _annihilator_candidates(V, basis, rng):
     split V.  The ideal is non-zero whenever dim End(V) exceeds dim V_u, for
     instance for W^k with k > dim W_u, where End(V) is a full matrix algebra
     and sampled elements seldom have rational eigenvalues."""
-    u = min((u for u in V.quiver.vertices if V.dims[u]), key=V.dims.__getitem__)
-    d = V.dims[u]
+    u = min(V.support, key=V.support.__getitem__)
+    d = V.support[u]
     den = lcm(*(b[u].den for b in basis))
     ann = int_kernel([[b[u].num[r][0] * (den // b[u].den) for b in basis] for r in range(d)], len(basis))
     # combinations by the kernel's numerators: scaling every candidate by the

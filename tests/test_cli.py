@@ -466,6 +466,25 @@ def test_malformed_representation_is_unreadable_input(capsys, qfile, doc):
     assert err.startswith(("error: bad representation JSON", "error: bad quiver JSON"))
 
 
+@pytest.mark.parametrize("fault", ["digits", "depth"])
+@pytest.mark.parametrize("command", ["quiver", "reflect", "fusion"])
+def test_json_past_the_parser_limits_is_unreadable_input(capsys, qfile, command, fault):
+    # json raises ValueError on an integer literal over the interpreter's
+    # digit limit (4300 by default), and RecursionError on nesting this deep;
+    # each is bad input, not an internal fault and not a traceback
+    value = "1" * 5001 if fault == "digits" else "[" * 100_000 + "]" * 100_000
+    if command == "quiver":
+        argv = ["classify", qfile('{"vertices": ["1"], "arrows": [], "x": %s}' % value, "q.json")]
+    elif command == "reflect":
+        rep = '{"quiver": {"vertices": ["1"], "arrows": []}, "dims": {}, "maps": {}, "x": %s}' % value
+        argv = ["reflect", qfile(rep, "rep.json"), "--vertex", "1", "--sign", "+"]
+    else:
+        argv = ["fusion", "--labels", "5", "--mul", value, "{}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
     from coxrep import enumerate_indecomposables, parse_quiver, rootsys

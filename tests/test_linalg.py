@@ -14,6 +14,7 @@ from coxrep import (
     rank,
     solve_all,
 )
+from coxrep import linalg as linalg_mod
 from coxrep.linalg import _parse_entry, _reduced_kernel, charpoly, int_kernel, integer_roots
 from coxrep.reps import _hom_rows
 from families import family_quiver
@@ -474,6 +475,28 @@ def test_parse_entry_agrees_with_fraction(x):
         got = _parse_entry(x)
         assert got == expected
         assert type(got) is (int if x.isascii() and x.removeprefix("-").isdigit() else Fraction)
+
+
+def test_parse_entry_bounds_the_exponent(monkeypatch):
+    # Fraction("1e-99999999") would first build 10**99999999: an exponent
+    # above the digit limit of a plain integer entry is refused before any
+    # Fraction is built, as the 5001-digit integer itself is
+    for x in ("1e-5000", "1e5000", "1E+4301", "2.5e-4_301", "-1e00000004301", "1e-99999999", "1e" + "9" * 5000):
+        monkeypatch.setattr(linalg_mod, "Fraction", None)
+        with pytest.raises(ValueError, match="exponent above 4300"):
+            _parse_entry(x)
+        monkeypatch.undo()
+        with pytest.raises(ValueError):
+            Mat.from_json([[x]], 1, 1)
+    with pytest.raises(ValueError):
+        _parse_entry("1" * 5001)
+    assert _parse_entry("1e400") == 10**400
+    assert _parse_entry("1e-4300") == Fraction(1, 10**4300)
+    assert _parse_entry("-1e004300") == -(10**4300)
+    assert _parse_entry("2/5") == Fraction(2, 5)
+    assert _parse_entry("1.5") == Fraction(3, 2)
+    # a plain digit string still takes int
+    assert [(_parse_entry(x), type(_parse_entry(x))) for x in ("-3", "42", "0")] == [(-3, int), (42, int), (0, int)]
 
 
 def test_reduced_kernel_is_the_identity_at_its_free_rows():

@@ -317,7 +317,9 @@ def test_knit_steps_on_the_support(name, monkeypatch):
     # no kernel of an empty vertex with empty neighbours, and no system
     # solved twice in one knitting; one `Mat` per distinct map of the members
     # yielded, shared by them, so none between the members; and an
-    # `UnfoldedRep` built, unchecked, only for each member yielded
+    # `UnfoldedRep` built, unchecked, only for each member yielded.  The maps
+    # are read off the blocks: the full view `maps` builds fresh zero
+    # matrices on each read
     Q = family_quiver(name)
     calls, inits, mats = [], [], []
     kernel_vectors = reps_mod._kernel_vectors
@@ -346,9 +348,46 @@ def test_knit_steps_on_the_support(name, monkeypatch):
     assert len(set(calls)) == len(calls)
     assert len(members) == n_roots
     assert inits == []
-    maps = [m for W in members for m in W.maps.values()]
+    maps = [m for W in members for m in W.blocks.values()]
     assert len(mats) == len(set(maps))
     assert {id(m) for m in maps} <= {id(M) for M in mats}
+
+
+def test_knitting_and_functors_build_no_zero_matrix(monkeypatch):
+    # a representation is held on its support: the knitting and the public
+    # functors fill in no zero map, while the full view `maps` still lists
+    # one matrix per unfolded arrow
+    zeros = []
+    build_zeros = Mat.zeros.__func__
+
+    def counted(cls, rows, cols):
+        zeros.append((rows, cols))
+        return build_zeros(cls, rows, cols)
+
+    members = {}
+    for name in ["E8", "H4", "F4", "B4", "I2(12)"]:
+        Q = family_quiver(name)
+        walk = _Walk(unfold(Q))
+        monkeypatch.setattr(Mat, "zeros", classmethod(counted))
+        members[name] = list(_knit(walk, len(extended_positive_roots(Q))))
+        monkeypatch.undo()
+        assert zeros == []
+        assert all(all(W.support.values()) for W in members[name])
+    for name in ["D4", "H3"]:
+        for Q in all_orientations(family_quiver(name)):
+            reps = enumerate_indecomposables(Q)
+            monkeypatch.setattr(Mat, "zeros", classmethod(counted))
+            for V in reps:
+                for i in Q.sinks():
+                    reflect_plus(Q, i, V)
+                for i in Q.sources():
+                    reflect_minus(Q, i, V)
+            monkeypatch.undo()
+            assert zeros == []
+    W = members["E8"][-1]
+    assert list(W.dims) == list(W.quiver.vertices) and list(W.maps) == [a.id for a in W.quiver.arrows]
+    assert len(W.support) < len(W.dims) and len(W.blocks) < len(W.maps)
+    assert [list(f) for f in endomorphism_basis(W)] == [list(W.quiver.vertices)]
 
 
 @pytest.mark.parametrize("name", ["B3", "H3"])
@@ -455,6 +494,44 @@ def test_end_dim_additivity_with_homs():
             lhs = end_dim(direct_sum(V, W))
             rhs = end_dim(V) + end_dim(W) + hom_dim(V, W) + hom_dim(W, V)
             assert lhs == rhs
+
+
+def test_hom_and_end_have_integer_certificates():
+    # Gabriel's theorem on the unfolding: for indecomposables X, Y of a
+    # Dynkin quiver, hom_dim(X, Y) = max(0, <x, y>) under the Euler form
+    # <x, y> = sum_u x_u y_u - sum_{a: s -> t} x_s y_t, and each dimension
+    # vector x is a real root, q(x) = <x, x> = 1.  Neither shares code with
+    # the Hom system.  The Euler form misses a sign flip in the system, which
+    # a +-1 rescaling per vertex of a tree absorbs; every element of
+    # End(X + X) must then still be a morphism, f_t M_a = M_a f_s.  All
+    # pairs of the small families, 3000 seeded pairs of F4, H4 and E8
+    rng = random.Random("hom certificates")
+    pairs = 0
+    for name in ["A3", "D4", "B3", "H3", "I2(7)", "G2", "E6", "F4", "H4", "E8"]:
+        members = enumerate_indecomposables(family_quiver(name))
+        uq = members[0].quiver
+        ends = [(a.source, a.target) for a in uq.arrows]
+        dims = [X.dims for X in members]
+
+        def euler(x, y):
+            return sum(x[u] * y[u] for u in uq.vertices) - sum(x[s] * y[t] for s, t in ends)
+
+        assert all(euler(x, x) == 1 for x in dims)
+        if name in ("F4", "H4", "E8"):
+            chosen = [(rng.randrange(len(members)), rng.randrange(len(members))) for _ in range(3000)]
+        else:
+            chosen = [(i, j) for i in range(len(members)) for j in range(len(members))]
+        # End(X + X) = M_2(Q) is solved on twice the dimension: a sample of
+        # the two largest families keeps the test within its time
+        for X in rng.sample(members, 24) if name in ("H4", "E8") else members:
+            S = direct_sum(X, X)
+            maps = S.maps
+            for f in endomorphism_basis(S):
+                assert all(f[a.target] * maps[a.id] == maps[a.id] * f[a.source] for a in uq.arrows)
+        for i, j in chosen:
+            assert hom_dim(members[i], members[j]) == max(0, euler(dims[i], dims[j]))
+        pairs += len(chosen)
+    assert pairs == 13446
 
 
 def test_indecomposable_for_simple_case():
@@ -735,11 +812,12 @@ def test_eigenvalues_read_off_triangular_blocks(monkeypatch):
 
 def restrict_by_solving(V, bases):
     """`_restrict` as it was: each map solved from B_t X = M_a B_s, and the
-    part built by the public constructor."""
-    dims = {u: bases[u][0].cols for u in V.quiver.vertices}
-    maps = {
-        a.id: solve_all(bases[a.target][0], V.maps[a.id] * bases[a.source][0]).particular for a in V.quiver.arrows
-    }
+    part built by the public constructor.  The bases are given on V's
+    support; off it V_u = 0, whose only subspace has the empty basis."""
+    full = {u: bases.get(u) or (Mat.zeros(0, 0), []) for u in V.quiver.vertices}
+    dims = {u: B.cols for u, (B, _) in full.items()}
+    M = V.maps
+    maps = {a.id: solve_all(full[a.target][0], M[a.id] * full[a.source][0]).particular for a in V.quiver.arrows}
     return UnfoldedRep(V.quiver, dims, maps)
 
 
@@ -761,6 +839,7 @@ def test_restrict_reads_parts_off_reduced_kernel_bases(name, monkeypatch):
         expected = restrict_by_solving(V, bases)
         assert part == expected
         assert list(part.dims) == list(expected.dims) and list(part.maps) == list(expected.maps)
+        assert list(part.support) == list(expected.support) and list(part.blocks) == list(expected.blocks)
         assert json.dumps(part.to_json()) == json.dumps(expected.to_json())
         assert [(m.num, m.den) for m in part.maps.values()] == [(m.num, m.den) for m in expected.maps.values()]
 
