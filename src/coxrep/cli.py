@@ -4,24 +4,29 @@ Deterministic given input and flags: every listing is canonically ordered and
 repeated runs are byte identical.  A --json document is printed with sorted
 keys, a 2-space indent, "," and ": " separators and ASCII escapes: the bytes
 json.dumps gives with sort_keys=True, separators (",", ": ") and indent 2.
-The regular parts of a document are `_jsontext._Part`s, which write their
-own text: each root (through `rootsys._Walk`, whose class texts recur), each
-entry of `indecs --full`, and the vertex lists and unfolded arrows of
-`unfold`.  The writer asks a part for its text once per indent per
-document, so a part that recurs (a positive root among the extended ones)
-is written once, with those same bytes; an `indecs --full` entry writes
-each matrix and the source quiver that several representations share once
-per call in the same way.
+This module alone writes that text.  A value sits at an indent `pad`, a
+newline and one `_INDENT` per level ("\\n" for the document itself), and its
+items at pad + `_INDENT`; `_obj` and `_arr` hold every other rule of the
+layout, each container in one join.  The regular parts of a document are
+`_Part`s, which write their own text with them: each root (from the classes
+of `rootsys._Walk`), each entry of `indecs --full`, and the vertex lists and
+unfolded arrows of `unfold`.  The writer asks a part for its text once per
+indent per document, so a part that recurs (a positive root among the
+extended ones) is written once, with those same bytes; an `indecs --full`
+entry writes each matrix and the source quiver that several representations
+share once per call in the same way.
 Exit codes: 0 success, 1 unreadable input (a malformed command line, or a
 file, quiver, representation or fusion element that does not parse or
-validate, JSON past the parser's digit or depth limit included; argparse's
-usage message goes to stderr), 2 precondition violation (a named condition of
-the command, such as a sink, a source or finite type), 3 budget or cap
-exceeded, 4 internal fault (a failed internal cross-check, such as the knitted
-dimension vectors against the extended roots, or any ValueError that escapes a
-command, such as a matrix shape mismatch; reported as "error: internal: ..."
-with empty stdout), 141 (128 + SIGPIPE) the reader of stdout closed it before
-the output was written, with nothing on stderr.
+validate, JSON past the parser's digit or depth limit and a matrix entry of
+more than 4300 digits included; argparse's usage message goes to stderr), 2
+precondition violation (a named condition of the command, such as a sink, a
+source or finite type), 3 budget or cap exceeded (an output entry past the
+interpreter's digit limit included), 4 internal fault (a failed internal
+cross-check, such as the knitted dimension vectors against the extended roots,
+or any ValueError that escapes a command, such as a matrix shape mismatch;
+reported as "error: internal: ..." with empty stdout), 141 (128 + SIGPIPE) the
+reader of stdout closed it before the output was written, with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from . import path_algebra as pa
 from . import reps as reps_mod
-from ._jsontext import _INDENT, _arr, _obj, _Part
 from .fusion import FusionElem, MismatchedLabelSets
 from .quiver import (
     CoxeterQuiver,
@@ -72,6 +76,47 @@ _PRECONDITION_EXC = (
     reps_mod.NotFiniteType,
 )
 _BUDGET_EXC = (OrbitBudgetExceeded, CapExceeded, reps_mod.SplittingFailed)
+_INDENT = "  "
+
+
+class _Part:
+    """A sub-document that writes itself: `render(doc, pad)` is the text of
+    doc at the indent pad, asked for once per indent per document."""
+
+    __slots__ = ("render", "doc")
+
+    def __init__(self, render, doc):
+        self.render = render
+        self.doc = doc
+
+
+def _obj(pad: str, items) -> str:
+    """The object at the indent pad with the (key, value text) items in the
+    order given, which the caller sorts by key; a key that is not a str
+    raises TypeError.  One join copies each text once, so a large part
+    inside is not copied again per term."""
+    inner = pad + _INDENT
+    out = []
+    for k, text in items:
+        out += (",", inner, _escape(k), ": ", text)
+    if not out:
+        return "{}"
+    # no comma before the first item
+    out[0] = "{"
+    out += (pad, "}")
+    return "".join(out)
+
+
+def _arr(pad: str, texts) -> str:
+    """The array at the indent pad with the item texts in the order given,
+    in one join: the brackets go onto the first and the last item."""
+    texts = list(texts)
+    if not texts:
+        return "[]"
+    inner = pad + _INDENT
+    texts[0] = f"[{inner}{texts[0]}"
+    texts[-1] = f"{texts[-1]}{pad}]"
+    return ("," + inner).join(texts)
 
 
 def _load_quiver(path: str) -> CoxeterQuiver:
@@ -130,6 +175,20 @@ def _components(comps) -> list:
     return [{"type": t.name, "vertices": _Part(_strings, vs)} for vs, t in comps]
 
 
+def _root_json(classes, pad: str) -> str:
+    """The text at the indent pad of a root from its non-zero `_Walk`
+    classes (`_Walk.keyed`), each class written once per indent per walk."""
+    inner = pad + _INDENT
+    return _obj(pad, [(v, cls[2].get(inner) or _class_json(cls, inner)) for v, cls in classes])
+
+
+def _class_json(cls, pad: str) -> str:
+    """The text of a `_Walk` class at the indent pad, kept in the class."""
+    _, pairs, texts = cls
+    text = texts[pad] = _obj(pad, [(k, str(c)) for k, c in pairs])
+    return text
+
+
 def _matrix(rows, pad: str) -> str:
     """The rows of `Mat.to_json`, in one join per row."""
     inner = pad + _INDENT
@@ -147,12 +206,12 @@ def _unfolded_arrows(arrows, pad: str) -> str:
 
 def _indecs_entry(doc, pad: str) -> str:
     """An entry of `indecs --full --json`, {"dim_vector": root, "rep":
-    W.to_json()}, at the indent pad.  doc is (the root's part, W, shared),
+    W.to_json()}, at the indent pad.  doc is (the root's classes, W, shared),
     shared built once per call: the source quiver's document, and by indent
     the quiver's text and each block's text by its id, "" for a zero block,
     which the document leaves out (the members keep every `Mat` alive, so
     an id is a sound key).  W's support and blocks are all that is read."""
-    root, W, (quiver, by_pad) = doc
+    classes, W, (quiver, by_pad) = doc
     inner = pad + _INDENT
     rep_pad = inner + _INDENT
     memo = by_pad.get(pad)
@@ -171,7 +230,7 @@ def _indecs_entry(doc, pad: str) -> str:
         ("maps", _obj(rep_pad, maps)),
         ("quiver", quiver_text),
     ]
-    return _obj(pad, [("dim_vector", root.render(root.doc, inner)), ("rep", _obj(inner, rep))])
+    return _obj(pad, [("dim_vector", _root_json(classes, inner)), ("rep", _obj(inner, rep))])
 
 
 def _emit(as_json: bool, doc, text_lines):
@@ -229,16 +288,20 @@ def _cmd_roots(args) -> int:
     ext = _extend(walk, base) if args.extended else None
 
     def listings(read):
-        # each root is read once, by walk.serialize or walk.keyed, whose
+        # each root is read once, by walk.serialize or `part`, whose
         # serialized form is both the sort key and the printed line; the
         # positive roots are among the extended ones, so their listing is
         # filtered from the one sorted list
         rows = sorted((read(x), x) for x in (base if ext is None else ext))
         return [r for r, x in rows if x in base], [r for r, _ in rows]
 
+    def part(x):
+        key, classes = walk.keyed(x)
+        return key, _Part(_root_json, classes)
+
     def doc():
         # one part per root: a positive root recurs among the extended ones
-        positive, extended = listings(walk.keyed)
+        positive, extended = listings(part)
         out = {"count": len(base), "positive_roots": [d for _, d in positive]}
         if ext is not None:
             out["extended_count"] = len(ext)
@@ -263,11 +326,12 @@ def _cmd_indecs(args) -> int:
 
     def doc():
         if not args.full:
-            return {"count": len(found), "indecomposables": [{"dim_vector": root} for _, root, _ in found]}
+            roots = [{"dim_vector": _Part(_root_json, classes)} for _, classes, _ in found]
+            return {"count": len(found), "indecomposables": roots}
         # every member lives over one unfolding and the knitting shares each
         # distinct map among them: one quiver document serves all
         shared = (Q.to_json(), {})
-        entries = [_Part(_indecs_entry, (root, W, shared)) for _, root, W in found]
+        entries = [_Part(_indecs_entry, (classes, W, shared)) for _, classes, W in found]
         return {"count": len(found), "indecomposables": entries}
 
     def lines():
@@ -307,10 +371,7 @@ def _cmd_reflect(args) -> int:
     except (KeyError, TypeError, ValueError, QuiverError) as exc:
         raise QuiverParseError(f"bad representation JSON: {exc}") from exc
     Q = V.quiver.source
-    if args.sign == "+":
-        W = reps_mod.reflect_plus(Q, args.vertex, V)
-    else:
-        W = reps_mod.reflect_minus(Q, args.vertex, V)
+    W = (reps_mod.reflect_plus if args.sign == "+" else reps_mod.reflect_minus)(Q, args.vertex, V)
 
     def lines():
         yield f"dim_vector: {reps_mod.dim_vector(W).serialize()}"

@@ -191,9 +191,13 @@ class Mat(Value):
 
     def to_json(self) -> list[list[str]]:
         den = self.den
-        if den == 1:
-            return [[str(x) for x in row] for row in self.num]
-        return [[_fraction_str(x, den) for x in row] for row in self.num]
+        try:
+            if den == 1:
+                return [[str(x) for x in row] for row in self.num]
+            return [[_fraction_str(x, den) for x in row] for row in self.num]
+        except ValueError as exc:  # an entry past the digit limit of str()
+            from .rootsys import CapExceeded  # rootsys sits above this module
+            raise CapExceeded(f"a matrix entry is too long to write: {exc}") from None
 
     @classmethod
     def from_json(cls, obj, rows: int, cols: int) -> "Mat":
@@ -211,6 +215,7 @@ class Mat(Value):
 
 # the slot setters, cheaper than object.__setattr__ on the construction path
 _set_rows, _set_cols, _set_num, _set_den, _set_data = (Mat.__dict__[k].__set__ for k in Mat.__slots__)
+_DIGIT_BOUND = 10**4300  # the least integer of 4301 digits, which str() does not write
 
 
 def _fraction_str(x: int, den: int) -> str:
@@ -227,14 +232,18 @@ def _parse_entry(x) -> int | Fraction:
     if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
         return int(x)  # an optional "-" and ASCII digits: what Fraction reads, faster
     # Fraction would first build 10**|exponent|: above the default digit
-    # limit of int() on a string, which a plain integer entry meets, refuse it
+    # limit of int() on a string, which a plain integer entry meets, refuse
+    # it, and a value whose terms str() could not write back
     exponent = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
     if exponent.isdecimal() and (len(exponent) > 5 or int(exponent) > 4300):
         raise ValueError("matrix entry has an exponent above 4300 in magnitude")
     try:
-        return Fraction(x)
+        value = Fraction(x)
     except ZeroDivisionError as exc:
         raise ValueError(f"matrix entry {x!r} has a zero denominator") from exc
+    if max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
+        raise ValueError("matrix entry has more than 4300 digits")
+    return value
 
 
 def _eliminate(row: list[int], prow: list[int], pc: int, nonzero: list[int]) -> list[int]:

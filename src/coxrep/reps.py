@@ -4,21 +4,21 @@ A representation is stored on its support, mostly a small part of the
 unfolded quiver: the non-zero dimensions, and one rational matrix per arrow
 between two non-zero vertices (`UnfoldedRep.support` and `.blocks`).  The
 full views `dims` and `maps` are built when read, never in a loop here.
-Reflection at a sink of the Coxeter quiver acts as the classical kernel
+Reflection at a source of the Coxeter quiver acts as the classical cokernel
 construction at every unfolded vertex lying over it, and matches the simple
-reflection on dimension vectors.  Reflection at a source is its transpose
-dual, F-_i = D F+_i D with D the transpose of every matrix
-(Bernstein-Gelfand-Ponomarev): the cokernel of the map out of V_u is the
-transposed kernel of the transposed map.  Both are one step
-(`_reflection_step`) on that same support form, with each block as its
-integer rows over a denominator.  A plan (`_plan`) lists the vertices over i
-with their arrows.  Only the direction of the arrows at i differs between
-orientations, so the knitting plans each of its orientations once, off the
-unfolding of the original orientation.  At each vertex over i the step stacks
-only the blocks of the arrows whose other end is non-zero, solves one integer
-system if the vertex itself is non-zero, takes the identity if it is zero,
-and skips it if it and all its neighbours are zero; it slices the kernel
-vectors straight into the new maps, with no `Mat` in between.
+reflection on dimension vectors.  Reflection at a sink is its transpose
+dual, F+_i = D F-_i D with D the transpose of every matrix
+(Bernstein-Gelfand-Ponomarev), so one step (`_reflection_step`) on that same
+support form, each block as its integer rows over a denominator, serves
+both: at a sink it runs on the transposed blocks, whose new blocks are
+transposed back.  A plan (`_plan`) lists the vertices over i with their
+arrows.  Only the direction of the arrows at i differs between orientations,
+so the knitting plans each of its orientations once, off the unfolding of
+the original orientation.  At each vertex over i the step stacks only the
+blocks of the arrows whose other end is non-zero, solves one integer system
+if the vertex itself is non-zero, takes the identity if it is zero, and
+skips it if it and all its neighbours are zero; it slices the kernel vectors
+straight into the new maps, with no `Mat` in between.
 Indecomposables of finite-type quivers are knitted forward from the simples:
 the source step carries each one-dimensional representation around the cycle
 of orientations of an admissible ordering until it vanishes, with no run
@@ -60,7 +60,6 @@ from math import lcm
 from operator import mul
 from sys import maxsize
 
-from ._jsontext import _Part
 from ._values import Value, _set_slots
 from .fusion import SimpleObject
 from .linalg import Mat, NoSolution, _back_substitute, _echelon, _echelon_steps, _kernel_vectors, _reduced_kernel
@@ -240,8 +239,11 @@ def _reflect(Q: CoxeterQuiver, i: str, V: UnfoldedRep, at_sink: bool) -> Unfolde
     if not at_sink and not Q.is_source(i):
         raise NotASource(f"vertex {i!r} is not a source")
     dims = dict(V.support)
-    maps = {a: (m.num, m.den) for a, m in V.blocks.items()}
-    _reflection_step(_plan(V.quiver, i, at_sink), at_sink, dims, maps, {})
+    # F+_i = D F-_i D: at a sink, the cokernel step on the transposed blocks
+    maps = {a: (m._transposed_num() if at_sink else m.num, m.den) for a, m in V.blocks.items()}
+    _reflection_step(_plan(V.quiver, i, at_sink), dims, maps, {})
+    if at_sink:
+        maps = {a: (tuple(zip(*rows)), den) for a, (rows, den) in maps.items()}
     return _materialize(unfold(reverse_at(Q, i)), dims, maps, {})
 
 
@@ -274,10 +276,10 @@ def _plan(uq: UnfoldedQuiver, i: str, at_sink: bool) -> tuple:
     return tuple(plan)
 
 
-def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dict[str, tuple], solved: dict) -> None:
-    """Apply, in place, the reflection functor that `plan` lays out
-    (`_plan`): the kernel functor at a sink (at_sink), the cokernel functor
-    at a source.
+def _reflection_step(plan: tuple, dims: dict[str, int], maps: dict[str, tuple], solved: dict) -> None:
+    """Apply, in place, the cokernel functor that `plan` lays out (`_plan`).
+    The kernel functor at a sink is its transpose dual: `_reflect` runs this
+    step on the transposed blocks with the sink's plan.
 
     (dims, maps) is a representation on its support: the non-zero
     dimensions, and (integer rows, den) for each arrow whose two ends are
@@ -286,13 +288,11 @@ def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dic
     arrows are those whose other end is non-zero (an arrow of width 0 would
     add no column).  With no live arrow u becomes 0, so a u that is 0 with
     all its neighbours 0 is skipped.  Otherwise the live blocks, over a
-    common denominator, give one integer row per basis vector r of V_u (row
-    r of every block at a sink, column r at a source), and their kernel
-    vectors (`_kernel_vectors`; the unit vectors if V_u = 0) span the new
-    space at u.  The new map of a reversed arrow holds the slices of the
-    kernel vectors at its other end's coordinates: one row per vector at a
-    source, transposed at a sink (the cokernel functor is the transpose dual
-    of the kernel functor).  Rows are not brought to lowest terms;
+    common denominator, give one integer row per basis vector r of V_u
+    (column r of every block), and their kernel vectors (`_kernel_vectors`;
+    the unit vectors if V_u = 0) span the new space at u.  The new map of a
+    reversed arrow holds the slices of the kernel vectors at its other end's
+    coordinates, one row per vector.  Rows are not brought to lowest terms;
     `Mat._trusted` does that when a member is materialized.
 
     The step at u depends only on its live blocks in plan order (their
@@ -301,8 +301,7 @@ def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dic
     int tuples, which never equals a tuple of blocks or of widths) to its
     kernel vectors, since blocks split into arrows differently can stack to
     the same system.  So each distinct local input is stepped, and each
-    distinct system solved, once per dict; one dict serves one direction
-    only."""
+    distinct system solved, once per dict."""
     for u, arrows in plan:
         live = []
         width = 0
@@ -320,10 +319,7 @@ def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dic
             if d:
                 den = lcm(*(k for _, k in key))
                 blocks = [b if k == den else [[x * (den // k) for x in r] for r in b] for b, k in key]
-                if at_sink:
-                    rows = [[x for b in blocks for x in b[r]] for r in range(d)]
-                else:
-                    rows = [[row[r] for b in blocks for row in b] for r in range(d)]
+                rows = [[row[r] for b in blocks for row in b] for r in range(d)]
                 system = tuple(map(tuple, rows))
                 kernel = solved.get(system)
                 if kernel is None:
@@ -331,17 +327,11 @@ def _reflection_step(plan: tuple, at_sink: bool, dims: dict[str, int], maps: dic
                 vecs, den = kernel
             else:
                 vecs, den = [[int(r == c) for r in range(width)] for c in range(width)], 1
-            if at_sink:
-                K = tuple(zip(*vecs))  # the kernel vectors as columns
-            else:
-                vecs = list(map(tuple, vecs))
+            vecs = list(map(tuple, vecs))
             out = []
             offset = 0
             for _, _, w in live:
-                if at_sink:
-                    out.append((K[offset : offset + w], den))
-                else:
-                    out.append((tuple([x[offset : offset + w] for x in vecs]), den))
+                out.append((tuple([x[offset : offset + w] for x in vecs]), den))
                 offset += w
             step = solved[key] = (len(vecs), out)
         e, out = step
@@ -375,15 +365,11 @@ def apply_reflection_word(Q: CoxeterQuiver, V: UnfoldedRep, word) -> UnfoldedRep
     Each step requires its vertex to be a sink (for "+") or a source (for "-")
     of the current orientation; the orientation is reversed as we go.
     """
-    cur_Q = Q
     for vertex, sign in word:
-        if sign == "+":
-            V = reflect_plus(cur_Q, vertex, V)
-        elif sign == "-":
-            V = reflect_minus(cur_Q, vertex, V)
-        else:
+        if sign not in ("+", "-"):
             raise ValueError(f"bad sign {sign!r}")
-        cur_Q = V.quiver.source
+        V = _reflect(Q, vertex, V, at_sink=sign == "+")
+        Q = V.quiver.source
     return V
 
 
@@ -550,7 +536,7 @@ def _knit(walk: _Walk, n_roots: int):
                 if p == 0:
                     yield _materialize(uq, dims, maps, mats)
                 p = (p - 1) % n
-                _reflection_step(plans[p], False, dims, maps, solved)
+                _reflection_step(plans[p], dims, maps, solved)
                 if not dims:
                     break
             else:
@@ -581,11 +567,11 @@ def indecomposable_for(Q: CoxeterQuiver, v: RootVector, budget: int = DEFAULT_BU
     raise AssertionError("knitting did not reach an extended positive root")
 
 
-def _indecomposables_with_dims(Q: CoxeterQuiver, budget: int) -> list[tuple[str, _Part, UnfoldedRep]]:
-    """The triples (serialized dimension vector, its --json part,
-    indecomposable) behind `enumerate_indecomposables`, in its order; the
-    serialized form is both the sort key and the printed text line, and
-    both forms come from one read of the root (`_Walk.keyed`).
+def _indecomposables_with_dims(Q: CoxeterQuiver, budget: int) -> list[tuple[str, list, UnfoldedRep]]:
+    """The triples (serialized dimension vector, its `_Walk` classes,
+    indecomposable) behind `enumerate_indecomposables`, in its order, from
+    one read of each root (`_Walk.keyed`): the sort key and printed text
+    line, and what the --json writer renders.
     The knitted dimensions are checked against the extended positive roots,
     as integer tuples.  The root orbit, the twist, the extension and the
     knitting read one walk."""

@@ -34,7 +34,6 @@ from math import lcm
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter, neg, sub
 
-from ._jsontext import _INDENT, _obj, _Part
 from ._values import Value, _set_slots
 from .fusion import (
     FusionElem,
@@ -449,7 +448,8 @@ class _Walk:
     the simples over it sorted by key, as `RootVector.serialize` and
     `to_json` write a fold.  A class is read once per distinct slice of
     coordinates, and its serialized text, its (simple key, coefficient)
-    pairs and its --json text at each indent are then looked up."""
+    pairs and its third slot, the --json writer's (`cli`) text by indent,
+    are then looked up."""
 
     def __init__(self, uq):
         self.uq = uq
@@ -499,25 +499,10 @@ class _Walk:
     def serialize(self, x: tuple[int, ...]) -> str:
         return _write([(v, cls[0]) for v, cls in self._classes(x)])
 
-    def keyed(self, x: tuple[int, ...]) -> tuple[str, _Part]:
-        """The serialized form of x and its part, from one read of each block."""
+    def keyed(self, x: tuple[int, ...]) -> tuple[str, list[tuple[str, tuple]]]:
+        """The serialized form of x and its classes, from one read of each block."""
         classes = self._classes(x)
-        return _write([(v, cls[0]) for v, cls in classes]), _Part(_root_json, classes)
-
-
-def _root_json(classes, pad: str) -> str:
-    """The --json text at the indent pad of a root's non-zero `_Walk`
-    classes, each class written once per indent."""
-    inner = pad + _INDENT
-    return _obj(pad, [(v, cls[2].get(inner) or _class_json(cls, inner)) for v, cls in classes])
-
-
-def _class_json(cls, pad: str) -> str:
-    """The --json text of a `_Walk` class at the indent pad, kept for the
-    next root that holds the class there."""
-    _, pairs, texts = cls
-    text = texts[pad] = _obj(pad, [(k, str(c)) for k, c in pairs])
-    return text
+        return _write([(v, cls[0]) for v, cls in classes]), classes
 
 
 def _walk(Q: CoxeterQuiver) -> _Walk:

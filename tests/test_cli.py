@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxrep.cli import main
-from coxrep._jsontext import _Part
+from coxrep.cli import _Part, main
 from families import family_quiver
 
 H3_TEXT = "vertex 1\nvertex 2\nvertex 3\narrow 1 2 5\narrow 2 3\n"
@@ -485,6 +484,43 @@ def test_json_past_the_parser_limits_is_unreadable_input(capsys, qfile, command,
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def digits_rep(qfile, text, maps, dims):
+    """A representation file over the quiver text, with every unfolded
+    dimension in dims and each map given as rows of entry strings."""
+    from coxrep import parse_quiver
+
+    doc = {"quiver": parse_quiver(text).to_json(), "dims": dims, "maps": maps}
+    return qfile(json.dumps(doc), "rep.json")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_matrix_entries_past_the_digit_limit(capsys, qfile, as_json):
+    # an entry whose numerator or denominator has more than 4300 digits, the
+    # interpreter's limit on str(), is refused as input; one computed past it
+    # is a cap, with one error line and nothing on stdout
+    path = "vertex 1\nvertex 2\nvertex 3\narrow 3 2\narrow 2 1\n"
+    dims = {"3:0@1": 1, "3:0@2": 1, "3:0@3": 1}
+    flags = ["--json"] if as_json else []
+    for entry, accepted in [("1e4300", False), ("99e4299", False), ("1e-4300", False), ("1e4299", True)]:
+        rep = digits_rep(qfile, path, {"a0:3:0@3>3:0@2": [[entry]]}, dims)
+        code, out, err = run(capsys, "reflect", rep, "--vertex", "1", "--sign", "+", *flags)
+        if accepted:
+            assert (code, err) == (0, "")
+            assert json.dumps(str(10**4299)) in out
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: bad representation JSON") and err.count("\n") == 1
+    # the kernel at the sink 1 of 2 -> 1 has the 2x2 minors of 4300-digit
+    # entries, of about 8600 digits
+    P = 10**4299
+    rows = [[str(P + 1), str(P + 3), "1"], [str(7), str(P + 11), str(P + 13)]]
+    dims = {"3:0@1": 2, "3:0@2": 3}
+    rep = digits_rep(qfile, "vertex 1\nvertex 2\narrow 2 1\n", {"a0:3:0@2>3:0@1": rows}, dims)
+    code, out, err = run(capsys, "reflect", rep, "--vertex", "1", "--sign", "+", *flags)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: a matrix entry is too long to write") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_only_the_printed_form_is_built(capsys, qfile, monkeypatch, as_json):
     from coxrep import enumerate_indecomposables, parse_quiver, rootsys
@@ -762,6 +798,10 @@ def test_unfold_and_roots_parts_match_stdlib(capsys, qfile, seed):
             "count": len(found),
             "indecomposables": [{"dim_vector": dim_vector(W).to_json(), "rep": W.to_json()} for W in found],
         }
+        assert out == stdlib_json(doc)
+        code, out, _ = run(capsys, "indecs", p, "--json")
+        assert code == 0
+        doc = {"count": len(found), "indecomposables": [{"dim_vector": dim_vector(W).to_json()} for W in found]}
         assert out == stdlib_json(doc)
 
 

@@ -491,8 +491,13 @@ def test_parse_entry_bounds_the_exponent(monkeypatch):
     with pytest.raises(ValueError):
         _parse_entry("1" * 5001)
     assert _parse_entry("1e400") == 10**400
-    assert _parse_entry("1e-4300") == Fraction(1, 10**4300)
-    assert _parse_entry("-1e004300") == -(10**4300)
+    # at the exponent bound, a numerator or denominator of 4301 digits could
+    # not be written back by str(): refused, and 4300 digits are taken
+    for x in ("1e-4300", "-1e004300", "99e4299", "9.9e4300"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            _parse_entry(x)
+    assert _parse_entry("1e-4299") == Fraction(1, 10**4299)
+    assert _parse_entry("-1e004299") == -(10**4299)
     assert _parse_entry("2/5") == Fraction(2, 5)
     assert _parse_entry("1.5") == Fraction(3, 2)
     # a plain digit string still takes int

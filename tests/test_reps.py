@@ -193,13 +193,17 @@ def assert_functors_match_reference(Q, V):
         assert reflect_minus(Q, i, V) == reference_reflect_minus(Q, i, V)
 
 
-@pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3", "I2(5)", "G2"])
+@pytest.mark.parametrize("name", ["A3", "D4", "B3", "H3", "I2(5)", "G2", "F4"])
 def test_reflection_functors_match_reference(name):
-    # every sink and source of every indecomposable and of one direct sum, on
-    # every orientation
+    # every sink and source of every indecomposable, of one direct sum and of
+    # the largest indecomposable in a scrambled basis, whose dense integer
+    # blocks go through both transposes of the sink functor, on every
+    # orientation
+    rng = random.Random(f"reference:{name}")
     for Q in all_orientations(family_quiver(name)):
         reps = enumerate_indecomposables(Q)
-        for V in reps + [direct_sum(reps[0], reps[-1])]:
+        largest = scrambled(max(reps, key=UnfoldedRep.total_dim), rng)
+        for V in reps + [direct_sum(reps[0], reps[-1]), largest]:
             assert_functors_match_reference(Q, V)
 
 
@@ -262,7 +266,7 @@ def test_reflection_step_forms_agree(name):
                 i = sorted(cur.sources())[0]
                 uq2 = unfold(reverse_at(cur, i))
                 empty += len(dims) < len(uq2.vertices)
-                _reflection_step(_plan(full.quiver, i, at_sink=False), False, dims, maps, solved)
+                _reflection_step(_plan(full.quiver, i, at_sink=False), dims, maps, solved)
                 full = reference_reflect_minus(cur, i, full)
                 assert materialized(uq2, dims, maps) == full
                 cur = uq2.source
@@ -629,8 +633,8 @@ def reference_knit(Q, n_roots, steps=None):
 def test_knit_matches_reference_step_for_step(name, monkeypatch):
     steps = []
 
-    def counted(plan, at_sink, dims, maps, *rest):
-        _reflection_step(plan, at_sink, dims, maps, *rest)
+    def counted(plan, dims, maps, *rest):
+        _reflection_step(plan, dims, maps, *rest)
         steps.append(not dims)
 
     monkeypatch.setattr(reps_mod, "_reflection_step", counted)
